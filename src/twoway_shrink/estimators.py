@@ -38,6 +38,7 @@ from .linear_core import (
     LAMBDA_TILDE_EPS,
     NumericError,
     SigmaContext,
+    _single_threaded_lapack,
     dense_sigma,
     lam_from_tilde,
     logdet_sigma,
@@ -336,6 +337,7 @@ class FitEngine:
     (grid capacitance factorizations, loss-matrix grams) over replicates.
     """
 
+    @_single_threaded_lapack
     def __init__(self, table: CellTable, tau: float = 0.05, qmode: str = "auto"):
         self.table = table
         self.design = build_design(table)
@@ -597,6 +599,7 @@ class FitEngine:
 
     # -- main fit loop -------------------------------------------------------
 
+    @_single_threaded_lapack
     def fit(
         self,
         y: np.ndarray,
@@ -686,21 +689,32 @@ class FitEngine:
                 val, mu_v, cl = self._eval_single(tuple(lt_pol), pieces, method)
                 best = {"lt": tuple(lt_pol), "obj": val, "mu": mu_v, "clamped": cl}
 
-        if extra_candidates:
-            for cand in extra_candidates:
-                lt_pair = (cand.lambda_tilde_a, cand.lambda_tilde_b)
-                if isinf(cand.lambda_a) and isinf(cand.lambda_b):
-                    lt_pair = (0.0, 0.0)
-                mu_c = float(np.clip(cand.mu, *self.bounds))
-                val_at = self._value_at(lt_pair, pieces, method, mu_c)
-                if np.isfinite(val_at) and val_at < best["obj"]:
-                    best = {"lt": lt_pair, "obj": val_at, "mu": mu_c,
-                            "clamped": mu_c != cand.mu}
-                val, mu_p, cl = self._eval_single(lt_pair, pieces, method)
-                if np.isfinite(val) and val < best["obj"]:
-                    best = {"lt": lt_pair, "obj": val, "mu": mu_p, "clamped": cl}
+        cand_points = []
+        for cand in extra_candidates or ():
+            lt_pair = (cand.lambda_tilde_a, cand.lambda_tilde_b)
+            if isinf(cand.lambda_a) and isinf(cand.lambda_b):
+                lt_pair = (0.0, 0.0)
+            mu_c = float(np.clip(cand.mu, *self.bounds))
+            cand_points.append(
+                {"lt": lt_pair, "obj": None, "mu": mu_c, "clamped": mu_c != cand.mu}
+            )
+            val_at = self._value_at(lt_pair, pieces, method, mu_c)
+            if np.isfinite(val_at) and val_at < best["obj"]:
+                best = dict(cand_points[-1], obj=val_at)
+            val, mu_p, cl = self._eval_single(lt_pair, pieces, method)
+            if np.isfinite(val) and val < best["obj"]:
+                best = {"lt": lt_pair, "obj": val, "mu": mu_p, "clamped": cl}
 
-        return self._build_fit(best, y, eta, method, grid_ties)
+        fit = self._build_fit(best, y, eta, method, grid_ties)
+        if method == "ORACLE":
+            # The expanded objective works from explicit capacitance inverses
+            # and can undershoot near lambda = inf, so the pick is checked
+            # against each extra candidate by the exact realized loss.
+            for point in cand_points:
+                alt = self._build_fit(point, y, eta, method, grid_ties)
+                if alt.objective < fit.objective:
+                    fit = alt
+        return fit
 
     def _value_at(self, lt_pair, pieces, method, mu: float) -> float:
         """Objective at a fixed (lambda_tilde pair, mu); mu is used as given."""
@@ -842,9 +856,8 @@ class WeightedProblem:
 
     def shrinkage_matrix(self, lambda_a: float, lambda_b: float) -> np.ndarray:
         """Dense symmetric V_tilde^{-1} applied to transformed residuals."""
-        design = build_design(self.table)
         lam = np.concatenate(
-            [np.full(design.r, lambda_a), np.full(design.c, lambda_b)]
+            [np.full(self.table.r, lambda_a), np.full(self.table.c, lambda_b)]
         )
         zt = self.Z_tilde[:, 1:]
         v = zt @ (lam[:, None] * zt.T) + np.eye(self.table.n_observed)
@@ -858,9 +871,11 @@ class WeightedProblem:
 
     def ure(self, mu: float, lambda_a: float, lambda_b: float) -> float:
         """Risk estimate of the transformed rule under plain quadratic loss."""
+        return self._ure(self.shrinkage_matrix(lambda_a, lambda_b), mu)
+
+    def _ure(self, a: np.ndarray, mu: float) -> float:
         s2 = self.table.sigma2
         n = self.y_tilde.size
-        a = self.shrinkage_matrix(lambda_a, lambda_b)
         resid = a @ (self.y_tilde - mu * self.one_tilde)
         rc = self.table.r * self.table.c
         return (s2 * n - 2.0 * s2 * float(np.trace(a)) + float(resid @ resid)) / rc
@@ -880,7 +895,7 @@ class WeightedProblem:
             den = float(aw @ aw)
             mu = float(ay @ aw) / den if den > 1e-300 else 0.5 * (lo + hi)
             mu = float(np.clip(mu, lo, hi))
-            return self.ure(mu, la, lb), mu, la, lb
+            return self._ure(a, mu), mu, la, lb
 
         lt_axis = np.linspace(0.0, 1.0, GRID_POINTS)
         best = None

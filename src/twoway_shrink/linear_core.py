@@ -16,12 +16,24 @@ via the matrix-inverse (Woodbury) identity
 
 A dense path (forming Sigma explicitly) is kept alongside for small
 problems and as a cross-check oracle.
+
+Threads: the capacitance factorizations and solves go through scipy's
+LAPACK, thousands of them per fit at order r+c, where OpenBLAS threading
+costs more than it gains.  ``_single_threaded_lapack`` runs scipy's
+OpenBLAS on one thread for the length of a fit, an engine build or a
+study chunk, and restores the previous count afterwards.  numpy's BLAS is
+left alone: its thread count changes the rounding of dense products, and
+with it fitted values.  Factorizations and solves of this size give the
+same bits on one thread as on several.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import ContextDecorator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -51,6 +63,68 @@ DENSE_MODE_LIMIT = 512
 
 class NumericError(RuntimeError):
     """A factorization or solve failed beyond recovery."""
+
+
+@cache
+def _scipy_openblas_threads():
+    """(get, set) thread-count functions of scipy's OpenBLAS, or None.
+
+    Resolved through the library scipy's LAPACK wrappers are linked
+    against; None when that LAPACK is not OpenBLAS.
+    """
+    try:
+        from scipy.linalg import _flapack
+
+        lib = ctypes.CDLL(_flapack.__file__)
+    except (ImportError, OSError, AttributeError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        try:
+            get = getattr(lib, f"{prefix}_get_num_threads")
+            set_ = getattr(lib, f"{prefix}_set_num_threads")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+class _SingleThreadedLapack(ContextDecorator):
+    """Run scipy's OpenBLAS on one thread; usable as ``with`` or decorator.
+
+    Nested and concurrent scopes share one count: the first entry saves
+    the previous thread count and the last exit restores it, exceptions
+    included.  A no-op when scipy's LAPACK is not OpenBLAS.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                api = _scipy_openblas_threads()
+                if api is not None:
+                    get, set_ = api
+                    previous = get()
+                    set_(1)
+                    self._restore = lambda: set_(previous)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._restore is not None:
+                self._restore()
+                self._restore = None
+        return False
+
+
+_single_threaded_lapack = _SingleThreadedLapack()
 
 
 def lam_from_tilde(lt: float) -> float:

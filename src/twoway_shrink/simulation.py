@@ -19,8 +19,9 @@ from math import sqrt
 import numpy as np
 
 from .estimators import FitEngine, wls_fit
+from .linear_core import _single_threaded_lapack
 from .risk_metrics import loss_ss
-from .tables import CellTable
+from .tables import CellTable, _component_labels
 
 __all__ = [
     "Constant",
@@ -158,27 +159,6 @@ def _rng(*key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def _counts_connected(counts: np.ndarray) -> bool:
-    r, c = counts.shape
-    rows, cols = np.nonzero(counts)
-    if rows.size < r + c - 1:
-        return False
-    parent = list(range(r + c))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in zip(rows, r + cols):
-        ri, rj = find(i), find(int(j))
-        if ri != rj:
-            parent[ri] = rj
-    root = find(0)
-    return all(find(k) == root for k in range(r + c))
-
-
 def gen_scenario(spec: ScenarioSpec, replicate: int = 0):
     """Draw (CellTable, true complete means) for one noise replicate.
 
@@ -199,7 +179,7 @@ def gen_scenario(spec: ScenarioSpec, replicate: int = 0):
             cand = counts.copy()
             drop = rng_s.choice(r * c, size=n_missing, replace=False)
             cand.ravel()[drop] = 0
-            if _counts_connected(cand):
+            if _component_labels(cand)[0] == 1:
                 counts = cand
                 break
         else:
@@ -271,6 +251,7 @@ def risk_csv(tables, extra_rows=(), out=None) -> str:
     return text
 
 
+@_single_threaded_lapack
 def _run_chunk(spec: ScenarioSpec, reps, estimators, tau):
     """Fit all requested estimators on a chunk of replicates (worker body)."""
     table0, eta_complete = gen_scenario(spec, 0)

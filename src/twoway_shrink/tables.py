@@ -355,7 +355,10 @@ def build_design(table: CellTable) -> DesignSet:
     col_index = cols[observed]
     k = table.k_observed.astype(np.int64)
     m_diag = 1.0 / k
-    rank = int(np.linalg.matrix_rank(Z, tol=None))
+    # [Za Zb] is the incidence matrix of the bipartite row-column graph, so
+    # its rank (and Z's, as the intercept is the sum of Za's columns) is
+    # the node count minus the number of connected components.
+    rank = r + c - _component_labels(table.counts)[0]
     return DesignSet(
         r=r,
         c=c,
@@ -370,9 +373,14 @@ def build_design(table: CellTable) -> DesignSet:
     )
 
 
-def _component_labels(table: CellTable):
-    r, c = table.r, table.c
-    rows, cols = np.nonzero(table.counts)
+def _component_labels(counts: np.ndarray):
+    """(number, labels) of connected components of the row-column graph.
+
+    Nodes are the r rows then the c columns of a counts array; every
+    nonzero cell is an edge.  An empty row or column is a component alone.
+    """
+    r, c = counts.shape
+    rows, cols = np.nonzero(counts)
     adj = coo_matrix(
         (np.ones(rows.size), (rows, r + cols)), shape=(r + c, r + c)
     )
@@ -386,13 +394,13 @@ def is_connected(table: CellTable) -> bool:
     Connectivity is equivalent to all r*c cell means being estimable
     (rank of Z^T Z equal to r+c-1).
     """
-    n_comp, _ = _component_labels(table)
+    n_comp, _ = _component_labels(table.counts)
     return n_comp == 1
 
 
 def design_components(table: CellTable):
     """Connected components as a list of (row_indices, col_indices) pairs."""
-    n_comp, labels = _component_labels(table)
+    n_comp, labels = _component_labels(table.counts)
     r = table.r
     comps = []
     for k in range(n_comp):

@@ -501,6 +501,21 @@ class TestOracle:
             oracle_fit(table)
 
 
+class TestThreadPinning:
+    def test_fits_bitwise_equal_with_and_without_pin(self, monkeypatch):
+        from twoway_shrink import linear_core
+
+        table, _ = make_random_table(
+            np.random.default_rng(7), 30, 5, k_max=4, n_missing=25
+        )
+        pinned = [fit_ure(table), fit_ml(table)]
+        monkeypatch.setattr(linear_core, "_scipy_openblas_threads", lambda: None)
+        unpinned = [fit_ure(table), fit_ml(table)]
+        for a, b in zip(pinned, unpinned):
+            assert a.hp == b.hp
+            assert np.array_equal(a.eta_complete, b.eta_complete)
+
+
 class TestWeightedTransform:
     def test_identity_when_unit_counts(self, rng):
         table, _ = make_random_table(rng, 3, 4, k_max=1)

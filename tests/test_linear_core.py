@@ -295,3 +295,113 @@ class TestContextMechanics:
         ctx = SigmaContext(d, HyperParams(0.0, 1.0, 1.0), mode="fast")
         with pytest.raises(NumericError):
             shrink_apply(ctx, np.zeros(d.n_obs))
+
+
+class TestSingleThreadedLapack:
+    @pytest.fixture
+    def fake_api(self, monkeypatch):
+        from twoway_shrink import linear_core
+
+        state = {"n": 4, "sets": []}
+
+        def set_(n):
+            state["sets"].append(n)
+            state["n"] = n
+
+        monkeypatch.setattr(
+            linear_core, "_scipy_openblas_threads", lambda: (lambda: state["n"], set_)
+        )
+        return state
+
+    def test_restores_after_return(self, fake_api):
+        from twoway_shrink.linear_core import _single_threaded_lapack
+
+        @_single_threaded_lapack
+        def inner():
+            return fake_api["n"]
+
+        assert inner() == 1
+        assert fake_api["n"] == 4
+
+    def test_restores_after_exception(self, fake_api):
+        from twoway_shrink.linear_core import _single_threaded_lapack
+
+        with pytest.raises(ZeroDivisionError):
+            with _single_threaded_lapack:
+                assert fake_api["n"] == 1
+                1 / 0
+        assert fake_api["n"] == 4
+
+    def test_nested_restores_at_outermost_exit(self, fake_api):
+        from twoway_shrink.linear_core import _single_threaded_lapack
+
+        with _single_threaded_lapack:
+            with _single_threaded_lapack:
+                assert fake_api["n"] == 1
+            assert fake_api["n"] == 1
+        assert fake_api["n"] == 4
+        assert fake_api["sets"] == [1, 4]
+
+    def test_threads_share_one_scope(self, fake_api):
+        import sys
+        import threading
+
+        from twoway_shrink.linear_core import _single_threaded_lapack
+
+        seen = []
+
+        def worker():
+            for _ in range(300):
+                with _single_threaded_lapack:
+                    with _single_threaded_lapack:
+                        seen.append(fake_api["n"])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8 * 300 and set(seen) == {1}
+        assert fake_api["n"] == 4
+
+    def test_noop_without_openblas(self, monkeypatch):
+        from twoway_shrink import linear_core
+
+        lookup = linear_core._scipy_openblas_threads
+        real = lookup()
+        before = None if real is None else real[0]()
+
+        class NoSymbols:
+            def __init__(self, path):
+                pass
+
+        monkeypatch.setattr(linear_core.ctypes, "CDLL", NoSymbols)
+        assert lookup.__wrapped__() is None
+
+        monkeypatch.setattr(linear_core, "_scipy_openblas_threads", lambda: None)
+        with linear_core._single_threaded_lapack:
+            if real is not None:
+                assert real[0]() == before
+
+    def test_real_library_count(self):
+        from twoway_shrink import linear_core
+
+        api = linear_core._scipy_openblas_threads()
+        if api is None:
+            pytest.skip("scipy's LAPACK is not OpenBLAS")
+        get, set_ = api
+        original = get()
+        try:
+            set_(2)  # OpenBLAS may cap this at the core count
+            before = get()
+            with linear_core._single_threaded_lapack:
+                assert get() == 1
+            assert get() == before
+        finally:
+            set_(original)

@@ -197,6 +197,16 @@ class TestStudies:
         assert m.gap >= u.gap - 2 * combined
         assert m.gap > u.gap  # and in fact strictly larger here
 
+    @pytest.mark.parametrize("seed", [20, 61, 85])
+    def test_oracle_dominance_near_wls_limit(self, seed):
+        # Stress replicates where the oracle's expanded objective undershoots
+        # at lambda ~ 1e12 and would otherwise lose to URE.
+        rt = compare_estimators(
+            ebmle_stress_scenario(seed=seed), 5, estimators=("ebmle", "ure", "oracle")
+        )
+        assert np.all(rt.losses["oracle"] <= rt.losses["ure"])
+        assert np.all(rt.losses["oracle"] <= rt.losses["ebmle"])
+
     def test_failure_abort(self):
         bad = small_spec(sigma2=1.0, seed=16, count_law=Constant(1), r=2, c=2)
         # sabotage: negative N rejected

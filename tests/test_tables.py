@@ -174,6 +174,23 @@ class TestConnectivity:
         assert agree >= 100
 
 
+    def test_rank_from_components_matches_svd(self, rng):
+        kinds = set()
+        for _ in range(300):
+            r = int(rng.integers(2, 9))
+            c = int(rng.integers(2, 9))
+            counts = rng.integers(1, 4, size=(r, c)) * (rng.random((r, c)) > 0.55)
+            if counts.sum() == 0 or np.count_nonzero(counts) < r + c - 1:
+                continue
+            table = CellTable(counts, np.where(counts > 0, 0.0, np.nan), 1.0)
+            d = build_design(table)
+            assert d.rank == np.linalg.matrix_rank(d.Z)
+            kinds.add("connected" if is_connected(table) else "disconnected")
+            if np.any(counts.sum(0) == 0) or np.any(counts.sum(1) == 0):
+                kinds.add("empty line")
+        assert kinds == {"connected", "disconnected", "empty line"}
+
+
 class TestQuantileBounds:
     def test_constant_sample(self):
         table = CellTable(np.ones((2, 3), int), np.full((2, 3), 5.0), 1.0)
