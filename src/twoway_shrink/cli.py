@@ -111,12 +111,20 @@ def _fit_report(args) -> dict:
     loss = args.loss
     if loss == "auto":
         loss = "ss" if table.is_complete else "q"
-    design = build_design(table)
+    engine = None
+    if loss != "weighted" and args.method != "wls":
+        qmode = {"ss": "identity", "q": "qmatrix"}[loss]
+        engine = FitEngine(table, tau=args.tau, qmode=qmode)
+    # The engine's completed loss already holds Q; reuse its eigenvalue.
+    if engine is not None and engine.qloss is not None:
+        lambda1 = engine.qloss.lambda1
+    else:
+        lambda1 = lambda1_q(build_design(table))
     diagnostics = {
         "connected": True,
         "nu": imbalance_ratio(table),
-        "lambda1_q": lambda1_q(design),
-        "a2_statistic": a2_statistic(table, design),
+        "lambda1_q": lambda1,
+        "a2_statistic": a2_statistic(table, lambda1=lambda1),
         "sigma2": table.sigma2,
         "sigma2_source": table.sigma2_source,
         "estimating_eq": None,
@@ -128,14 +136,12 @@ def _fit_report(args) -> dict:
         eta_complete = eta_orig  # complete tables only
         mu_clamped = False
         method_tag = "ure-weighted"
-    elif args.method == "wls":
+    elif engine is None:
         fit = wls_fit_full(table, tau=args.tau)
         hp, objective = fit.hp, fit.objective
         eta_complete, mu_clamped = fit.eta_complete, fit.mu_clamped
         method_tag = "wls"
     else:
-        qmode = {"ss": "identity", "q": "qmatrix"}[loss]
-        engine = FitEngine(table, tau=args.tau, qmode=qmode)
         method = "URE" if args.method == "ure" else "EBMLE"
         fit = engine.fit(table.y_observed, method)
         hp, objective = fit.hp, fit.objective
@@ -189,10 +195,10 @@ def cmd_diagnose(args) -> int:
     if not connected:
         print(_disconnected_message(table))
         return EXIT_OK
-    design = build_design(table)
+    lambda1 = lambda1_q(build_design(table))
     print(f"imbalance ratio nu: {imbalance_ratio(table)!r}")
-    print(f"lambda1(Q): {lambda1_q(design)!r}")
-    print(f"a2 statistic: {a2_statistic(table, design)!r}")
+    print(f"lambda1(Q): {lambda1!r}")
+    print(f"a2 statistic: {a2_statistic(table, lambda1=lambda1)!r}")
     counts = table.k_observed
     print("count histogram:")
     values, freq = np.unique(counts, return_counts=True)

@@ -23,6 +23,14 @@ The lambda_tilde = (0, 0) corner of the search box denotes the unshrunken
 estimator eta_hat = y, whose risk estimate is exactly sigma^2 tr(QM)/(rc);
 the weighted-least-squares limit is covered by a separate near-boundary
 candidate.
+
+The grid is evaluated in absorbed form: the larger factor's block of
+Z^T M^{-1} Z is diagonal, so it is eliminated in closed form and each
+engine eigendecomposes one min(r, c)-order Schur complement per grid value
+of that factor's lambda (:class:`_AbsorbedGrid`).  Only which grid point
+wins (and, where refinement does not improve on it, its profiled mu)
+reaches a fit.  The near-boundary candidate, Nelder-Mead, the polish and
+the returned fit work from the (r+c)-order capacitance factorization.
 """
 
 from __future__ import annotations
@@ -317,7 +325,11 @@ def marginal_loglik(
 # ---------------------------------------------------------------------------
 
 class _Bundle:
-    """Capacitance inverses and scale-dependent traces for a batch of points."""
+    """Capacitance inverses and scale-dependent traces for a batch of points.
+
+    ``tr_red`` is None when the bundle was built without traces (only the
+    URE objective uses them).
+    """
 
     __slots__ = ("lt", "S", "Cinv", "logdet", "tr_red")
 
@@ -329,12 +341,122 @@ class _Bundle:
         self.tr_red = tr_red
 
 
+class _AbsorbedGrid:
+    """The lambda grid with the larger factor absorbed in closed form.
+
+    In A/B order, A the larger factor (rows when r >= c), the block D_A of
+    G_w = Z^T M^{-1} Z is diagonal (Searle, Casella and McCulloch,
+    *Variance Components*, 1992, ch. 7).  Eliminating A leaves, per
+    lambda_A, the min(r, c)-order Schur complement
+
+        P = D_B - X^T diag(h) X,   h = lambda_A / (1 + lambda_A D_A),
+
+    kept as P = V diag(ev) V^T, with X the cross block of G_w.  Then
+    u = Lam C^{-1} Lam t splits as
+
+        u_B = V z,   z = f * V^T (t_B - X^T (h t_A)),
+        u_A = h t_A - (hX) u_B,      f = lambda_B / (1 + lambda_B ev),
+
+    log|C| = sum log1p(lambda_A D_A) + sum log1p(lambda_B ev), and every
+    per-point quantity lives in B's space.  Written in lambda, the grid's
+    lambda = 0 and lambda = 1e12 lines need no special case.  Arrays are
+    indexed [lambda_A, lambda_B, ...]; ``order`` maps the flattened square
+    onto the grid points ``lt``, whose ``logdet`` and ``tr_red`` are stored
+    flat.
+    """
+
+    __slots__ = (
+        "lt", "a", "b", "order", "h", "hX", "V", "f", "Wv", "logdet", "tr_red"
+    )
+
+    def __init__(self, design: DesignSet, zqz: np.ndarray, lt_axis, lt_pairs):
+        r, q = design.r, design.q
+        rows, cols = np.arange(r), np.arange(r, q)
+        self.a, self.b = (rows, cols) if r >= design.c else (cols, rows)
+        a, b = self.a, self.b
+        idx = {t: i for i, t in enumerate(lt_axis)}
+        ia = [idx[p[0]] for p in lt_pairs]
+        ib = [idx[p[1]] for p in lt_pairs]
+        if r < design.c:
+            ia, ib = ib, ia
+        self.lt = lt_pairs
+        self.order = np.ravel_multi_index((ia, ib), (len(lt_axis), len(lt_axis)))
+        lam = np.array([lam_from_tilde(float(t)) for t in lt_axis])
+        g = design.gram_weighted
+        d_a = np.diag(g)[a]
+        x = g[np.ix_(a, b)]
+        self.h = lam[:, None] / (1.0 + lam[:, None] * d_a)
+        self.hX = self.h[:, :, None] * x
+        ev, self.V = np.linalg.eigh(g[np.ix_(b, b)] - x.T @ self.hX)
+        ev = np.maximum(ev, 0.0)  # P is positive semidefinite
+        lam_ev = lam[None, :, None] * ev[:, None, :]
+        self.f = lam[None, :, None] / (1.0 + lam_ev)
+        logdet = np.sum(np.log1p(lam[:, None] * d_a), axis=1)[:, None] + np.sum(
+            np.log1p(lam_ev), axis=2
+        )
+        # tr(Lam C^{-1} Lam B) = tr(diag(h) B_AA) + tr(V^T W V diag(f)) with
+        # W = L^T B L, L = [-hX; I] (u = [h t_A; 0] + L u_B).
+        b_aa, b_ab = zqz[np.ix_(a, a)], zqz[np.ix_(a, b)]
+        hxt = self.hX.swapaxes(1, 2)
+        w = hxt @ (b_aa @ self.hX) - hxt @ b_ab - b_ab.T @ self.hX
+        w += zqz[np.ix_(b, b)]
+        self.Wv = self.V.swapaxes(1, 2) @ w @ self.V
+        tr_red = (self.h @ np.diag(b_aa))[:, None] + np.einsum(
+            "ijk,ik->ij", self.f, np.diagonal(self.Wv, axis1=1, axis2=2)
+        )
+        self.logdet = self._flat(logdet)
+        self.tr_red = self._flat(tr_red)
+
+    def _flat(self, square: np.ndarray) -> np.ndarray:
+        return square.reshape(-1)[self.order]
+
+    def _coords(self, v: np.ndarray) -> np.ndarray:
+        """V^T (v_B - (hX)^T v_A) per lambda_A, for v of shape (q,) or (g, q)."""
+        v_a, v_b = v[..., self.a], v[..., self.b]
+        v_b = v_b - (v_a[..., None, :] @ self.hX)[:, 0]
+        return np.einsum("ijk,ij->ik", self.V, v_b)
+
+    def solve(self, t: np.ndarray, zqz: np.ndarray | None = None) -> tuple:
+        """u = Lam C^{-1} Lam t at every grid point, as (h t_A, z, ...).
+
+        With ``zqz`` (B) the result also carries what :meth:`quad` needs:
+        B_AA (h t_A) and the coordinates of B [h t_A; 0].
+        """
+        a0 = self.h * t[self.a]
+        z = self.f * self._coords(t)[:, None, :]
+        if zqz is None:
+            return a0, z
+        # Rows of a0 @ B[A] are B[:, A] a0 (B is symmetric); einsum keeps
+        # this small product off the BLAS thread pool.
+        ba = np.einsum("ia,aj->ij", a0, zqz[self.a])
+        return a0, z, ba[:, self.a], self._coords(ba)
+
+    def dot(self, sol: tuple, s: np.ndarray) -> np.ndarray:
+        """s . u per grid point, for u given by :meth:`solve`."""
+        a0, z = sol[:2]
+        return self._flat(
+            (a0 @ s[self.a])[:, None] + np.einsum("ijk,ik->ij", z, self._coords(s))
+        )
+
+    def quad(self, sol1: tuple, sol2: tuple) -> np.ndarray:
+        """u1^T B u2 per grid point, for u1 and u2 from :meth:`solve` with B."""
+        _, z1, ba1, g1 = sol1
+        a2, z2, _, g2 = sol2
+        total = (
+            np.sum(ba1 * a2, axis=1)[:, None]
+            + np.einsum("ijk,ik->ij", z2, g1)
+            + np.einsum("ijk,ik->ij", z1, g2)
+            + np.sum((z1 @ self.Wv) * z2, axis=2)
+        )
+        return self._flat(total)
+
+
 class FitEngine:
     """Per-table precomputation shared across repeated fits.
 
     Building the engine once and calling :meth:`fit` with fresh data
     vectors is how the simulation harness amortizes the design-level work
-    (grid capacitance factorizations, loss-matrix grams) over replicates.
+    (the absorbed grid, loss-matrix grams) over replicates.
     """
 
     @_single_threaded_lapack
@@ -365,27 +487,29 @@ class FitEngine:
         pairs = np.array([(a, b) for a in lt_axis for b in lt_axis])
         self._corner_mask = (pairs[:, 0] == 0.0) & (pairs[:, 1] == 0.0)
         self.grid_pairs = pairs
-        self._grid_bundle = self._make_bundle(pairs[~self._corner_mask])
+        self._grid_bundle = _AbsorbedGrid(
+            d, self.zqz, lt_axis, pairs[~self._corner_mask]
+        )
         self._wls_pair = np.array([[LAMBDA_TILDE_EPS, LAMBDA_TILDE_EPS]])
         self._wls_bundle = self._make_bundle(self._wls_pair)
 
     # -- candidate machinery ------------------------------------------------
 
-    def _make_bundle(self, lt_pairs: np.ndarray) -> _Bundle:
+    def _make_bundle(self, lt_pairs: np.ndarray, with_trace: bool = True) -> _Bundle:
         d = self.design
         q = d.q
         g = lt_pairs.shape[0]
         S = np.empty((g, q))
         Cinv = np.empty((g, q, q))
         logdet = np.empty(g)
-        tr_red = np.empty(g)
+        tr_red = np.empty(g) if with_trace else None
         eye = np.eye(q)
         for i, (lta, ltb) in enumerate(lt_pairs):
             la = lam_from_tilde(float(lta))
             lb = lam_from_tilde(float(ltb))
             s = np.concatenate([np.full(d.r, np.sqrt(la)), np.full(d.c, np.sqrt(lb))])
             C = s[:, None] * d.gram_weighted * s[None, :]
-            C[np.diag_indices_from(C)] += 1.0
+            C.flat[:: q + 1] += 1.0
             try:
                 cf = sla.cho_factor(C, lower=True)
             except sla.LinAlgError:
@@ -394,7 +518,8 @@ class FitEngine:
             S[i] = s
             Cinv[i] = inv
             logdet[i] = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-            tr_red[i] = float(np.sum(inv * (s[:, None] * self.zqz * s[None, :])))
+            if with_trace:
+                tr_red[i] = float(np.sum(inv * (s[:, None] * self.zqz * s[None, :])))
         return _Bundle(lt_pairs, S, Cinv, logdet, tr_red)
 
     def _data_pieces(self, y: np.ndarray, eta: np.ndarray | None):
@@ -437,7 +562,71 @@ class FitEngine:
         ``mu_fixed`` pins the location instead of profiling it (used when
         re-scoring another fit's hyper-parameters as-is).
         """
-        d = self.design
+        if method == "EBMLE":
+            p_y, cw_y = self._solve_pair(bundle, pieces["t_y"])
+            p_1, cw_1 = self._solve_pair(bundle, self.t_1)
+            terms = {
+                "tu_yy": np.einsum("gi,gi->g", p_y, cw_y),
+                "tu_1y": np.einsum("gi,gi->g", p_1, cw_y),
+                "tu_11": np.einsum("gi,gi->g", p_1, cw_1),
+            }
+            return self._score(terms, bundle, pieces, method, mu_fixed)
+        # URE and ORACLE share the shrinkage-direction solves.
+        _, w_y = self._solve_pair(bundle, pieces["t_y"])
+        _, w_1 = self._solve_pair(bundle, self.t_1)
+        u_y = bundle.S * w_y
+        u_1 = bundle.S * w_1
+        zqz = self.zqz
+        terms = {
+            "uy_zq_y": u_y @ pieces["zq_y"],
+            "uy_zq_1": u_y @ self.zq_1,
+            "u1_zq_y": u_1 @ pieces["zq_y"],
+            "u1_zq_1": u_1 @ self.zq_1,
+            "uy_B_uy": np.einsum("gi,ij,gj->g", u_y, zqz, u_y),
+            "uy_B_u1": np.einsum("gi,ij,gj->g", u_y, zqz, u_1),
+            "u1_B_u1": np.einsum("gi,ij,gj->g", u_1, zqz, u_1),
+        }
+        if method == "ORACLE":
+            terms["uy_zq_eta"] = u_y @ pieces["zq_eta"]
+            terms["u1_zq_eta"] = u_1 @ pieces["zq_eta"]
+        return self._score(terms, bundle, pieces, method, mu_fixed)
+
+    def _evaluate_grid(self, pieces: dict, method: str):
+        """:meth:`_evaluate` over the grid, in the absorbed form.
+
+        With u = Lam C^{-1} Lam t, the terms are t.u for EBMLE and, for
+        URE and ORACLE, the products of u with Z^T Q vectors and B = zqz.
+        """
+        grid = self._grid_bundle
+        t_y = pieces["t_y"]
+        if method == "EBMLE":
+            sol_y, sol_1 = grid.solve(t_y), grid.solve(self.t_1)
+            terms = {
+                "tu_yy": grid.dot(sol_y, t_y),
+                "tu_1y": grid.dot(sol_y, self.t_1),
+                "tu_11": grid.dot(sol_1, self.t_1),
+            }
+            return self._score(terms, grid, pieces, method)
+        sol_y, sol_1 = grid.solve(t_y, self.zqz), grid.solve(self.t_1, self.zqz)
+        terms = {
+            "uy_zq_y": grid.dot(sol_y, pieces["zq_y"]),
+            "uy_zq_1": grid.dot(sol_y, self.zq_1),
+            "u1_zq_y": grid.dot(sol_1, pieces["zq_y"]),
+            "u1_zq_1": grid.dot(sol_1, self.zq_1),
+            "uy_B_uy": grid.quad(sol_y, sol_y),
+            "uy_B_u1": grid.quad(sol_y, sol_1),
+            "u1_B_u1": grid.quad(sol_1, sol_1),
+        }
+        if method == "ORACLE":
+            terms["uy_zq_eta"] = grid.dot(sol_y, pieces["zq_eta"])
+            terms["u1_zq_eta"] = grid.dot(sol_1, pieces["zq_eta"])
+        return self._score(terms, grid, pieces, method)
+
+    def _score(self, terms: dict, bundle, pieces: dict, method: str, mu_fixed=None):
+        """Objective, mu and clamp flags from the per-point solve terms.
+
+        ``bundle`` supplies ``logdet`` (EBMLE) and ``tr_red`` (URE).
+        """
         s2 = self.sigma2
         mid = 0.5 * (self.bounds[0] + self.bounds[1])
 
@@ -449,11 +638,9 @@ class FitEngine:
             return self._clamped(mu_raw)
 
         if method == "EBMLE":
-            p_y, cw_y = self._solve_pair(bundle, pieces["t_y"])
-            p_1, cw_1 = self._solve_pair(bundle, self.t_1)
-            qs_yy = pieces["yKy"] - np.einsum("gi,gi->g", p_y, cw_y)
-            qs_y1 = pieces["yK1"] - np.einsum("gi,gi->g", p_1, cw_y)
-            qs_11 = pieces["K11"] - np.einsum("gi,gi->g", p_1, cw_1)
+            qs_yy = pieces["yKy"] - terms["tu_yy"]
+            qs_y1 = pieces["yK1"] - terms["tu_1y"]
+            qs_11 = pieces["K11"] - terms["tu_11"]
             with np.errstate(divide="ignore", invalid="ignore"):
                 mu, clamped = pick_mu(qs_y1 / np.maximum(qs_11, 1e-300), qs_11)
             quad = qs_yy - 2.0 * mu * qs_y1 + mu * mu * qs_11
@@ -463,23 +650,12 @@ class FitEngine:
                 - quad / (2.0 * s2)
             )
             return -loglik, mu, clamped
-        # URE and ORACLE share the shrinkage-direction solves.
-        _, w_y = self._solve_pair(bundle, pieces["t_y"])
-        _, w_1 = self._solve_pair(bundle, self.t_1)
-        u_y = bundle.S * w_y
-        u_1 = bundle.S * w_1
-        zqz = self.zqz
-        uy_zq_y = u_y @ pieces["zq_y"]
-        uy_zq_1 = u_y @ self.zq_1
-        u1_zq_y = u_1 @ pieces["zq_y"]
-        u1_zq_1 = u_1 @ self.zq_1
-        uy_B_uy = np.einsum("gi,ij,gj->g", u_y, zqz, u_y)
-        uy_B_u1 = np.einsum("gi,ij,gj->g", u_y, zqz, u_1)
-        u1_B_u1 = np.einsum("gi,ij,gj->g", u_1, zqz, u_1)
         if method == "URE":
-            c_yy = pieces["yy"] - 2.0 * uy_zq_y + uy_B_uy
-            c_y1 = pieces["y1"] - u1_zq_y - uy_zq_1 + uy_B_u1
-            c_11 = pieces["one1"] - 2.0 * u1_zq_1 + u1_B_u1
+            c_yy = pieces["yy"] - 2.0 * terms["uy_zq_y"] + terms["uy_B_uy"]
+            c_y1 = (
+                pieces["y1"] - terms["u1_zq_y"] - terms["uy_zq_1"] + terms["uy_B_u1"]
+            )
+            c_11 = pieces["one1"] - 2.0 * terms["u1_zq_1"] + terms["u1_B_u1"]
             with np.errstate(divide="ignore", invalid="ignore"):
                 mu, clamped = pick_mu(c_y1 / np.maximum(c_11, 1e-300), c_11)
             quad = c_yy - 2.0 * mu * c_y1 + mu * mu * c_11
@@ -487,9 +663,11 @@ class FitEngine:
             return obj, mu, clamped
         if method == "ORACLE":
             # delta = A + mu * B with A = Z u_y - eta, B = 1 - Z u_1.
-            aqa = uy_B_uy - 2.0 * (u_y @ pieces["zq_eta"]) + pieces["ee"]
-            aqb = uy_zq_1 - uy_B_u1 - pieces["e1"] + (u_1 @ pieces["zq_eta"])
-            bqb = pieces["one1"] - 2.0 * u1_zq_1 + u1_B_u1
+            aqa = terms["uy_B_uy"] - 2.0 * terms["uy_zq_eta"] + pieces["ee"]
+            aqb = (
+                terms["uy_zq_1"] - terms["uy_B_u1"] - pieces["e1"] + terms["u1_zq_eta"]
+            )
+            bqb = pieces["one1"] - 2.0 * terms["u1_zq_1"] + terms["u1_B_u1"]
             with np.errstate(divide="ignore", invalid="ignore"):
                 mu, clamped = pick_mu(-aqb / np.maximum(bqb, 1e-300), bqb)
             obj = (aqa + 2.0 * mu * aqb + mu * mu * bqb) / self.rc
@@ -510,7 +688,9 @@ class FitEngine:
         if lt_pair[0] == 0.0 and lt_pair[1] == 0.0:
             mid = 0.5 * (self.bounds[0] + self.bounds[1])
             return self._corner_value(pieces, method), mid, False
-        bundle = self._make_bundle(np.asarray([lt_pair], dtype=float))
+        bundle = self._make_bundle(
+            np.asarray([lt_pair], dtype=float), with_trace=method == "URE"
+        )
         obj, mu, clamped = self._evaluate(bundle, pieces, method)
         return float(obj[0]), float(mu[0]), bool(clamped[0])
 
@@ -616,7 +796,7 @@ class FitEngine:
         eta = None if true_eta_obs is None else np.asarray(true_eta_obs, dtype=float)
         pieces = self._data_pieces(y, eta)
 
-        obj, mu, clamped = self._evaluate(self._grid_bundle, pieces, method)
+        obj, mu, clamped = self._evaluate_grid(pieces, method)
         grid_pairs = self._grid_bundle.lt
         corner_obj, corner_mu, corner_clamped = self._eval_single(
             (0.0, 0.0), pieces, method
@@ -720,7 +900,9 @@ class FitEngine:
         """Objective at a fixed (lambda_tilde pair, mu); mu is used as given."""
         if lt_pair[0] == 0.0 and lt_pair[1] == 0.0:
             return self._corner_value(pieces, method)
-        bundle = self._make_bundle(np.asarray([lt_pair], dtype=float))
+        bundle = self._make_bundle(
+            np.asarray([lt_pair], dtype=float), with_trace=method == "URE"
+        )
         obj, _, _ = self._evaluate(bundle, pieces, method, mu_fixed=mu)
         return float(obj[0])
 

@@ -18,13 +18,14 @@ A dense path (forming Sigma explicitly) is kept alongside for small
 problems and as a cross-check oracle.
 
 Threads: the capacitance factorizations and solves go through scipy's
-LAPACK, thousands of them per fit at order r+c, where OpenBLAS threading
-costs more than it gains.  ``_single_threaded_lapack`` runs scipy's
-OpenBLAS on one thread for the length of a fit, an engine build or a
-study chunk, and restores the previous count afterwards.  numpy's BLAS is
-left alone: its thread count changes the rounding of dense products, and
-with it fitted values.  Factorizations and solves of this size give the
-same bits on one thread as on several.
+LAPACK, about a hundred of them per fit at order r+c (Nelder-Mead, the
+polish, the final evaluation), where OpenBLAS threading costs more than it
+gains.  ``_single_threaded_lapack`` runs scipy's OpenBLAS on one thread
+for the length of a fit, an engine build or a study chunk, and restores
+the previous count afterwards.  numpy's BLAS is left alone: its thread
+count changes the rounding of dense products, and with it fitted values.
+Factorizations and solves of this size give the same bits on one thread
+as on several.
 """
 
 from __future__ import annotations
@@ -237,10 +238,9 @@ def sigma_solve(ctx: SigmaContext, v: np.ndarray) -> np.ndarray:
     minv_v = kinv[:, None] * v if v.ndim == 2 else kinv * v
     s = ctx.scale
     if v.ndim == 2:
-        t = np.stack([d.effects_rmatvec(minv_v[:, j]) for j in range(v.shape[1])], axis=1)
-        w = ctx.cap_solve(s[:, None] * t)
-        corr = np.stack([d.effects_matvec(s * w[:, j]) for j in range(v.shape[1])], axis=1)
-        return minv_v - kinv[:, None] * corr
+        t = d.effects_incidence @ minv_v
+        sw = s[:, None] * ctx.cap_solve(s[:, None] * t)
+        return minv_v - kinv[:, None] * (sw[d.row_index] + sw[d.r + d.col_index])
     t = d.effects_rmatvec(minv_v)
     w = ctx.cap_solve(s * t)
     return minv_v - kinv * d.effects_matvec(s * w)

@@ -134,18 +134,21 @@ def lambda1_q_from_grams(design: DesignSet) -> float:
     return float(np.max(ev.real))
 
 
-def a2_statistic(table: CellTable, design: DesignSet | None = None) -> float:
+def a2_statistic(
+    table: CellTable, design: DesignSet | None = None, lambda1: float | None = None
+) -> float:
     """(rc)^{-1/8} (log rc)^2 * imbalance * lambda1(Q), the design diagnostic.
 
     Small values indicate the regime in which the asymptotic optimality
     guarantees of URE tuning are expected to bite; the raw value is
-    reported without a threshold.
+    reported without a threshold.  ``lambda1`` is lambda1(Q) when the
+    caller already has it; otherwise Q is built to compute it.
     """
-    if design is None:
-        design = build_design(table)
+    if lambda1 is None:
+        lambda1 = lambda1_q(design if design is not None else build_design(table))
     rc = table.r * table.c
     nu = imbalance_ratio(table)
-    return float(rc ** (-1.0 / 8.0) * log(rc) ** 2 * nu * lambda1_q(design))
+    return float(rc ** (-1.0 / 8.0) * log(rc) ** 2 * nu * lambda1)
 
 
 def quad_form_moments(A: np.ndarray, V: np.ndarray, eta: np.ndarray):

@@ -18,7 +18,7 @@ from functools import cached_property
 from math import isfinite
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components as _sparse_components
 
 __all__ = [
@@ -301,6 +301,20 @@ class DesignSet:
         a = np.bincount(self.row_index, weights=x, minlength=self.r)
         b = np.bincount(self.col_index, weights=x, minlength=self.c)
         return np.concatenate([a, b])
+
+    @cached_property
+    def effects_incidence(self) -> csr_matrix:
+        """[Za Zb]^T as a CSR matrix with sorted column indices.
+
+        Its product with a matrix adds each row's entries in observation
+        order, the same order as :meth:`effects_rmatvec`'s bincounts.
+        """
+        n = self.n_obs
+        rows = np.concatenate([self.row_index, self.r + self.col_index])
+        cols = np.concatenate([np.arange(n), np.arange(n)])
+        incidence = csr_matrix((np.ones(2 * n), (rows, cols)), shape=(self.q, n))
+        incidence.sort_indices()
+        return incidence
 
     @cached_property
     def gram_weighted(self) -> np.ndarray:

@@ -102,6 +102,33 @@ class TestFitCommand:
         recomputed = ure_value(ctx, table.y_observed, hp.mu, qmode="qmatrix")
         assert report["objective"] == pytest.approx(recomputed, rel=1e-12)
 
+    def test_completed_loss_built_once(self, missing_agg_csv, tmp_path, monkeypatch):
+        from twoway_shrink import estimators, risk_metrics
+
+        built = []
+        original = risk_metrics.q_matrix
+
+        def counted(design):
+            built.append(design)
+            return original(design)
+
+        monkeypatch.setattr(risk_metrics, "q_matrix", counted)
+        monkeypatch.setattr(estimators, "q_matrix", counted)
+        out = tmp_path / "rep.json"
+        code = main([
+            "fit", "--input", missing_agg_csv, "--schema", "agg",
+            "--method", "ure", "--sigma2", "1.0", "--out", str(out),
+        ])
+        assert code == 0
+        assert len(built) == 1
+        report = load_report(out)
+        table = load_table(missing_agg_csv, "agg", sigma2=1.0)
+        design = build_design(table)
+        assert report["diagnostics"]["lambda1_q"] == risk_metrics.lambda1_q(design)
+        assert report["diagnostics"]["a2_statistic"] == risk_metrics.a2_statistic(
+            table, design
+        )
+
     def test_estimate_sigma2_from_raw(self, raw_csv, tmp_path):
         out = tmp_path / "r.json"
         code = main([

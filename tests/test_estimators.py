@@ -4,6 +4,7 @@ import pytest
 from twoway_shrink import (
     CellTable,
     DisconnectedDesignError,
+    FitEngine,
     HyperParams,
     ShrinkageFit,
     SigmaContext,
@@ -514,6 +515,54 @@ class TestThreadPinning:
         for a, b in zip(pinned, unpinned):
             assert a.hp == b.hp
             assert np.array_equal(a.eta_complete, b.eta_complete)
+
+
+def _rel_err(a, b):
+    return np.abs(a - b) / np.maximum(1.0, np.abs(b))
+
+
+class TestAbsorbedGrid:
+    """The absorbed grid against capacitance bundles at the same points."""
+
+    @pytest.mark.parametrize(
+        "r, c, n_missing",
+        [(7, 4, 0), (4, 7, 0), (5, 5, 0), (2, 2, 0), (9, 5, 8), (5, 9, 8)],
+    )
+    def test_matches_capacitance_bundles(self, rng, r, c, n_missing):
+        table, eta = make_random_table(rng, r, c, k_max=20, n_missing=n_missing)
+        eta_obs = eta[(table.counts > 0).ravel()]
+        for qmode in ("identity", "qmatrix"):
+            engine = FitEngine(table, qmode=qmode)
+            grid = engine._grid_bundle
+            ref = engine._make_bundle(grid.lt)
+            # Points with a lambda_tilde = 0 coordinate sit at lambda = 1e12,
+            # where the capacitance path amplifies rounding by lambda.
+            edge = (grid.lt == 0.0).any(axis=1)
+            for name in ("logdet", "tr_red"):
+                err = _rel_err(getattr(grid, name), getattr(ref, name))
+                assert err[~edge].max() <= 1e-12, name
+                assert err[edge].max() <= 1e-11, name
+            pieces = engine._data_pieces(table.y_observed, eta_obs)
+            for method in ("URE", "EBMLE", "ORACLE"):
+                obj, mu, _ = engine._evaluate_grid(pieces, method)
+                obj_ref, mu_ref, _ = engine._evaluate(ref, pieces, method)
+                err = _rel_err(obj, obj_ref)
+                assert err[~edge].max() <= 1e-10, (qmode, method)
+                assert err[edge].max() <= 1e-9, (qmode, method)
+                assert np.argmin(obj) == np.argmin(obj_ref), (qmode, method)
+
+    def test_holds_no_per_point_capacitance_inverses(self, rng):
+        table, _ = make_random_table(rng, 30, 5, k_max=20, n_missing=20)
+        engine = FitEngine(table)
+        q = engine.design.q
+        n_points = len(engine._grid_bundle.lt)
+        assert n_points == 33 * 33 - 1
+        arrays = list(vars(engine).values())
+        for value in vars(engine).values():
+            arrays += [getattr(value, s, None) for s in getattr(value, "__slots__", ())]
+        shapes = [a.shape for a in arrays if isinstance(a, np.ndarray)]
+        assert (n_points, q, q) not in shapes
+        assert not any(len(s) == 3 and s[0] == n_points for s in shapes)
 
 
 class TestWeightedTransform:

@@ -76,6 +76,16 @@ class TestSigmaSolve:
         with pytest.raises(ValueError):
             shrink_apply(fast, np.ones(d.n_obs - 1))
 
+    def test_matrix_rhs_bitwise_equals_column_solves(self, rng):
+        for r, c, n_missing in ((3, 3, 0), (8, 5, 10), (5, 8, 10), (30, 6, 50)):
+            table, _ = make_random_table(rng, r, c, k_max=20, n_missing=n_missing)
+            d = build_design(table)
+            hp = HyperParams(0.0, float(rng.exponential()), float(rng.exponential()))
+            ctx = SigmaContext(d, hp, mode="fast")
+            for V in (rng.normal(0, 1, (d.n_obs, 7)), d.Za, d.Zb):
+                columns = [sigma_solve(ctx, V[:, j]) for j in range(V.shape[1])]
+                assert np.array_equal(sigma_solve(ctx, V), np.stack(columns, axis=1))
+
 
 class TestShrinkApply:
     def test_zero_lambda_identity(self, rng):
