@@ -25,12 +25,9 @@ from .tables import (
 from .linear_core import (
     NumericError,
     SigmaContext,
-    dense_sigma,
     logdet_sigma,
     shrink_apply,
     sigma_solve,
-    trace_blocks,
-    trace_sigma_inv_msq,
 )
 from .risk_metrics import (
     QLoss,

@@ -16,7 +16,7 @@ from math import isfinite
 import numpy as np
 
 from . import __version__
-from .estimators import FitEngine, weighted_transform, wls_fit_full
+from .estimators import FitEngine, wls_fit_full
 from .linear_core import NumericError
 from .risk_metrics import a2_statistic, lambda1_q
 from .simulation import (
@@ -111,12 +111,14 @@ def _fit_report(args) -> dict:
     loss = args.loss
     if loss == "auto":
         loss = "ss" if table.is_complete else "q"
+    if loss == "weighted" and args.method != "ure":
+        raise ValueError("--loss weighted is only available with --method ure")
     engine = None
-    if loss != "weighted" and args.method != "wls":
-        qmode = {"ss": "identity", "q": "qmatrix"}[loss]
+    if args.method != "wls":
+        qmode = {"ss": "identity", "q": "qmatrix", "weighted": "weighted"}[loss]
         engine = FitEngine(table, tau=args.tau, qmode=qmode)
     # The engine's completed loss already holds Q; reuse its eigenvalue.
-    if engine is not None and engine.qloss is not None:
+    if engine is not None and engine.qmode == "qmatrix":
         lambda1 = engine.qloss.lambda1
     else:
         lambda1 = lambda1_q(build_design(table))
@@ -129,14 +131,7 @@ def _fit_report(args) -> dict:
         "sigma2_source": table.sigma2_source,
         "estimating_eq": None,
     }
-    if loss == "weighted":
-        if args.method != "ure":
-            raise ValueError("--loss weighted is only available with --method ure")
-        hp, eta_orig, objective = weighted_transform(table).fit_ure(tau=args.tau)
-        eta_complete = eta_orig  # complete tables only
-        mu_clamped = False
-        method_tag = "ure-weighted"
-    elif engine is None:
+    if engine is None:
         fit = wls_fit_full(table, tau=args.tau)
         hp, objective = fit.hp, fit.objective
         eta_complete, mu_clamped = fit.eta_complete, fit.mu_clamped
@@ -148,7 +143,7 @@ def _fit_report(args) -> dict:
         eta_complete, mu_clamped = fit.eta_complete, fit.mu_clamped
         diagnostics["estimating_eq"] = fit.diagnostics.get("estimating_eq")
         diagnostics["grid_ties"] = fit.diagnostics.get("grid_ties", [])
-        method_tag = args.method
+        method_tag = "ure-weighted" if loss == "weighted" else args.method
     if not isfinite(objective):
         raise NumericError("fit produced a non-finite objective")
     return {

@@ -31,6 +31,16 @@ of that factor's lambda (:class:`_AbsorbedGrid`).  Only which grid point
 wins (and, where refinement does not improve on it, its profiled mu)
 reaches a fit.  The near-boundary candidate, Nelder-Mead, the polish and
 the returned fit work from the (r+c)-order capacitance factorization.
+
+Every criterion is written for a loss matrix Q on the observed cells
+(:class:`~twoway_shrink.risk_metrics.QLoss`): the sum-of-squares loss
+(Q = I), the count-weighted loss (Q = diag(K)) and the completed
+missing-cell loss.  The two diagonal losses are kept as weight vectors,
+so only the completed loss forms an n x n matrix.  The count-weighted loss
+needs no optimizer of its own: scaling by sqrt(K) turns it into the plain
+loss of a homoscedastic problem whose shrinkage family is the same
+y - M Sigma^{-1} (y - mu 1), so :class:`FitEngine` fits it with
+Q = diag(K).
 """
 
 from __future__ import annotations
@@ -46,8 +56,8 @@ from .linear_core import (
     LAMBDA_TILDE_EPS,
     NumericError,
     SigmaContext,
+    _capacitance_cholesky,
     _single_threaded_lapack,
-    dense_sigma,
     lam_from_tilde,
     logdet_sigma,
     shrink_apply,
@@ -195,10 +205,16 @@ def _resolve_sigma2(ctx: SigmaContext, sigma2):
 
 
 def _resolve_qloss(design: DesignSet, qmode: str, qloss):
+    """(qmode, QLoss); ``qloss`` is reused for the completed loss only."""
+    complete = design.n_obs == design.r * design.c
     if qmode == "auto":
-        qmode = "identity" if design.n_obs == design.r * design.c else "qmatrix"
+        qmode = "identity" if complete else "qmatrix"
     if qmode == "identity":
-        return qmode, None
+        return qmode, QLoss.identity(design)
+    if qmode == "weighted":
+        if not complete:
+            raise ValueError("the count-weighted loss requires a fully observed table")
+        return qmode, QLoss.weighted(design)
     if qmode == "qmatrix":
         return qmode, qloss if qloss is not None else q_matrix(design)
     raise ValueError(f"unknown qmode {qmode!r}")
@@ -211,54 +227,28 @@ def ure_value(
     sigma2: float | None = None,
     qmode: str = "auto",
     qloss: QLoss | None = None,
-    path: str | None = None,
 ) -> float:
     """Unbiased estimate of the risk of eta_hat(mu, lambda_a, lambda_b).
 
-    Normalized by rc.  The fast path evaluates the capacitance form
+    Normalized by rc.  Evaluates the capacitance form
 
         {-s2 tr(QM) + 2 s2 tr[C^{-1} Lam^T Z^T Q Z Lam] + g^T Q g} / rc,
 
-    g = M Sigma^{-1} (y - mu 1); the dense path forms Sigma^{-1} M Q M
-    Sigma^{-1} explicitly.  At the doubly infinite corner the value is the
-    exact risk estimate of the unshrunken estimator, s2 tr(QM) / rc.
+    g = M Sigma^{-1} (y - mu 1).  At the doubly infinite corner the value
+    is the exact risk estimate of the unshrunken estimator, s2 tr(QM) / rc.
     """
     design = ctx.design
     s2 = _resolve_sigma2(ctx, sigma2)
     qmode, qloss = _resolve_qloss(design, qmode, qloss)
     rc = design.r * design.c
-    m = design.m_diag
+    tr_qm = qloss.trace_qm(design.m_diag)
     if isinf(ctx.hp.lambda_a) and isinf(ctx.hp.lambda_b):
-        tr_qm = float(np.sum(m)) if qloss is None else float(m @ np.diag(qloss.Q))
         return s2 * tr_qm / rc
-    y = np.asarray(y, dtype=float)
-    mode = path if path is not None else ctx.mode
-    xi = y - mu
-    if mode == "dense":
-        sig_inv = np.linalg.inv(dense_sigma(ctx))
-        q = np.diag(m * m) if qloss is None else m[:, None] * qloss.Q * m[None, :]
-        mid = sig_inv @ q @ sig_inv
-        tr_qm = float(np.sum(m)) if qloss is None else float(m @ np.diag(qloss.Q))
-        tr_mid = float(np.sum(sig_inv * q.T))
-        return (s2 * tr_qm - 2.0 * s2 * tr_mid + float(xi @ mid @ xi)) / rc
-    g = shrink_apply(ctx, xi)
+    g = shrink_apply(ctx, np.asarray(y, dtype=float) - mu)
     s = ctx.scale
-    if qloss is None:
-        tr_m = float(np.sum(m))
-        b = s[:, None] * design.gram_plain * s[None, :]
-        quad = float(g @ g)
-    else:
-        tr_m = float(m @ np.diag(qloss.Q))
-        zqz = _effects_quad_dense(design, qloss.Q)
-        b = s[:, None] * zqz * s[None, :]
-        quad = float(g @ qloss.Q @ g)
+    b = s[:, None] * qloss.effects_gram(design) * s[None, :]
     tr_red = float(np.sum(ctx.cap_inverse * b))
-    return (-s2 * tr_m + 2.0 * s2 * tr_red + quad) / rc
-
-
-def _effects_quad_dense(d: DesignSet, Q: np.ndarray) -> np.ndarray:
-    za_zb = np.concatenate([d.Za, d.Zb], axis=1)
-    return za_zb.T @ Q @ za_zb
+    return (-s2 * tr_qm + 2.0 * s2 * tr_red + qloss.quad(g)) / rc
 
 
 def profile_mu_ure(
@@ -269,19 +259,16 @@ def profile_mu_ure(
 ) -> float:
     """Unconstrained minimizer of the risk estimate over mu at fixed lambdas.
 
-    Computed by regressing M Sigma^{-1} y on M Sigma^{-1} 1 (Q-weighted in
-    qmatrix mode); clamping to the quantile interval is the caller's job.
+    Computed by regressing M Sigma^{-1} y on M Sigma^{-1} 1 in the Q inner
+    product; clamping to the quantile interval is the caller's job.
     """
     design = ctx.design
     _, qloss = _resolve_qloss(design, qmode, qloss)
     y = np.asarray(y, dtype=float)
     g_y = shrink_apply(ctx, y)
     g_1 = shrink_apply(ctx, np.ones(design.n_obs))
-    if qloss is None:
-        num, den = float(g_1 @ g_y), float(g_1 @ g_1)
-    else:
-        qg1 = qloss.Q @ g_1
-        num, den = float(qg1 @ g_y), float(qg1 @ g_1)
+    qg1 = qloss.apply(g_1)
+    num, den = float(qg1 @ g_y), float(qg1 @ g_1)
     if not np.isfinite(den) or den <= 0.0 or den < 1e-300:
         raise NumericError(
             "profile denominator underflowed (lambda too close to the "
@@ -307,8 +294,8 @@ def marginal_loglik(
     """Exact log-density of y ~ N(mu 1, sigma^2 Sigma).
 
     log|Sigma| is assembled as log|M| + log|capacitance| (the determinant
-    companion of the matrix-inverse identity); the dense mode uses a full
-    slogdet instead.  Diverges to -inf at the doubly infinite corner.
+    companion of the matrix-inverse identity).  Diverges to -inf at the
+    doubly infinite corner.
     """
     if isinf(ctx.hp.lambda_a) and isinf(ctx.hp.lambda_b):
         return -np.inf
@@ -318,6 +305,54 @@ def marginal_loglik(
     xi = y - mu
     quad = float(xi @ sigma_solve(ctx, xi))
     return -0.5 * n * log(2.0 * pi * s2) - 0.5 * logdet_sigma(ctx) - quad / (2.0 * s2)
+
+
+def _first_order_terms(
+    d: DesignSet, qloss: QLoss | None, s2: float, hp: HyperParams,
+    y: np.ndarray, mu: float, method: str,
+) -> dict:
+    """Estimating-equation left-hand sides and their trace scales.
+
+    ``qloss`` is the loss of the risk estimate (URE); the likelihood
+    equations (EBMLE) do not use it.
+    """
+    ctx = SigmaContext(d, hp, sigma2=s2)
+    m = d.m_diag
+    xi = y - mu
+    v = sigma_solve(ctx, xi)
+    za_v = np.bincount(d.row_index, weights=v, minlength=d.r)
+    zb_v = np.bincount(d.col_index, weights=v, minlength=d.c)
+    x_a = sigma_solve(ctx, d.Za)
+    x_b = sigma_solve(ctx, d.Zb)
+    one = np.ones(d.n_obs)
+    if method == "EBMLE":
+        tr_a = float(np.sum(d.Za * x_a))
+        tr_b = float(np.sum(d.Zb * x_b))
+        res_mu = float(np.sum(v))
+        res_a = tr_a - float(za_v @ za_v) / s2
+        res_b = tr_b - float(zb_v @ zb_v) / s2
+        scale_mu = float(np.sum(sigma_solve(ctx, one)))
+    else:
+        mx_a = m[:, None] * x_a
+        mx_b = m[:, None] * x_b
+        tr_a = float(np.sum(mx_a * qloss.apply(mx_a)))
+        tr_b = float(np.sum(mx_b * qloss.apply(mx_b)))
+        w = sigma_solve(ctx, m * qloss.apply(m * v))
+        za_w = np.bincount(d.row_index, weights=w, minlength=d.r)
+        zb_w = np.bincount(d.col_index, weights=w, minlength=d.c)
+        res_mu = float(np.sum(w))
+        res_a = tr_a - float(za_v @ za_w) / s2
+        res_b = tr_b - float(zb_v @ zb_w) / s2
+        g1 = shrink_apply(ctx, one)
+        scale_mu = float(g1 @ qloss.apply(g1))
+    return {
+        "res_mu": res_mu,
+        "res_a": res_a,
+        "res_b": res_b,
+        "scale_mu": abs(scale_mu),
+        "scale_a": abs(tr_a),
+        "scale_b": abs(tr_b),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +509,12 @@ class FitEngine:
         self.k = d.k_obs.astype(float)
         m = d.m_diag
         self.sum_log_m = float(np.sum(np.log(m)))
-        Q = None if self.qloss is None else self.qloss.Q
-        self.Q = Q
-        self.tr_qm = float(np.sum(m)) if Q is None else float(m @ np.diag(Q))
-        self.zqz = d.gram_plain if Q is None else _effects_quad_dense(d, Q)
+        self.tr_qm = self.qloss.trace_qm(m)
+        self.zqz = self.qloss.effects_gram(d)
         self.one = np.ones(self.n)
         # Location-profile pieces for the constant one-vector.
         self.t_1 = d.effects_rmatvec(self.k)
-        self.q_1 = self.one if Q is None else Q @ self.one
+        self.q_1 = self.qloss.apply(self.one)
         self.zq_1 = d.effects_rmatvec(self.q_1)
         lt_axis = np.linspace(0.0, 1.0, GRID_POINTS)
         pairs = np.array([(a, b) for a in lt_axis for b in lt_axis])
@@ -510,10 +543,7 @@ class FitEngine:
             s = np.concatenate([np.full(d.r, np.sqrt(la)), np.full(d.c, np.sqrt(lb))])
             C = s[:, None] * d.gram_weighted * s[None, :]
             C.flat[:: q + 1] += 1.0
-            try:
-                cf = sla.cho_factor(C, lower=True)
-            except sla.LinAlgError:
-                cf = sla.cho_factor(C + 1e-12 * eye, lower=True)
+            cf = _capacitance_cholesky(C)
             inv = sla.cho_solve(cf, eye)
             S[i] = s
             Cinv[i] = inv
@@ -523,11 +553,11 @@ class FitEngine:
         return _Bundle(lt_pairs, S, Cinv, logdet, tr_red)
 
     def _data_pieces(self, y: np.ndarray, eta: np.ndarray | None):
-        d, Q = self.design, self.Q
+        d = self.design
         p = {
             "y": y,
             "t_y": d.effects_rmatvec(self.k * y),
-            "q_y": y if Q is None else Q @ y,
+            "q_y": self.qloss.apply(y),
         }
         p["zq_y"] = d.effects_rmatvec(p["q_y"])
         p["yy"] = float(y @ p["q_y"])
@@ -537,7 +567,7 @@ class FitEngine:
         p["yK1"] = float(y @ self.k)
         p["K11"] = float(np.sum(self.k))
         if eta is not None:
-            q_eta = eta if Q is None else Q @ eta
+            q_eta = self.qloss.apply(eta)
             p["eta"] = eta
             p["q_eta"] = q_eta
             p["zq_eta"] = d.effects_rmatvec(q_eta)
@@ -697,53 +727,7 @@ class FitEngine:
     # -- first-order terms (estimating equations / analytic gradients) ------
 
     def _first_order(self, hp: HyperParams, y: np.ndarray, mu: float, method: str):
-        """Estimating-equation left-hand sides and their trace scales."""
-        d = self.design
-        ctx = SigmaContext(d, hp, mode="fast", sigma2=self.sigma2)
-        m = d.m_diag
-        s2 = self.sigma2
-        xi = y - mu
-        v = sigma_solve(ctx, xi)
-        za_v = np.bincount(d.row_index, weights=v, minlength=d.r)
-        zb_v = np.bincount(d.col_index, weights=v, minlength=d.c)
-        x_a = sigma_solve(ctx, d.Za)
-        x_b = sigma_solve(ctx, d.Zb)
-        if method == "EBMLE":
-            tr_a = float(np.sum(d.Za * x_a))
-            tr_b = float(np.sum(d.Zb * x_b))
-            res_mu = float(np.sum(v))
-            res_a = tr_a - float(za_v @ za_v) / s2
-            res_b = tr_b - float(zb_v @ zb_v) / s2
-            scale_mu = float(np.sum(sigma_solve(ctx, self.one)))
-        else:
-            Q = self.Q
-            mx_a = m[:, None] * x_a
-            mx_b = m[:, None] * x_b
-            if Q is None:
-                tr_a = float(np.sum(mx_a * mx_a))
-                tr_b = float(np.sum(mx_b * mx_b))
-                t = m * (m * v)
-            else:
-                tr_a = float(np.sum(mx_a * (Q @ mx_a)))
-                tr_b = float(np.sum(mx_b * (Q @ mx_b)))
-                t = m * (Q @ (m * v))
-            w = sigma_solve(ctx, t)
-            za_w = np.bincount(d.row_index, weights=w, minlength=d.r)
-            zb_w = np.bincount(d.col_index, weights=w, minlength=d.c)
-            res_mu = float(np.sum(w))
-            res_a = tr_a - float(za_v @ za_w) / s2
-            res_b = tr_b - float(zb_v @ zb_w) / s2
-            g1 = shrink_apply(ctx, self.one)
-            q_g1 = g1 if Q is None else Q @ g1
-            scale_mu = float(g1 @ q_g1)
-        return {
-            "res_mu": res_mu,
-            "res_a": res_a,
-            "res_b": res_b,
-            "scale_mu": abs(scale_mu),
-            "scale_a": abs(tr_a),
-            "scale_b": abs(tr_b),
-        }
+        return _first_order_terms(self.design, self.qloss, self.sigma2, hp, y, mu, method)
 
     def _polished(self, lt0, pieces, method, y):
         """Derivative-based local polish in lambda_tilde coordinates."""
@@ -919,7 +903,7 @@ class FitEngine:
                 lambda_a=lam_from_tilde(lt_a),
                 lambda_b=lam_from_tilde(lt_b),
             )
-        ctx = SigmaContext(d, hp, mode="fast", sigma2=self.sigma2)
+        ctx = SigmaContext(d, hp, sigma2=self.sigma2)
         if not at_corner:
             eta_obs = bayes_estimate(ctx, y, hp.mu)
         eta_complete = d.completion_map @ eta_obs
@@ -929,12 +913,10 @@ class FitEngine:
             objective = marginal_loglik(ctx, y, hp.mu)
         else:
             delta = eta_obs - eta
-            qd = delta if self.Q is None else self.Q @ delta
-            objective = float(delta @ qd) / self.rc
+            objective = float(delta @ self.qloss.apply(delta)) / self.rc
         diagnostics = {
             "grid_ties": grid_ties,
             "lambda_tilde": (lt_a, lt_b),
-            "eval_mode": "fast",
             "qmode": self.qmode,
         }
         if method in ("URE", "EBMLE") and isfinite(hp.lambda_a) and isfinite(hp.lambda_b):
@@ -1012,8 +994,11 @@ def estimating_eq_residuals(fit: ShrinkageFit, table: CellTable):
         raise ValueError("residuals are defined for URE and EBMLE fits only")
     if not (isfinite(fit.hp.lambda_a) and isfinite(fit.hp.lambda_b)):
         return (float("nan"),) * 3
-    engine = FitEngine(table, tau=fit.tau, qmode=fit.qmode)
-    fo = engine._first_order(fit.hp, table.y_observed, fit.hp.mu, fit.method)
+    design = build_design(table)
+    qloss = _resolve_qloss(design, fit.qmode, None)[1] if fit.method == "URE" else None
+    fo = _first_order_terms(
+        design, qloss, table.sigma2, fit.hp, table.y_observed, fit.hp.mu, fit.method
+    )
     return fo["res_mu"], fo["res_a"], fo["res_b"]
 
 
@@ -1045,61 +1030,18 @@ class WeightedProblem:
         v = zt @ (lam[:, None] * zt.T) + np.eye(self.table.n_observed)
         return np.linalg.inv(v)
 
-    def bayes_estimate(self, mu: float, lambda_a: float, lambda_b: float):
-        """Transformed-scale estimate and its original-scale counterpart."""
-        a = self.shrinkage_matrix(lambda_a, lambda_b)
-        eta_t = self.y_tilde - a @ (self.y_tilde - mu * self.one_tilde)
-        return eta_t, eta_t / self.sqrt_k
-
-    def ure(self, mu: float, lambda_a: float, lambda_b: float) -> float:
-        """Risk estimate of the transformed rule under plain quadratic loss."""
-        return self._ure(self.shrinkage_matrix(lambda_a, lambda_b), mu)
-
-    def _ure(self, a: np.ndarray, mu: float) -> float:
-        s2 = self.table.sigma2
-        n = self.y_tilde.size
-        resid = a @ (self.y_tilde - mu * self.one_tilde)
-        rc = self.table.r * self.table.c
-        return (s2 * n - 2.0 * s2 * float(np.trace(a)) + float(resid @ resid)) / rc
-
     def fit_ure(self, tau: float = 0.05):
-        """Grid + Nelder-Mead URE fit of the transformed problem.
+        """URE fit under the count-weighted loss.
 
-        Returns (hp, eta_hat_original_scale, objective).
+        The transformed problem's plain loss is the count-weighted loss
+        Q = diag(K) on the original scale, so this is :class:`FitEngine`
+        with ``qmode="weighted"``.  Returns (hp, eta_hat_original_scale,
+        objective).
         """
-        lo, hi = quantile_bounds(self.table, tau)
-
-        def profiled(lt):
-            la, lb = (lam_from_tilde(float(t)) for t in np.clip(lt, 0.0, 1.0))
-            a = self.shrinkage_matrix(la, lb)
-            ay = a @ self.y_tilde
-            aw = a @ self.one_tilde
-            den = float(aw @ aw)
-            mu = float(ay @ aw) / den if den > 1e-300 else 0.5 * (lo + hi)
-            mu = float(np.clip(mu, lo, hi))
-            return self._ure(a, mu), mu, la, lb
-
-        lt_axis = np.linspace(0.0, 1.0, GRID_POINTS)
-        best = None
-        for a_t in lt_axis:
-            for b_t in lt_axis:
-                val, mu, la, lb = profiled((a_t, b_t))
-                if best is None or val < best[0]:
-                    best = (val, mu, la, lb, (a_t, b_t))
-        nm = minimize(
-            lambda lt: profiled(lt)[0],
-            x0=np.asarray(best[4], dtype=float),
-            method="Nelder-Mead",
-            bounds=[(0.0, 1.0), (0.0, 1.0)],
-            options={"maxfev": NM_MAX_FEVALS, "fatol": NM_FATOL, "xatol": 1e-9},
+        fit = FitEngine(self.table, tau=tau, qmode="weighted").fit(
+            self.table.y_observed, "URE"
         )
-        if np.isfinite(nm.fun) and nm.fun < best[0]:
-            val, mu, la, lb = profiled(nm.x)
-            best = (val, mu, la, lb, tuple(nm.x))
-        val, mu, la, lb, _ = best
-        hp = HyperParams(mu=mu, lambda_a=la, lambda_b=lb)
-        _, eta_orig = self.bayes_estimate(mu, la, lb)
-        return hp, eta_orig, val
+        return fit.hp, fit.eta_complete, fit.objective
 
 
 def weighted_transform(table: CellTable) -> WeightedProblem:

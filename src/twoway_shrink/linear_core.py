@@ -14,8 +14,9 @@ via the matrix-inverse (Woodbury) identity
 
     Sigma^{-1} = M^{-1} - M^{-1} Z Lam C^{-1} Lam^T Z^T M^{-1}.
 
-A dense path (forming Sigma explicitly) is kept alongside for small
-problems and as a cross-check oracle.
+This is the library's only path, and it forms no n x n matrix of its
+own.  The tests keep a dense oracle that forms Sigma explicitly and check
+this path against it.
 
 Threads: the capacitance factorizations and solves go through scipy's
 LAPACK, about a hundred of them per fit at order r+c (Nelder-Mead, the
@@ -46,10 +47,7 @@ __all__ = [
     "NumericError",
     "sigma_solve",
     "shrink_apply",
-    "trace_sigma_inv_msq",
-    "trace_blocks",
     "logdet_sigma",
-    "dense_sigma",
     "LAMBDA_TILDE_EPS",
     "lam_from_tilde",
 ]
@@ -58,12 +56,25 @@ __all__ = [
 # value corresponding to lambda_tilde = (1+lambda)^{-1/2} = 1e-6.
 LAMBDA_TILDE_EPS = 1e-6
 
-# Problems up to this many observed cells default to the dense path.
-DENSE_MODE_LIMIT = 512
-
 
 class NumericError(RuntimeError):
     """A factorization or solve failed beyond recovery."""
+
+
+def _capacitance_cholesky(c: np.ndarray):
+    """Lower Cholesky factor of a capacitance matrix.
+
+    Retries once with 1e-12 added to the diagonal, then raises
+    :class:`NumericError`.
+    """
+    try:
+        return sla.cho_factor(c, lower=True)
+    except sla.LinAlgError:
+        jittered = c + 1e-12 * np.eye(c.shape[0])
+        try:
+            return sla.cho_factor(jittered, lower=True)
+        except sla.LinAlgError as exc:
+            raise NumericError("capacitance factorization failed") from exc
 
 
 @cache
@@ -149,25 +160,21 @@ def _numeric_lambda(lam: float) -> float:
 class SigmaContext:
     """Design + hyper-parameters, with the capacitance factor precomputed.
 
-    ``mode`` selects the computation path: "fast" (Woodbury/capacitance),
-    "dense" (explicit Sigma), or "auto" (dense for small problems).
-    Infinite lambdas are replaced by the numeric stand-in documented in
+    ``mode`` is "fast" (Woodbury/capacitance), the only path.  Infinite
+    lambdas are replaced by the numeric stand-in documented in
     :func:`lam_from_tilde`.
     """
 
     design: DesignSet
     hp: HyperParams
-    mode: str = "auto"
+    mode: str = "fast"
     sigma2: float | None = None
     lam_a: float = field(init=False)
     lam_b: float = field(init=False)
 
     def __post_init__(self):
-        if self.mode not in ("auto", "fast", "dense"):
+        if self.mode != "fast":
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "auto":
-            mode = "dense" if self.design.n_obs <= DENSE_MODE_LIMIT else "fast"
-            object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "lam_a", _numeric_lambda(self.hp.lambda_a))
         object.__setattr__(self, "lam_b", _numeric_lambda(self.hp.lambda_b))
 
@@ -190,15 +197,7 @@ class SigmaContext:
     @cached_property
     def capacitance_factor(self):
         """Cholesky factor of the capacitance matrix (with one jitter retry)."""
-        c = self.capacitance
-        try:
-            return sla.cho_factor(c, lower=True)
-        except sla.LinAlgError:
-            jittered = c + 1e-12 * np.eye(c.shape[0])
-            try:
-                return sla.cho_factor(jittered, lower=True)
-            except sla.LinAlgError as exc:
-                raise NumericError("capacitance factorization failed") from exc
+        return _capacitance_cholesky(self.capacitance)
 
     def cap_solve(self, b: np.ndarray) -> np.ndarray:
         return sla.cho_solve(self.capacitance_factor, b)
@@ -213,15 +212,6 @@ class SigmaContext:
         return float(2.0 * np.sum(np.log(np.diag(f))))
 
 
-def dense_sigma(ctx: SigmaContext) -> np.ndarray:
-    """Form Sigma explicitly (dense oracle path)."""
-    d = ctx.design
-    za, zb = d.Za, d.Zb
-    sig = ctx.lam_a * (za @ za.T) + ctx.lam_b * (zb @ zb.T)
-    sig[np.diag_indices_from(sig)] += d.m_diag
-    return sig
-
-
 def _check_len(v: np.ndarray, n: int):
     if v.shape[0] != n:
         raise ValueError(f"vector length {v.shape[0]} does not match |E| = {n}")
@@ -232,8 +222,6 @@ def sigma_solve(ctx: SigmaContext, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     d = ctx.design
     _check_len(v, d.n_obs)
-    if ctx.mode == "dense":
-        return sla.solve(dense_sigma(ctx), v, assume_a="pos")
     kinv = d.k_obs.astype(float)
     minv_v = kinv[:, None] * v if v.ndim == 2 else kinv * v
     s = ctx.scale
@@ -258,66 +246,12 @@ def shrink_apply(ctx: SigmaContext, x: np.ndarray) -> np.ndarray:
     _check_len(x, d.n_obs)
     if x.ndim != 1:
         raise ValueError("shrink_apply expects a vector")
-    if ctx.mode == "dense":
-        return d.m_diag * sigma_solve(ctx, x)
     t = d.effects_rmatvec(d.k_obs * x)
     s = ctx.scale
     w = ctx.cap_solve(s * t)
     return x - d.effects_matvec(s * w)
 
 
-def trace_sigma_inv_msq(ctx: SigmaContext, Q: np.ndarray | None = None) -> float:
-    """tr(Sigma^{-1} M^2), or tr(Sigma^{-1} M Q M) when a loss matrix is given.
-
-    Uses M Sigma^{-1} M = M - Z Lam C^{-1} Lam^T Z^T, so only the small
-    capacitance inverse is needed.
-    """
-    d = ctx.design
-    tr_m = float(np.sum(d.m_diag)) if Q is None else float(d.m_diag @ np.diag(Q))
-    if ctx.mode == "dense":
-        msm = d.m_diag[:, None] * np.linalg.inv(dense_sigma(ctx)) * d.m_diag[None, :]
-        if Q is None:
-            return float(np.trace(msm))
-        return float(np.sum(msm * Q.T))
-    s = ctx.scale
-    if Q is None:
-        b = s[:, None] * d.gram_plain * s[None, :]
-    else:
-        zqz = _effects_quad(d, Q)
-        b = s[:, None] * zqz * s[None, :]
-    return tr_m - float(np.sum(ctx.cap_inverse * b))
-
-
-def _effects_quad(d: DesignSet, Q: np.ndarray) -> np.ndarray:
-    """[Za Zb]^T Q [Za Zb] for a dense symmetric Q."""
-    qz = np.stack([d.effects_rmatvec(Q[:, j]) for j in range(Q.shape[1])], axis=1)
-    return np.stack([d.effects_rmatvec(qz[k]) for k in range(d.q)], axis=0).T
-
-
-def trace_blocks(ctx: SigmaContext):
-    """Traces used by the estimating-equation residual checker.
-
-    Returns (tr(S^{-1} Za Za^T), tr(S^{-1} Zb Zb^T),
-             tr(S^{-1} Za Za^T S^{-1} M^2), tr(S^{-1} Zb Zb^T S^{-1} M^2))
-    computed by solving against the columns of each effect block.
-    """
-    d = ctx.design
-    m = d.m_diag
-    out = []
-    for block in (d.Za, d.Zb):
-        x = sigma_solve(ctx, block)
-        out.append(float(np.sum(block * x)))
-        out.append(float(np.sum((m[:, None] * x) ** 2)))
-    t_a, t_a_m, t_b, t_b_m = out
-    return t_a, t_b, t_a_m, t_b_m
-
-
 def logdet_sigma(ctx: SigmaContext) -> float:
     """log |Sigma| via the determinant companion of the Woodbury identity."""
-    d = ctx.design
-    if ctx.mode == "dense":
-        sign, val = np.linalg.slogdet(dense_sigma(ctx))
-        if sign <= 0:
-            raise NumericError("dense Sigma is not positive definite")
-        return float(val)
-    return float(np.sum(np.log(d.m_diag))) + ctx.logdet_capacitance
+    return float(np.sum(np.log(ctx.design.m_diag))) + ctx.logdet_capacitance

@@ -17,7 +17,7 @@ from math import log
 import numpy as np
 import scipy.linalg as sla
 
-from .linear_core import SigmaContext, dense_sigma, shrink_apply
+from .linear_core import SigmaContext, shrink_apply, sigma_solve
 from .tables import CellTable, DesignSet, HyperParams, build_design, imbalance_ratio
 
 __all__ = [
@@ -42,23 +42,52 @@ DENSE_EIG_LIMIT = 2000
 class QLoss:
     """Loss matrix for observed-cell errors, with its largest eigenvalue.
 
-    ``mode`` is "identity" for the fully-observed sum-of-squares loss and
-    "qmatrix" for the completed (missing-cell) loss.  ``lambda1`` is
-    computed on first access; fitting never needs it.
+    ``mode`` is "identity" for the fully-observed sum-of-squares loss,
+    "weighted" for the count-weighted loss and "qmatrix" for the completed
+    (missing-cell) loss.  The two diagonal losses are kept as the weight
+    vector ``w`` (ones, or the counts K) with ``Q`` None; the completed
+    loss is the dense ``Q``.  ``lambda1`` is computed on first access;
+    fitting never needs it.
     """
 
-    Q: np.ndarray
+    Q: np.ndarray | None
     mode: str
+    w: np.ndarray | None = None
 
     @cached_property
     def lambda1(self) -> float:
-        return _top_eigenvalue(self.Q)
+        return _top_eigenvalue(self.Q) if self.w is None else float(np.max(self.w))
 
     @classmethod
     def identity(cls, design: DesignSet) -> "QLoss":
-        ql = cls(Q=np.eye(design.n_obs), mode="identity")
-        ql.__dict__["lambda1"] = 1.0
-        return ql
+        return cls(Q=None, mode="identity", w=np.ones(design.n_obs))
+
+    @classmethod
+    def weighted(cls, design: DesignSet) -> "QLoss":
+        return cls(Q=None, mode="weighted", w=design.k_obs.astype(float))
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """Q v, for a vector or for each column of a matrix."""
+        if self.w is None:
+            return self.Q @ v
+        return (self.w[:, None] if v.ndim == 2 else self.w) * v
+
+    def quad(self, g: np.ndarray) -> float:
+        """g^T Q g."""
+        return float(g @ self.Q @ g) if self.w is None else float(g @ (self.w * g))
+
+    def trace_qm(self, m_diag: np.ndarray) -> float:
+        """tr(QM) for the diagonal M given by ``m_diag``."""
+        if self.w is None:
+            return float(m_diag @ np.diag(self.Q))
+        return float(np.sum(self.w * m_diag))
+
+    def effects_gram(self, design: DesignSet) -> np.ndarray:
+        """[Za Zb]^T Q [Za Zb]."""
+        if self.w is not None:
+            return design.gram_weighted if self.mode == "weighted" else design.gram_plain
+        za_zb = np.concatenate([design.Za, design.Zb], axis=1)
+        return za_zb.T @ self.Q @ za_zb
 
 
 def loss_ss(eta_hat: np.ndarray, eta: np.ndarray) -> float:
@@ -237,8 +266,9 @@ def ure_variance_zero_mu(
     With H = Sigma^{-1} M Q M Sigma^{-1} built densely, the variance of the
     unbiased risk estimate at mu = 0 equals
     (rc)^{-2} Var(y^T H y) = (rc)^{-2} {2 s^4 tr(HMHM) + 4 s^2 eta^T HMH eta}.
+    Sigma^{-1} is formed by solving against the identity.
     """
-    sig_inv = np.linalg.inv(dense_sigma(SigmaContext(design, hp, mode="dense")))
+    sig_inv = sigma_solve(SigmaContext(design, hp), np.eye(design.n_obs))
     m = design.m_diag
     H = sig_inv @ (m[:, None] * qloss.Q * m[None, :]) @ sig_inv
     V = sigma2 * np.diag(m)

@@ -40,6 +40,7 @@ from twoway_shrink.simulation import (
     risk_csv,
 )
 from conftest import make_random_table
+from dense_oracle import dense_solve, dense_ure
 
 N_JOBS = 2
 
@@ -114,7 +115,10 @@ def test_criterion_1_ure_unbiasedness():
     ok = True
     for table, eta, hp in triples:
         d = build_design(table)
-        ql = q_matrix(d) if not table.is_complete else QLoss.identity(d)
+        if table.is_complete:
+            ql = QLoss(Q=np.eye(d.n_obs), mode="identity")
+        else:
+            ql = q_matrix(d)
         eta_obs = eta.reshape(table.r, table.c)[table.counts > 0]
         ures, losses = batched_ure_and_loss(
             d, ql, hp, eta_obs, table.sigma2, 20_000, rng
@@ -159,14 +163,14 @@ def test_criterion_3_fast_path_equivalence():
             lam_from_tilde(float(rng.uniform(0.1, 1.0))),
             lam_from_tilde(float(rng.uniform(0.1, 1.0))),
         )
-        fast = SigmaContext(d, hp, mode="fast", sigma2=table.sigma2)
-        dense = SigmaContext(d, hp, mode="dense", sigma2=table.sigma2)
+        fast = SigmaContext(d, hp, sigma2=table.sigma2)
         y = table.y_observed
-        v_fast = ure_value(fast, y, hp.mu, path="fast")
-        v_dense = ure_value(fast, y, hp.mu, path="dense")
+        v_fast = ure_value(fast, y, hp.mu)
+        Q = None if table.is_complete else q_matrix(d).Q
+        v_dense = dense_ure(fast, y, hp.mu, Q=Q)
         worst_ure = max(worst_ure, abs(v_fast - v_dense) / max(abs(v_dense), 1e-12))
         x = rng.normal(0, 1, d.n_obs)
-        a, b = sigma_solve(fast, x), sigma_solve(dense, x)
+        a, b = sigma_solve(fast, x), dense_solve(fast, x)
         worst_solve = max(worst_solve, np.max(np.abs(a - b)) / np.max(np.abs(b)))
     report(3, "fast-path equivalence", worst_ure <= 1e-9 and worst_solve <= 1e-9)
 

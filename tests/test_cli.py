@@ -151,11 +151,20 @@ class TestFitCommand:
         assert load_report(out)["method"] == "ure-weighted"
 
     def test_weighted_requires_ure(self, complete_agg_csv):
+        for method in ("wls", "ml"):
+            code = main([
+                "fit", "--input", complete_agg_csv, "--schema", "agg",
+                "--method", method, "--sigma2", "1.0", "--loss", "weighted",
+            ])
+            assert code == 2
+
+    def test_weighted_rejects_missing_cells(self, missing_agg_csv, capsys):
         code = main([
-            "fit", "--input", complete_agg_csv, "--schema", "agg",
-            "--method", "wls", "--sigma2", "1.0", "--loss", "weighted",
+            "fit", "--input", missing_agg_csv, "--schema", "agg",
+            "--method", "ure", "--sigma2", "1.0", "--loss", "weighted",
         ])
         assert code == 2
+        assert "fully observed" in capsys.readouterr().err
 
     def test_missing_sigma2_is_validation_error(self, complete_agg_csv):
         code = main([

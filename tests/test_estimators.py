@@ -11,7 +11,6 @@ from twoway_shrink import (
     bayes_estimate,
     build_design,
     complete_means,
-    dense_sigma,
     estimating_eq_residuals,
     fit_ml,
     fit_ure,
@@ -28,10 +27,17 @@ from twoway_shrink import (
 from twoway_shrink.linear_core import lam_from_tilde
 from twoway_shrink.simulation import ebmle_stress_scenario, gen_scenario
 from conftest import make_random_table
+from dense_oracle import (
+    dense_sigma,
+    dense_ure,
+    weighted_bayes_estimate,
+    weighted_grid_min,
+    weighted_ure,
+)
 
 
-def make_ctx(table, hp, mode="fast"):
-    return SigmaContext(build_design(table), hp, mode=mode, sigma2=table.sigma2)
+def make_ctx(table, hp):
+    return SigmaContext(build_design(table), hp, sigma2=table.sigma2)
 
 
 class TestWls:
@@ -145,8 +151,8 @@ class TestUreValue:
             )
             ctx = make_ctx(table, hp)
             mu = float(rng.normal())
-            fast = ure_value(ctx, table.y_observed, mu, path="fast")
-            dense = ure_value(ctx, table.y_observed, mu, path="dense")
+            fast = ure_value(ctx, table.y_observed, mu)
+            dense = dense_ure(ctx, table.y_observed, mu)
             assert fast == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
     def test_dual_path_agreement_missing(self, rng):
@@ -154,8 +160,8 @@ class TestUreValue:
             table, _ = make_random_table(rng, 5, 4, k_max=5, n_missing=4)
             hp = HyperParams(0.0, float(rng.uniform(0, 8)), float(rng.uniform(0, 8)))
             ctx = make_ctx(table, hp)
-            fast = ure_value(ctx, table.y_observed, 0.1, qmode="qmatrix", path="fast")
-            dense = ure_value(ctx, table.y_observed, 0.1, qmode="qmatrix", path="dense")
+            fast = ure_value(ctx, table.y_observed, 0.1, qmode="qmatrix")
+            dense = dense_ure(ctx, table.y_observed, 0.1, Q=q_matrix(ctx.design).Q)
             assert fast == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
     def test_unbiasedness_quick(self, rng):
@@ -457,6 +463,23 @@ class TestEstimatingEquations:
         ) / (2 * h)
         assert -2.0 * fd == pytest.approx(res[1], rel=1e-5, abs=1e-10)
 
+    def test_residuals_bitwise_equal_fit_diagnostics(self, rng):
+        complete, _ = make_random_table(rng, 7, 5, k_max=6, effect_sd_a=1.5)
+        missing, _ = make_random_table(rng, 7, 5, k_max=6, n_missing=5)
+        fits = [
+            (complete, fit_ure(complete)),
+            (complete, FitEngine(complete, qmode="weighted").fit(
+                complete.y_observed, "URE")),
+            (missing, fit_ure(missing)),
+            (missing, fit_ml(missing)),
+        ]
+        assert [f.qmode for _, f in fits] == [
+            "identity", "weighted", "qmatrix", "qmatrix"
+        ]
+        for table, fit in fits:
+            expected = fit.diagnostics["estimating_eq"]
+            assert estimating_eq_residuals(fit, table) == expected
+
 
 class TestOracle:
     def test_zero_noise_interpolation(self, rng):
@@ -601,9 +624,62 @@ class TestWeightedTransform:
         hp, eta_orig, objective = wp.fit_ure()
         assert np.isfinite(objective)
         assert objective == pytest.approx(
-            wp.ure(hp.mu, hp.lambda_a, hp.lambda_b), rel=1e-12
+            weighted_ure(wp, hp.mu, hp.lambda_a, hp.lambda_b), rel=1e-12
         )
         assert eta_orig.shape == (20,)
+
+
+def _complete_designs(rng, n):
+    """Random complete tables with counts 1..20, alternating r = c and r != c."""
+    for i in range(n):
+        r = int(rng.integers(2, 9))
+        c = r if i % 2 else int(rng.choice([k for k in range(2, 9) if k != r]))
+        yield make_random_table(rng, r, c, k_max=20, effect_sd_a=1.5)[0]
+
+
+class TestWeightedLoss:
+    """FitEngine's count-weighted loss against the dense transformed problem."""
+
+    def test_ure_matches_dense_transformed_oracle(self, rng):
+        worst = 0.0
+        for table in _complete_designs(rng, 60):
+            wp = weighted_transform(table)
+            engine = FitEngine(table, qmode="weighted")
+            pieces = engine._data_pieces(table.y_observed, None)
+            mu = float(rng.normal())
+            lt = tuple(float(t) for t in rng.uniform(0.1, 1.0, 2))
+            hp = HyperParams(mu, lam_from_tilde(lt[0]), lam_from_tilde(lt[1]))
+            ref = weighted_ure(wp, mu, hp.lambda_a, hp.lambda_b)
+            ctx = SigmaContext(engine.design, hp, sigma2=table.sigma2)
+            for got in (
+                engine._value_at(lt, pieces, "URE", mu),
+                ure_value(ctx, table.y_observed, mu, qmode="weighted"),
+            ):
+                worst = max(worst, abs(got - ref) / max(abs(ref), 1e-12))
+        assert worst <= 1e-9
+
+    def test_fit_not_worse_than_oracle_grid(self, rng):
+        for table in _complete_designs(rng, 6):
+            wp = weighted_transform(table)
+            hp, eta, objective = wp.fit_ure()
+            assert objective <= weighted_grid_min(wp) + 1e-10 * max(1.0, abs(objective))
+            assert objective == pytest.approx(
+                weighted_ure(wp, hp.mu, hp.lambda_a, hp.lambda_b), rel=1e-9
+            )
+            _, eta_ref = weighted_bayes_estimate(wp, hp.mu, hp.lambda_a, hp.lambda_b)
+            np.testing.assert_allclose(eta, eta_ref, rtol=0, atol=1e-9)
+
+    def test_engine_holds_no_n_by_n_array(self, rng):
+        table, _ = make_random_table(rng, 12, 9, k_max=20)
+        engine = FitEngine(table, qmode="weighted")
+        n = engine.n
+        values = list(vars(engine).values())
+        for value in list(values):
+            values += [getattr(value, s, None) for s in getattr(value, "__slots__", ())]
+        values += list(vars(engine.qloss).values())
+        shapes = [v.shape for v in values if isinstance(v, np.ndarray)]
+        assert (n, n) not in shapes
+        assert engine.qloss.Q is None
 
 
 class TestDominanceChain:

@@ -4,26 +4,44 @@ from scipy.stats import norm
 
 from twoway_shrink import (
     CellTable,
+    FitEngine,
     HyperParams,
+    QLoss,
     SigmaContext,
     build_design,
-    dense_sigma,
     logdet_sigma,
     marginal_loglik,
     shrink_apply,
     sigma_solve,
-    trace_blocks,
-    trace_sigma_inv_msq,
+    ure_value,
 )
+from twoway_shrink.estimators import _first_order_terms
 from twoway_shrink.linear_core import lam_from_tilde
 from conftest import make_random_table
+from dense_oracle import dense_loglik, dense_logdet, dense_sigma, dense_solve
 
 
-def contexts(design, hp, sigma2=1.0):
-    return (
-        SigmaContext(design, hp, mode="fast", sigma2=sigma2),
-        SigmaContext(design, hp, mode="dense", sigma2=sigma2),
-    )
+def trace_sigma_inv_msq(ctx, Q=None):
+    """tr(Sigma^{-1} M Q M), Q = I when None, read off the library's risk
+    estimate at y = mu 1: there URE = s2 {tr(QM) - 2 tr(Sigma^{-1} M Q M)} / rc."""
+    d = ctx.design
+    if Q is None:
+        qmode, qloss, tr_qm = "identity", None, float(np.sum(d.m_diag))
+    else:
+        qmode, qloss = "qmatrix", QLoss(Q=Q, mode="qmatrix")
+        tr_qm = float(d.m_diag @ np.diag(Q))
+    ure = ure_value(ctx, np.zeros(d.n_obs), 0.0, sigma2=1.0, qmode=qmode, qloss=qloss)
+    return 0.5 * (tr_qm - ure * d.r * d.c)
+
+
+def trace_blocks(ctx):
+    """(tr(S^{-1} Za Za^T), tr(S^{-1} Zb Zb^T), tr(S^{-1} Za Za^T S^{-1} M^2),
+    tr(S^{-1} Zb Zb^T S^{-1} M^2)): the trace scales of the likelihood and
+    the plain-loss risk estimating equations."""
+    d, y = ctx.design, np.zeros(ctx.design.n_obs)
+    ml = _first_order_terms(d, None, 1.0, ctx.hp, y, 0.0, "EBMLE")
+    ure = _first_order_terms(d, QLoss.identity(d), 1.0, ctx.hp, y, 0.0, "URE")
+    return ml["scale_a"], ml["scale_b"], ure["scale_a"], ure["scale_b"]
 
 
 class TestSigmaSolve:
@@ -58,9 +76,9 @@ class TestSigmaSolve:
                 lam_from_tilde(float(rng.uniform(0.1, 1.0))),
                 lam_from_tilde(float(rng.uniform(0.1, 1.0))),
             )
-            fast, dense = contexts(d, hp)
+            fast = SigmaContext(d, hp)
             v = rng.normal(0, 1, d.n_obs)
-            a, b = sigma_solve(fast, v), sigma_solve(dense, v)
+            a, b = sigma_solve(fast, v), dense_solve(fast, v)
             max_rel = max(max_rel, np.max(np.abs(a - b)) / np.max(np.abs(b)))
         assert max_rel <= 1e-10
 
@@ -68,9 +86,9 @@ class TestSigmaSolve:
         table, _ = make_random_table(rng, 3, 3)
         d = build_design(table)
         hp = HyperParams(0.0, 0.5, 0.5)
-        fast, dense = contexts(d, hp)
+        fast = SigmaContext(d, hp)
         V = rng.normal(0, 1, (d.n_obs, 3))
-        np.testing.assert_allclose(sigma_solve(fast, V), sigma_solve(dense, V), atol=1e-12)
+        np.testing.assert_allclose(sigma_solve(fast, V), dense_solve(fast, V), atol=1e-12)
         with pytest.raises(ValueError):
             sigma_solve(fast, np.ones(d.n_obs + 1))
         with pytest.raises(ValueError):
@@ -101,11 +119,11 @@ class TestShrinkApply:
         table, _ = make_random_table(rng, 4, 5, k_max=4)
         d = build_design(table)
         hp = HyperParams(0.0, 1e8, 1e8)
-        fast, dense = contexts(d, hp)
+        fast = SigmaContext(d, hp)
         x = rng.normal(0, 1, d.n_obs)
         # the dense solve itself carries O(cond * eps) ~ 1e-7 error out here
         np.testing.assert_allclose(
-            shrink_apply(fast, x), d.m_diag * sigma_solve(dense, x), atol=1e-6
+            shrink_apply(fast, x), d.m_diag * dense_solve(fast, x), atol=1e-6
         )
         k = d.k_obs.astype(float)
         pw = d.Z @ np.linalg.pinv(d.Z.T @ (k[:, None] * d.Z)) @ (d.Z.T * k)
@@ -118,10 +136,10 @@ class TestShrinkApply:
             hp = HyperParams(
                 0.0, float(rng.uniform(0.0, 30.0)), float(rng.uniform(0.0, 30.0))
             )
-            fast, dense = contexts(d, hp)
+            fast = SigmaContext(d, hp)
             x = rng.normal(0, 1, d.n_obs)
             a = shrink_apply(fast, x)
-            b = d.m_diag * sigma_solve(dense, x)
+            b = d.m_diag * dense_solve(fast, x)
             assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
 
 
@@ -136,8 +154,8 @@ class TestTraces:
         table = CellTable(np.ones((2, 2), int), np.zeros((2, 2)), 1.0)
         d = build_design(table)
         hp = HyperParams(0.0, 1.0, 1.0)
-        fast, dense = contexts(d, hp)
-        sig = dense_sigma(dense)
+        fast = SigmaContext(d, hp)
+        sig = dense_sigma(fast)
         expected = np.trace(np.linalg.inv(sig) @ np.diag(d.m_diag**2))
         assert trace_sigma_inv_msq(fast) == pytest.approx(expected, rel=1e-12)
 
@@ -153,11 +171,11 @@ class TestTraces:
         table, _ = make_random_table(rng, 4, 5, n_missing=3)
         d = build_design(table)
         hp = HyperParams(0.0, 1.2, 0.7)
-        fast, dense = contexts(d, hp)
+        fast = SigmaContext(d, hp)
         a = rng.normal(0, 1, (d.n_obs, d.n_obs))
         Q = a @ a.T
         m = np.diag(d.m_diag)
-        expected = np.trace(np.linalg.inv(dense_sigma(dense)) @ m @ Q @ m)
+        expected = np.trace(np.linalg.inv(dense_sigma(fast)) @ m @ Q @ m)
         assert trace_sigma_inv_msq(fast, Q=Q) == pytest.approx(expected, rel=1e-10)
 
     def test_trace_blocks_identity_case(self):
@@ -207,7 +225,7 @@ class TestMatrixProperties:
         v = rng.normal(0, 1, d.n_obs)
         prev = None
         for lam in [0.0, 0.3, 1.0, 4.0, 20.0]:
-            ctx = SigmaContext(d, HyperParams(0.0, lam, lam), mode="dense")
+            ctx = SigmaContext(d, HyperParams(0.0, lam, lam))
             quad = float(v @ sigma_solve(ctx, v))
             if prev is not None:
                 assert quad <= prev + 1e-12
@@ -220,7 +238,7 @@ class TestMatrixProperties:
             hp = HyperParams(
                 0.0, float(rng.uniform(0, 50)), float(rng.uniform(0, 50))
             )
-            ctx = SigmaContext(d, hp, mode="dense")
+            ctx = SigmaContext(d, hp)
             sqm = np.sqrt(d.m_diag)
             w = sqm[:, None] * np.linalg.inv(dense_sigma(ctx)) * sqm[None, :]
             evals = np.linalg.eigvalsh(0.5 * (w + w.T))
@@ -241,13 +259,11 @@ class TestLogLik:
         table, _ = make_random_table(rng, 5, 4, k_max=5, n_missing=2, sigma2=2.5)
         d = build_design(table)
         hp = HyperParams(0.3, 1.7, 0.6)
-        fast, dense = contexts(d, hp, sigma2=2.5)
+        fast = SigmaContext(d, hp, sigma2=2.5)
         a = marginal_loglik(fast, table.y_observed, 0.3)
-        b = marginal_loglik(dense, table.y_observed, 0.3)
+        b = dense_loglik(fast, table.y_observed, 0.3, 2.5)
         assert a == pytest.approx(b, rel=1e-9)
-        sign, logdet = np.linalg.slogdet(dense_sigma(dense))
-        assert sign > 0
-        assert logdet_sigma(fast) == pytest.approx(logdet, rel=1e-10)
+        assert logdet_sigma(fast) == pytest.approx(dense_logdet(fast), rel=1e-10)
 
     def test_location_invariance(self, rng):
         table, _ = make_random_table(rng, 4, 4, k_max=3)
@@ -260,14 +276,13 @@ class TestLogLik:
 
 
 class TestContextMechanics:
-    def test_auto_mode_switch(self, rng):
+    def test_fast_is_the_only_mode(self, rng):
         table, _ = make_random_table(rng, 3, 3)
         d = build_design(table)
-        small = SigmaContext(d, HyperParams(0.0, 1.0, 1.0))
-        assert small.mode == "dense"  # |E| <= 512
-        big_counts = np.ones((23, 23), int)
-        big = build_design(CellTable(big_counts, np.zeros((23, 23)), 1.0))
-        assert SigmaContext(big, HyperParams(0.0, 1.0, 1.0)).mode == "fast"
+        assert SigmaContext(d, HyperParams(0.0, 1.0, 1.0)).mode == "fast"
+        for mode in ("auto", "dense"):
+            with pytest.raises(ValueError):
+                SigmaContext(d, HyperParams(0.0, 1.0, 1.0), mode=mode)
 
     def test_factorization_jitter_retry(self, rng, monkeypatch):
         import scipy.linalg as sla_mod
@@ -298,6 +313,9 @@ class TestContextMechanics:
         table, _ = make_random_table(rng, 3, 3)
         d = build_design(table)
 
+        engine = FitEngine(table)
+        pieces = engine._data_pieces(table.y_observed, None)
+
         def always_fail(a, **kw):
             raise linear_core.sla.LinAlgError("synthetic failure")
 
@@ -305,6 +323,8 @@ class TestContextMechanics:
         ctx = SigmaContext(d, HyperParams(0.0, 1.0, 1.0), mode="fast")
         with pytest.raises(NumericError):
             shrink_apply(ctx, np.zeros(d.n_obs))
+        with pytest.raises(NumericError):
+            engine._eval_single((0.5, 0.5), pieces, "URE")
 
 
 class TestSingleThreadedLapack:
