@@ -29,8 +29,16 @@ Z^T M^{-1} Z is diagonal, so it is eliminated in closed form and each
 engine eigendecomposes one min(r, c)-order Schur complement per grid value
 of that factor's lambda (:class:`_AbsorbedGrid`).  Only which grid point
 wins (and, where refinement does not improve on it, its profiled mu)
-reaches a fit.  The near-boundary candidate, Nelder-Mead, the polish and
-the returned fit work from the (r+c)-order capacitance factorization.
+reaches a fit.  Every other candidate (the near-boundary one,
+Nelder-Mead, the polish, extra candidates) is scored one point at a time
+by the engine's single-point scorer (``FitEngine._score_point``, public as
+:meth:`FitEngine.objective_at`): one (r+c)-order capacitance Cholesky
+factorization and explicit inverse through LAPACK directly, then the same
+criterion formulas as the grid (``FitEngine._score``).  The batch form of
+that path, many points through explicit inverses at once, lives in the
+tests as the oracle the grid and the scorer are checked against.  The
+returned fit is re-evaluated through :func:`ure_value` or
+:func:`marginal_loglik`.
 
 Every criterion is written for a loss matrix Q on the observed cells
 (:class:`~twoway_shrink.risk_metrics.QLoss`): the sum-of-squares loss
@@ -49,7 +57,6 @@ from dataclasses import dataclass
 from math import isfinite, isinf, log, pi
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.optimize import minimize
 
 from .linear_core import (
@@ -57,6 +64,7 @@ from .linear_core import (
     NumericError,
     SigmaContext,
     _capacitance_cholesky,
+    _cholesky_solve,
     _single_threaded_lapack,
     lam_from_tilde,
     logdet_sigma,
@@ -359,23 +367,6 @@ def _first_order_terms(
 # Fit engine: shared grid + refinement optimizer over lambda_tilde in [0,1]^2
 # ---------------------------------------------------------------------------
 
-class _Bundle:
-    """Capacitance inverses and scale-dependent traces for a batch of points.
-
-    ``tr_red`` is None when the bundle was built without traces (only the
-    URE objective uses them).
-    """
-
-    __slots__ = ("lt", "S", "Cinv", "logdet", "tr_red")
-
-    def __init__(self, lt, S, Cinv, logdet, tr_red):
-        self.lt = lt
-        self.S = S
-        self.Cinv = Cinv
-        self.logdet = logdet
-        self.tr_red = tr_red
-
-
 class _AbsorbedGrid:
     """The lambda grid with the larger factor absorbed in closed form.
 
@@ -523,34 +514,11 @@ class FitEngine:
         self._grid_bundle = _AbsorbedGrid(
             d, self.zqz, lt_axis, pairs[~self._corner_mask]
         )
-        self._wls_pair = np.array([[LAMBDA_TILDE_EPS, LAMBDA_TILDE_EPS]])
-        self._wls_bundle = self._make_bundle(self._wls_pair)
+        self._wls_pair = np.array([LAMBDA_TILDE_EPS, LAMBDA_TILDE_EPS])
+        self._mid = 0.5 * (self.bounds[0] + self.bounds[1])
+        self._eye = np.eye(d.q)
 
     # -- candidate machinery ------------------------------------------------
-
-    def _make_bundle(self, lt_pairs: np.ndarray, with_trace: bool = True) -> _Bundle:
-        d = self.design
-        q = d.q
-        g = lt_pairs.shape[0]
-        S = np.empty((g, q))
-        Cinv = np.empty((g, q, q))
-        logdet = np.empty(g)
-        tr_red = np.empty(g) if with_trace else None
-        eye = np.eye(q)
-        for i, (lta, ltb) in enumerate(lt_pairs):
-            la = lam_from_tilde(float(lta))
-            lb = lam_from_tilde(float(ltb))
-            s = np.concatenate([np.full(d.r, np.sqrt(la)), np.full(d.c, np.sqrt(lb))])
-            C = s[:, None] * d.gram_weighted * s[None, :]
-            C.flat[:: q + 1] += 1.0
-            cf = _capacitance_cholesky(C)
-            inv = sla.cho_solve(cf, eye)
-            S[i] = s
-            Cinv[i] = inv
-            logdet[i] = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-            if with_trace:
-                tr_red[i] = float(np.sum(inv * (s[:, None] * self.zqz * s[None, :])))
-        return _Bundle(lt_pairs, S, Cinv, logdet, tr_red)
 
     def _data_pieces(self, y: np.ndarray, eta: np.ndarray | None):
         d = self.design
@@ -576,53 +544,92 @@ class FitEngine:
             p["ey"] = float(q_eta @ y)
         return p
 
-    def _solve_pair(self, bundle: _Bundle, t_vec: np.ndarray):
-        p = bundle.S * t_vec[None, :]
-        w = np.einsum("gij,gj->gi", bundle.Cinv, p)
-        return p, w
+    @_single_threaded_lapack
+    def objective_at(
+        self,
+        lt_pair,
+        y: np.ndarray,
+        method: str,
+        true_eta_obs: np.ndarray | None = None,
+        mu: float | None = None,
+    ) -> tuple:
+        """Criterion of ``method`` at one lambda_tilde pair for data ``y``.
 
-    def _clamped(self, mu_raw: np.ndarray):
-        lo, hi = self.bounds
-        mu = np.clip(mu_raw, lo, hi)
-        return mu, mu != mu_raw
-
-    def _evaluate(self, bundle: _Bundle, pieces: dict, method: str, mu_fixed=None):
-        """Objective (to minimize), clamped mu, and clamp flags, per point.
-
-        ``mu_fixed`` pins the location instead of profiling it (used when
-        re-scoring another fit's hyper-parameters as-is).
+        Returns (objective, mu, clamped) with the objective as :meth:`fit`
+        minimizes it (the risk estimate, the realized loss or the negative
+        marginal log-likelihood).  mu is profiled and clamped to the
+        quantile interval, or used as given when ``mu`` is supplied.  The
+        exact (0, 0) pair is the unshrunken corner.
         """
+        method = self._check_method(method, true_eta_obs)
+        eta = None if true_eta_obs is None else np.asarray(true_eta_obs, dtype=float)
+        pieces = self._data_pieces(np.asarray(y, dtype=float), eta)
+        return self._score_point(lt_pair, pieces, method, mu)
+
+    def _score_point(self, lt_pair, pieces: dict, method: str, mu_fixed=None):
+        """(objective, mu, clamped) at one lambda_tilde pair.
+
+        Every refinement-stage evaluation comes here: one capacitance
+        factorization and explicit inverse, then the solve terms, scored
+        as scalars by :meth:`_score`.  The terms are formed with
+        batch-shaped operands (a batch of one point, C-ordered inverse), as
+        the tests' batch oracle forms them, so that both round alike.
+        ``mu_fixed`` pins the location instead of profiling it.
+        """
+        lta, ltb = float(lt_pair[0]), float(lt_pair[1])
+        if lta == 0.0 and ltb == 0.0:
+            mu = self._mid if mu_fixed is None else mu_fixed
+            return self._corner_value(pieces, method), mu, False
+        d = self.design
+        q = d.q
+        s = np.empty(q)
+        s[: d.r] = np.sqrt(lam_from_tilde(lta))
+        s[d.r :] = np.sqrt(lam_from_tilde(ltb))
+        cap = s[:, None] * d.gram_weighted
+        cap *= s
+        cap.reshape(-1)[:: q + 1] += 1.0
+        f = _capacitance_cholesky(cap)
+        inv = _cholesky_solve(f, self._eye)
+        S, Cinv = s[None, :], np.ascontiguousarray(inv)[None]
+        t_y = pieces["t_y"]
+        p_y, p_1 = S * t_y[None, :], S * self.t_1[None, :]
+        w_y = np.einsum("gij,gj->gi", Cinv, p_y)
+        w_1 = np.einsum("gij,gj->gi", Cinv, p_1)
+        logdet = tr_red = None
         if method == "EBMLE":
-            p_y, cw_y = self._solve_pair(bundle, pieces["t_y"])
-            p_1, cw_1 = self._solve_pair(bundle, self.t_1)
+            logdet = 2.0 * float(np.sum(np.log(np.diag(f))))
             terms = {
-                "tu_yy": np.einsum("gi,gi->g", p_y, cw_y),
-                "tu_1y": np.einsum("gi,gi->g", p_1, cw_y),
-                "tu_11": np.einsum("gi,gi->g", p_1, cw_1),
+                "tu_yy": np.einsum("gi,gi->g", p_y, w_y),
+                "tu_1y": np.einsum("gi,gi->g", p_1, w_y),
+                "tu_11": np.einsum("gi,gi->g", p_1, w_1),
             }
-            return self._score(terms, bundle, pieces, method, mu_fixed)
-        # URE and ORACLE share the shrinkage-direction solves.
-        _, w_y = self._solve_pair(bundle, pieces["t_y"])
-        _, w_1 = self._solve_pair(bundle, self.t_1)
-        u_y = bundle.S * w_y
-        u_1 = bundle.S * w_1
-        zqz = self.zqz
-        terms = {
-            "uy_zq_y": u_y @ pieces["zq_y"],
-            "uy_zq_1": u_y @ self.zq_1,
-            "u1_zq_y": u_1 @ pieces["zq_y"],
-            "u1_zq_1": u_1 @ self.zq_1,
-            "uy_B_uy": np.einsum("gi,ij,gj->g", u_y, zqz, u_y),
-            "uy_B_u1": np.einsum("gi,ij,gj->g", u_y, zqz, u_1),
-            "u1_B_u1": np.einsum("gi,ij,gj->g", u_1, zqz, u_1),
-        }
-        if method == "ORACLE":
-            terms["uy_zq_eta"] = u_y @ pieces["zq_eta"]
-            terms["u1_zq_eta"] = u_1 @ pieces["zq_eta"]
-        return self._score(terms, bundle, pieces, method, mu_fixed)
+        else:
+            # URE and ORACLE share the shrinkage-direction solves.
+            if method == "URE":
+                b = s[:, None] * self.zqz
+                b *= s
+                b *= inv
+                tr_red = float(np.sum(b))
+            u_y, u_1 = S * w_y, S * w_1
+            zqz = self.zqz
+            terms = {
+                "uy_zq_y": u_y @ pieces["zq_y"],
+                "uy_zq_1": u_y @ self.zq_1,
+                "u1_zq_y": u_1 @ pieces["zq_y"],
+                "u1_zq_1": u_1 @ self.zq_1,
+                "uy_B_uy": np.einsum("gi,ij,gj->g", u_y, zqz, u_y),
+                "uy_B_u1": np.einsum("gi,ij,gj->g", u_y, zqz, u_1),
+                "u1_B_u1": np.einsum("gi,ij,gj->g", u_1, zqz, u_1),
+            }
+            if method == "ORACLE":
+                terms["uy_zq_eta"] = u_y @ pieces["zq_eta"]
+                terms["u1_zq_eta"] = u_1 @ pieces["zq_eta"]
+        terms = {k: v[0] for k, v in terms.items()}
+        obj, mu, clamped = self._score(terms, logdet, tr_red, pieces, method, mu_fixed)
+        return float(obj), float(mu), bool(clamped)
 
     def _evaluate_grid(self, pieces: dict, method: str):
-        """:meth:`_evaluate` over the grid, in the absorbed form.
+        """Objective, mu and clamp flags over the grid, in the absorbed form.
 
         With u = Lam C^{-1} Lam t, the terms are t.u for EBMLE and, for
         URE and ORACLE, the products of u with Z^T Q vectors and B = zqz.
@@ -636,7 +643,7 @@ class FitEngine:
                 "tu_1y": grid.dot(sol_y, self.t_1),
                 "tu_11": grid.dot(sol_1, self.t_1),
             }
-            return self._score(terms, grid, pieces, method)
+            return self._score(terms, grid.logdet, grid.tr_red, pieces, method)
         sol_y, sol_1 = grid.solve(t_y, self.zqz), grid.solve(self.t_1, self.zqz)
         terms = {
             "uy_zq_y": grid.dot(sol_y, pieces["zq_y"]),
@@ -650,22 +657,28 @@ class FitEngine:
         if method == "ORACLE":
             terms["uy_zq_eta"] = grid.dot(sol_y, pieces["zq_eta"])
             terms["u1_zq_eta"] = grid.dot(sol_1, pieces["zq_eta"])
-        return self._score(terms, grid, pieces, method)
+        return self._score(terms, grid.logdet, grid.tr_red, pieces, method)
 
-    def _score(self, terms: dict, bundle, pieces: dict, method: str, mu_fixed=None):
+    def _score(
+        self, terms: dict, logdet, tr_red, pieces: dict, method: str, mu_fixed=None
+    ):
         """Objective, mu and clamp flags from the per-point solve terms.
 
-        ``bundle`` supplies ``logdet`` (EBMLE) and ``tr_red`` (URE).
+        The one statement of the three criteria, with mu profiled in closed
+        form and clamped to the quantile interval (or pinned to
+        ``mu_fixed``).  ``logdet`` is log|C| (EBMLE) and ``tr_red`` is
+        tr(C^{-1} Lam^T Z^T Q Z Lam) (URE), per point.  The terms are arrays
+        over points or, from :meth:`_score_point`, scalars.
         """
         s2 = self.sigma2
-        mid = 0.5 * (self.bounds[0] + self.bounds[1])
 
         def pick_mu(mu_raw, den):
             if mu_fixed is not None:
                 mu = np.full_like(mu_raw, mu_fixed)
                 return mu, np.zeros(mu.shape, dtype=bool)
-            mu_raw = np.where(den > 1e-300, mu_raw, mid)
-            return self._clamped(mu_raw)
+            mu_raw = np.where(den > 1e-300, mu_raw, self._mid)
+            mu = np.clip(mu_raw, *self.bounds)
+            return mu, mu != mu_raw
 
         if method == "EBMLE":
             qs_yy = pieces["yKy"] - terms["tu_yy"]
@@ -676,7 +689,7 @@ class FitEngine:
             quad = qs_yy - 2.0 * mu * qs_y1 + mu * mu * qs_11
             loglik = (
                 -0.5 * self.n * log(2.0 * pi * s2)
-                - 0.5 * (self.sum_log_m + bundle.logdet)
+                - 0.5 * (self.sum_log_m + logdet)
                 - quad / (2.0 * s2)
             )
             return -loglik, mu, clamped
@@ -689,7 +702,7 @@ class FitEngine:
             with np.errstate(divide="ignore", invalid="ignore"):
                 mu, clamped = pick_mu(c_y1 / np.maximum(c_11, 1e-300), c_11)
             quad = c_yy - 2.0 * mu * c_y1 + mu * mu * c_11
-            obj = (-s2 * self.tr_qm + 2.0 * s2 * bundle.tr_red + quad) / self.rc
+            obj = (-s2 * self.tr_qm + 2.0 * s2 * tr_red + quad) / self.rc
             return obj, mu, clamped
         if method == "ORACLE":
             # delta = A + mu * B with A = Z u_y - eta, B = 1 - Z u_1.
@@ -714,16 +727,6 @@ class FitEngine:
             ) / self.rc
         return np.inf  # -loglik diverges at the corner
 
-    def _eval_single(self, lt_pair, pieces, method):
-        if lt_pair[0] == 0.0 and lt_pair[1] == 0.0:
-            mid = 0.5 * (self.bounds[0] + self.bounds[1])
-            return self._corner_value(pieces, method), mid, False
-        bundle = self._make_bundle(
-            np.asarray([lt_pair], dtype=float), with_trace=method == "URE"
-        )
-        obj, mu, clamped = self._evaluate(bundle, pieces, method)
-        return float(obj[0]), float(mu[0]), bool(clamped[0])
-
     # -- first-order terms (estimating equations / analytic gradients) ------
 
     def _first_order(self, hp: HyperParams, y: np.ndarray, mu: float, method: str):
@@ -735,7 +738,7 @@ class FitEngine:
 
         def fun_grad(lt):
             lt = np.clip(lt, lo, 1.0)
-            obj, mu, _ = self._eval_single(lt, pieces, method)
+            obj, mu, _ = self._score_point(lt, pieces, method)
             la, lb = lam_from_tilde(float(lt[0])), lam_from_tilde(float(lt[1]))
             hp = HyperParams(mu=mu, lambda_a=la, lambda_b=lb)
             fo = self._first_order(hp, y, mu, method)
@@ -763,6 +766,15 @@ class FitEngine:
 
     # -- main fit loop -------------------------------------------------------
 
+    @staticmethod
+    def _check_method(method: str, true_eta_obs) -> str:
+        method = method.upper()
+        if method not in ("URE", "EBMLE", "ORACLE"):
+            raise ValueError(f"unknown fit method {method!r}")
+        if method == "ORACLE" and true_eta_obs is None:
+            raise ValueError("oracle fit requires the true observed-cell means")
+        return method
+
     @_single_threaded_lapack
     def fit(
         self,
@@ -771,18 +783,14 @@ class FitEngine:
         true_eta_obs: np.ndarray | None = None,
         extra_candidates=None,
     ) -> ShrinkageFit:
-        method = method.upper()
-        if method not in ("URE", "EBMLE", "ORACLE"):
-            raise ValueError(f"unknown fit method {method!r}")
-        if method == "ORACLE" and true_eta_obs is None:
-            raise ValueError("oracle fit requires the true observed-cell means")
+        method = self._check_method(method, true_eta_obs)
         y = np.asarray(y, dtype=float)
         eta = None if true_eta_obs is None else np.asarray(true_eta_obs, dtype=float)
         pieces = self._data_pieces(y, eta)
 
         obj, mu, clamped = self._evaluate_grid(pieces, method)
         grid_pairs = self._grid_bundle.lt
-        corner_obj, corner_mu, corner_clamped = self._eval_single(
+        corner_obj, corner_mu, corner_clamped = self._score_point(
             (0.0, 0.0), pieces, method
         )
         all_pairs = np.vstack([grid_pairs, [[0.0, 0.0]]])
@@ -792,7 +800,7 @@ class FitEngine:
 
         # WLS-limit candidate, kept outside the tie-break pool so that exact
         # ties keep preferring stronger shrinkage.
-        wls_obj, wls_mu, wls_cl = self._evaluate(self._wls_bundle, pieces, method)
+        wls_obj, wls_mu, wls_cl = self._score_point(self._wls_pair, pieces, method)
 
         finite = np.isfinite(all_obj)
         if not np.any(finite):
@@ -817,17 +825,17 @@ class FitEngine:
             "mu": float(all_mu[pick]),
             "clamped": bool(all_clamped[pick]),
         }
-        if np.isfinite(wls_obj[0]) and wls_obj[0] < best["obj"]:
+        if np.isfinite(wls_obj) and wls_obj < best["obj"]:
             best = {
-                "lt": tuple(self._wls_pair[0]),
-                "obj": float(wls_obj[0]),
-                "mu": float(wls_mu[0]),
-                "clamped": bool(wls_cl[0]),
+                "lt": tuple(self._wls_pair),
+                "obj": wls_obj,
+                "mu": wls_mu,
+                "clamped": wls_cl,
             }
 
         def nm_objective(lt):
             lt = np.clip(lt, 0.0, 1.0)
-            val, _, _ = self._eval_single(lt, pieces, method)
+            val, _, _ = self._score_point(lt, pieces, method)
             return val
 
         nm = minimize(
@@ -843,14 +851,14 @@ class FitEngine:
         )
         if np.isfinite(nm.fun) and nm.fun < best["obj"]:
             lt = tuple(np.clip(nm.x, 0.0, 1.0))
-            val, mu_v, cl = self._eval_single(lt, pieces, method)
+            val, mu_v, cl = self._score_point(lt, pieces, method)
             best = {"lt": lt, "obj": val, "mu": mu_v, "clamped": cl}
 
         interior = all(1e-4 < t < 1.0 - 1e-4 for t in best["lt"])
         if method in ("URE", "EBMLE") and interior:
             lt_pol, val_pol = self._polished(best["lt"], pieces, method, y)
             if np.isfinite(val_pol) and val_pol < best["obj"]:
-                val, mu_v, cl = self._eval_single(tuple(lt_pol), pieces, method)
+                val, mu_v, cl = self._score_point(tuple(lt_pol), pieces, method)
                 best = {"lt": tuple(lt_pol), "obj": val, "mu": mu_v, "clamped": cl}
 
         cand_points = []
@@ -862,10 +870,10 @@ class FitEngine:
             cand_points.append(
                 {"lt": lt_pair, "obj": None, "mu": mu_c, "clamped": mu_c != cand.mu}
             )
-            val_at = self._value_at(lt_pair, pieces, method, mu_c)
+            val_at, _, _ = self._score_point(lt_pair, pieces, method, mu_c)
             if np.isfinite(val_at) and val_at < best["obj"]:
                 best = dict(cand_points[-1], obj=val_at)
-            val, mu_p, cl = self._eval_single(lt_pair, pieces, method)
+            val, mu_p, cl = self._score_point(lt_pair, pieces, method)
             if np.isfinite(val) and val < best["obj"]:
                 best = {"lt": lt_pair, "obj": val, "mu": mu_p, "clamped": cl}
 
@@ -879,16 +887,6 @@ class FitEngine:
                 if alt.objective < fit.objective:
                     fit = alt
         return fit
-
-    def _value_at(self, lt_pair, pieces, method, mu: float) -> float:
-        """Objective at a fixed (lambda_tilde pair, mu); mu is used as given."""
-        if lt_pair[0] == 0.0 and lt_pair[1] == 0.0:
-            return self._corner_value(pieces, method)
-        bundle = self._make_bundle(
-            np.asarray([lt_pair], dtype=float), with_trace=method == "URE"
-        )
-        obj, _, _ = self._evaluate(bundle, pieces, method, mu_fixed=mu)
-        return float(obj[0])
 
     def _build_fit(self, best, y, eta, method, grid_ties) -> ShrinkageFit:
         d = self.design

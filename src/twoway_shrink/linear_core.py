@@ -18,15 +18,21 @@ This is the library's only path, and it forms no n x n matrix of its
 own.  The tests keep a dense oracle that forms Sigma explicitly and check
 this path against it.
 
-Threads: the capacitance factorizations and solves go through scipy's
-LAPACK, about a hundred of them per fit at order r+c (Nelder-Mead, the
-polish, the final evaluation), where OpenBLAS threading costs more than it
-gains.  ``_single_threaded_lapack`` runs scipy's OpenBLAS on one thread
-for the length of a fit, an engine build or a study chunk, and restores
-the previous count afterwards.  numpy's BLAS is left alone: its thread
-count changes the rounding of dense products, and with it fitted values.
-Factorizations and solves of this size give the same bits on one thread
-as on several.
+LAPACK: the capacitance matrix is factored by ``potrf`` and solved by
+``potrs``, resolved once from scipy's LAPACK and called directly
+(:func:`_capacitance_cholesky`, :func:`_cholesky_solve`).  These are the
+routines scipy's Cholesky helpers wrap, called without the helpers'
+per-call input checks; a factorization that is not finite or not positive
+definite raises :class:`NumericError` instead.
+
+Threads: the refinement stage of a fit (Nelder-Mead, the polish, the final
+evaluation) makes hundreds of these calls at order r+c, where OpenBLAS
+threading costs more than it gains.  ``_single_threaded_lapack`` runs
+scipy's OpenBLAS on one thread for the length of a fit, an engine build or
+a study chunk, and restores the previous count afterwards.  numpy's BLAS
+is left alone: its thread count changes the rounding of dense products,
+and with it fitted values.  Factorizations and solves of this size give
+the same bits on one thread as on several.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import threading
 from contextlib import ContextDecorator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from math import isfinite
 
 import numpy as np
 import scipy.linalg as sla
@@ -61,20 +68,32 @@ class NumericError(RuntimeError):
     """A factorization or solve failed beyond recovery."""
 
 
-def _capacitance_cholesky(c: np.ndarray):
-    """Lower Cholesky factor of a capacitance matrix.
+_potrf, _potrs = sla.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+def _capacitance_cholesky(c: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a capacitance matrix, by LAPACK ``potrf``.
 
     Retries once with 1e-12 added to the diagonal, then raises
-    :class:`NumericError`.
+    :class:`NumericError`; a factor with a non-finite diagonal (from a
+    non-finite ``c``) raises at once.
     """
-    try:
-        return sla.cho_factor(c, lower=True)
-    except sla.LinAlgError:
-        jittered = c + 1e-12 * np.eye(c.shape[0])
-        try:
-            return sla.cho_factor(jittered, lower=True)
-        except sla.LinAlgError as exc:
-            raise NumericError("capacitance factorization failed") from exc
+    f, info = _potrf(c, lower=True, clean=False)
+    if info > 0:
+        f, info = _potrf(c + 1e-12 * np.eye(c.shape[0]), lower=True, clean=False)
+    if info != 0:
+        raise NumericError("capacitance factorization failed")
+    if not isfinite(f.trace()):
+        raise NumericError("capacitance matrix is not finite")
+    return f
+
+
+def _cholesky_solve(f: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (f f^T) x = b for a lower factor f from :func:`_capacitance_cholesky`."""
+    x, info = _potrs(f, b, lower=True)
+    if info != 0:
+        raise NumericError(f"potrs rejected argument {-info}")
+    return x
 
 
 @cache
@@ -196,11 +215,11 @@ class SigmaContext:
 
     @cached_property
     def capacitance_factor(self):
-        """Cholesky factor of the capacitance matrix (with one jitter retry)."""
+        """Lower Cholesky factor of the capacitance matrix (one jitter retry)."""
         return _capacitance_cholesky(self.capacitance)
 
     def cap_solve(self, b: np.ndarray) -> np.ndarray:
-        return sla.cho_solve(self.capacitance_factor, b)
+        return _cholesky_solve(self.capacitance_factor, b)
 
     @cached_property
     def cap_inverse(self) -> np.ndarray:
@@ -208,7 +227,7 @@ class SigmaContext:
 
     @cached_property
     def logdet_capacitance(self) -> float:
-        f = self.capacitance_factor[0]
+        f = self.capacitance_factor
         return float(2.0 * np.sum(np.log(np.diag(f))))
 
 

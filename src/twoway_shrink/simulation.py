@@ -454,24 +454,12 @@ def ure_concentration_study(
     observed = table0.counts > 0
     eta_obs = eta_complete.reshape(spec.r, spec.c)[observed]
     pairs = [tuple(p) for p in lt_grid]
-    bundles = {
-        p: engine._make_bundle(np.asarray([p])) for p in pairs if p != (0.0, 0.0)
-    }
     diffs = {p: [] for p in pairs}
     for rep in range(N):
-        table, _ = gen_scenario(spec, rep)
-        pieces = engine._data_pieces(table.y_observed, eta_obs)
+        y = gen_scenario(spec, rep)[0].y_observed
         for p in pairs:
-            if p == (0.0, 0.0):
-                ure = engine._corner_value(pieces, "URE")
-                loss = engine._corner_value(pieces, "ORACLE")
-            else:
-                ure = float(
-                    engine._evaluate(bundles[p], pieces, "URE", mu_fixed=0.0)[0][0]
-                )
-                loss = float(
-                    engine._evaluate(bundles[p], pieces, "ORACLE", mu_fixed=0.0)[0][0]
-                )
+            ure = engine.objective_at(p, y, "URE", mu=0.0)[0]
+            loss = engine.objective_at(p, y, "ORACLE", true_eta_obs=eta_obs, mu=0.0)[0]
             diffs[p].append(ure - loss)
     mean_abs, se_abs, mean_diff, se_diff = [], [], [], []
     for p in pairs:

@@ -196,6 +196,32 @@ class TestDiagnoseCommand:
         lam = [l for l in out.splitlines() if l.startswith("lambda1(Q):")][0]
         assert float(lam.split(":")[1]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_complete_table_builds_no_q(self, complete_agg_csv, tmp_path, capsys,
+                                        monkeypatch):
+        # On a complete table Q is the projector onto col(Z): lambda1 is 1.
+        from twoway_shrink import estimators, risk_metrics
+
+        built = []
+        original = risk_metrics.q_matrix
+
+        def counted(design):
+            built.append(design)
+            return original(design)
+
+        monkeypatch.setattr(risk_metrics, "q_matrix", counted)
+        monkeypatch.setattr(estimators, "q_matrix", counted)
+        common = ["--input", complete_agg_csv, "--schema", "agg", "--sigma2", "1.0"]
+        for method, loss in (("ure", "auto"), ("ml", "ss"), ("ure", "weighted"),
+                             ("wls", "auto")):
+            out = tmp_path / f"{method}-{loss}.json"
+            argv = ["fit", *common, "--method", method, "--loss", loss,
+                    "--out", str(out)]
+            assert main(argv) == 0
+            assert load_report(out)["diagnostics"]["lambda1_q"] == 1.0
+        assert main(["diagnose", *common]) == 0
+        assert "lambda1(Q): 1.0\n" in capsys.readouterr().out
+        assert built == []
+
     def test_missing_lambda1_above_one(self, missing_agg_csv, capsys):
         main([
             "diagnose", "--input", missing_agg_csv, "--schema", "agg",

@@ -28,8 +28,10 @@ from twoway_shrink.linear_core import lam_from_tilde
 from twoway_shrink.simulation import ebmle_stress_scenario, gen_scenario
 from conftest import make_random_table
 from dense_oracle import (
+    CapacitanceBundle,
     dense_sigma,
     dense_ure,
+    evaluate_bundle,
     weighted_bayes_estimate,
     weighted_grid_min,
     weighted_ure,
@@ -557,7 +559,7 @@ class TestAbsorbedGrid:
         for qmode in ("identity", "qmatrix"):
             engine = FitEngine(table, qmode=qmode)
             grid = engine._grid_bundle
-            ref = engine._make_bundle(grid.lt)
+            ref = CapacitanceBundle(engine, grid.lt)
             # Points with a lambda_tilde = 0 coordinate sit at lambda = 1e12,
             # where the capacitance path amplifies rounding by lambda.
             edge = (grid.lt == 0.0).any(axis=1)
@@ -568,7 +570,7 @@ class TestAbsorbedGrid:
             pieces = engine._data_pieces(table.y_observed, eta_obs)
             for method in ("URE", "EBMLE", "ORACLE"):
                 obj, mu, _ = engine._evaluate_grid(pieces, method)
-                obj_ref, mu_ref, _ = engine._evaluate(ref, pieces, method)
+                obj_ref, mu_ref, _ = evaluate_bundle(engine, ref, pieces, method)
                 err = _rel_err(obj, obj_ref)
                 assert err[~edge].max() <= 1e-10, (qmode, method)
                 assert err[edge].max() <= 1e-9, (qmode, method)
@@ -586,6 +588,78 @@ class TestAbsorbedGrid:
         shapes = [a.shape for a in arrays if isinstance(a, np.ndarray)]
         assert (n_points, q, q) not in shapes
         assert not any(len(s) == 3 and s[0] == n_points for s in shapes)
+
+
+def _scorer_designs(rng, n):
+    """Random tables: complete and missing, r >= c and r < c, counts 1..20."""
+    for i in range(n):
+        r, c = sorted(int(k) for k in rng.integers(2, 10, 2))
+        if i % 4 < 2:
+            r, c = c, r
+        missing = i % 2 == 1
+        n_missing = (r * c) // 5 if missing else 0
+        yield make_random_table(rng, r, c, k_max=20, n_missing=n_missing)
+
+
+class TestSinglePointScorer:
+    """The engine's single-point scorer against the batch capacitance oracle.
+
+    Each point is scored as a batch of one, the shape every refinement
+    evaluation had before the scorer existed.  Larger batches round the
+    solve terms differently (batched products), so they are not compared
+    here; the grid test above covers them with tolerances.
+    """
+
+    def test_bit_identical_to_batch_oracle(self, rng):
+        n_points = 0
+        for table, eta in _scorer_designs(rng, 56):
+            eta_obs = eta[(table.counts > 0).ravel()]
+            qmodes = ("identity", "qmatrix")
+            if table.is_complete:
+                qmodes += ("weighted",)
+            for qmode in qmodes:
+                engine = FitEngine(table, qmode=qmode)
+                pieces = engine._data_pieces(table.y_observed, eta_obs)
+                x = float(rng.uniform(0.05, 0.95))
+                points = [(1e-6, 1e-6), (0.0, x), (x, 0.0), (1.0, 1.0)]
+                points += [tuple(rng.uniform(0.0, 1.0, 2)) for _ in range(3)]
+                for lt in points:
+                    bundle = CapacitanceBundle(engine, np.array([lt]))
+                    for method in ("URE", "EBMLE", "ORACLE"):
+                        for mu_fixed in (None, float(rng.normal())):
+                            got = engine._score_point(lt, pieces, method, mu_fixed)
+                            obj, mu, clamped = evaluate_bundle(
+                                engine, bundle, pieces, method, mu_fixed
+                            )
+                            want = (float(obj[0]), float(mu[0]), bool(clamped[0]))
+                            assert got == want, (table.r, table.c, qmode, lt, method)
+                            n_points += 1
+        assert n_points >= 50 * 7 * 6
+
+    def test_corner_and_public_entry(self, rng):
+        table, eta = make_random_table(rng, 6, 4, k_max=20, n_missing=4)
+        eta_obs = eta[(table.counts > 0).ravel()]
+        engine = FitEngine(table)
+        y = table.y_observed
+        pieces = engine._data_pieces(y, eta_obs)
+        mid = 0.5 * (engine.bounds[0] + engine.bounds[1])
+        ure = engine.objective_at((0.0, 0.0), y, "ure")
+        assert ure == (engine.sigma2 * engine.tr_qm / engine.rc, mid, False)
+        loss = engine.objective_at((0.0, 0.0), y, "ORACLE", true_eta_obs=eta_obs, mu=0.5)
+        assert loss[0] == pytest.approx(
+            float((y - eta_obs) @ engine.qloss.apply(y - eta_obs)) / engine.rc,
+            rel=1e-12,
+        )
+        assert loss[1:] == (0.5, False)
+        assert engine.objective_at((0.0, 0.0), y, "EBMLE")[0] == np.inf
+        for method in ("URE", "EBMLE", "ORACLE"):
+            for mu in (None, 0.25):
+                got = engine.objective_at((0.3, 0.8), y, method, eta_obs, mu=mu)
+                assert got == engine._score_point((0.3, 0.8), pieces, method, mu)
+        with pytest.raises(ValueError):
+            engine.objective_at((0.3, 0.8), y, "ORACLE")
+        with pytest.raises(ValueError):
+            engine.objective_at((0.3, 0.8), y, "WLS")
 
 
 class TestWeightedTransform:
@@ -645,14 +719,13 @@ class TestWeightedLoss:
         for table in _complete_designs(rng, 60):
             wp = weighted_transform(table)
             engine = FitEngine(table, qmode="weighted")
-            pieces = engine._data_pieces(table.y_observed, None)
             mu = float(rng.normal())
             lt = tuple(float(t) for t in rng.uniform(0.1, 1.0, 2))
             hp = HyperParams(mu, lam_from_tilde(lt[0]), lam_from_tilde(lt[1]))
             ref = weighted_ure(wp, mu, hp.lambda_a, hp.lambda_b)
             ctx = SigmaContext(engine.design, hp, sigma2=table.sigma2)
             for got in (
-                engine._value_at(lt, pieces, "URE", mu),
+                engine.objective_at(lt, table.y_observed, "URE", mu=mu)[0],
                 ure_value(ctx, table.y_observed, mu, qmode="weighted"),
             ):
                 worst = max(worst, abs(got - ref) / max(abs(ref), 1e-12))

@@ -285,21 +285,20 @@ class TestContextMechanics:
                 SigmaContext(d, HyperParams(0.0, 1.0, 1.0), mode=mode)
 
     def test_factorization_jitter_retry(self, rng, monkeypatch):
-        import scipy.linalg as sla_mod
         from twoway_shrink import linear_core
 
         table, _ = make_random_table(rng, 3, 3)
         d = build_design(table)
-        real = sla_mod.cho_factor
+        real = linear_core._potrf
         calls = {"n": 0}
 
         def flaky(a, **kw):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise linear_core.sla.LinAlgError("synthetic failure")
+                return a, 1  # LAPACK: leading minor 1 is not positive definite
             return real(a, **kw)
 
-        monkeypatch.setattr(linear_core.sla, "cho_factor", flaky)
+        monkeypatch.setattr(linear_core, "_potrf", flaky)
         ctx = SigmaContext(d, HyperParams(0.0, 1.0, 1.0), mode="fast")
         x = rng.normal(0, 1, d.n_obs)
         out = shrink_apply(ctx, x)  # succeeds via the jittered retry
@@ -317,14 +316,25 @@ class TestContextMechanics:
         pieces = engine._data_pieces(table.y_observed, None)
 
         def always_fail(a, **kw):
-            raise linear_core.sla.LinAlgError("synthetic failure")
+            return a, 1
 
-        monkeypatch.setattr(linear_core.sla, "cho_factor", always_fail)
+        monkeypatch.setattr(linear_core, "_potrf", always_fail)
         ctx = SigmaContext(d, HyperParams(0.0, 1.0, 1.0), mode="fast")
         with pytest.raises(NumericError):
             shrink_apply(ctx, np.zeros(d.n_obs))
         with pytest.raises(NumericError):
-            engine._eval_single((0.5, 0.5), pieces, "URE")
+            engine._score_point((0.5, 0.5), pieces, "URE")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 1), (3, 3)])
+    def test_non_finite_capacitance_raises(self, rng, bad, where):
+        from twoway_shrink.linear_core import NumericError, _capacitance_cholesky
+
+        a = rng.normal(size=(4, 4))
+        c = a @ a.T + 4.0 * np.eye(4)
+        c[where] = c[where[::-1]] = bad
+        with pytest.raises(NumericError):
+            _capacitance_cholesky(c)
 
 
 class TestSingleThreadedLapack:

@@ -16,7 +16,9 @@ from twoway_shrink import (
     oracle_gap_study,
     ure_concentration_study,
 )
+from twoway_shrink.estimators import FitEngine
 from twoway_shrink.simulation import ebmle_stress_scenario, risk_csv
+from dense_oracle import CapacitanceBundle, evaluate_bundle
 
 
 def small_spec(**kw):
@@ -173,6 +175,38 @@ class TestStudies:
         for md, sd in zip(res.mean_diff, res.se_diff):
             assert abs(md) <= 3.0 * sd  # URE unbiased at every grid point
         assert all(m >= 0 for m in res.mean_abs)
+
+    def test_concentration_matches_batch_oracle_bitwise(self):
+        # The study scores through FitEngine.objective_at; replaying it
+        # with the tests' batch capacitance oracle gives the same bits.
+        spec = small_spec(r=7, c=4, count_law=TwoPoint(1, 20, 0.3),
+                          missing_frac=0.2, seed=31)
+        grid = [(0.0, 0.0), (1e-6, 1e-6), (0.0, 0.4), (0.6, 0.0), (0.3, 0.7),
+                (1.0, 1.0)]
+        n = 5
+        res = ure_concentration_study(spec, grid, N=n)
+
+        table0, eta = gen_scenario(spec, 0)
+        engine = FitEngine(table0)
+        eta_obs = eta[(table0.counts > 0).ravel()]
+        bundles = {p: CapacitanceBundle(engine, np.array([p])) for p in grid[1:]}
+        diffs = {p: [] for p in grid}
+        for rep in range(n):
+            pieces = engine._data_pieces(gen_scenario(spec, rep)[0].y_observed, eta_obs)
+            for p in grid:
+                if p == (0.0, 0.0):
+                    ure = engine._corner_value(pieces, "URE")
+                    loss = engine._corner_value(pieces, "ORACLE")
+                else:
+                    ure, loss = (
+                        float(evaluate_bundle(engine, bundles[p], pieces, m, 0.0)[0][0])
+                        for m in ("URE", "ORACLE")
+                    )
+                diffs[p].append(ure - loss)
+        d = [np.array(diffs[p]) for p in grid]
+        assert res.mean_abs == tuple(float(np.abs(x).mean()) for x in d)
+        assert res.mean_diff == tuple(float(x.mean()) for x in d)
+        assert res.se_diff == tuple(float(x.std(ddof=1) / np.sqrt(n)) for x in d)
 
     def test_concentration_shrinks_with_size(self):
         # E|URE - loss| decreases along the size ladder at every grid point
