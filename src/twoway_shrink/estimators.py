@@ -15,9 +15,8 @@ variance components nonnegative.  Hyper-parameters are chosen by one of
 
 All three share one optimizer contract: the scale parameters are searched
 over the bounded square lambda_tilde = (1+lambda)^{-1/2} in [0,1]^2 by a
-33 x 33 grid followed by Nelder-Mead refinement (and, for the two data
-criteria, a derivative-based polish of interior optima), with mu profiled
-in closed form and clamped to its interval at every candidate.
+33 x 33 grid followed by Nelder-Mead refinement, with mu profiled in
+closed form and clamped to its interval at every candidate.
 
 The lambda_tilde = (0, 0) corner of the search box denotes the unshrunken
 estimator eta_hat = y, whose risk estimate is exactly sigma^2 tr(QM)/(rc);
@@ -29,9 +28,9 @@ Z^T M^{-1} Z is diagonal, so it is eliminated in closed form and each
 engine eigendecomposes one min(r, c)-order Schur complement per grid value
 of that factor's lambda (:class:`_AbsorbedGrid`).  Only which grid point
 wins (and, where refinement does not improve on it, its profiled mu)
-reaches a fit.  Every other candidate (the near-boundary one,
-Nelder-Mead, the polish, extra candidates) is scored one point at a time
-by the engine's single-point scorer (``FitEngine._score_point``, public as
+reaches a fit.  Every other candidate (the near-boundary one, the
+Nelder-Mead points, extra candidates) is scored one point at a time by
+the engine's single-point scorer (``FitEngine._score_point``, public as
 :meth:`FitEngine.objective_at`): one (r+c)-order capacitance Cholesky
 factorization and explicit inverse through LAPACK directly, then the same
 criterion formulas as the grid (``FitEngine._score``).  The batch form of
@@ -727,43 +726,6 @@ class FitEngine:
             ) / self.rc
         return np.inf  # -loglik diverges at the corner
 
-    # -- first-order terms (estimating equations / analytic gradients) ------
-
-    def _first_order(self, hp: HyperParams, y: np.ndarray, mu: float, method: str):
-        return _first_order_terms(self.design, self.qloss, self.sigma2, hp, y, mu, method)
-
-    def _polished(self, lt0, pieces, method, y):
-        """Derivative-based local polish in lambda_tilde coordinates."""
-        lo = LAMBDA_TILDE_EPS
-
-        def fun_grad(lt):
-            lt = np.clip(lt, lo, 1.0)
-            obj, mu, _ = self._score_point(lt, pieces, method)
-            la, lb = lam_from_tilde(float(lt[0])), lam_from_tilde(float(lt[1]))
-            hp = HyperParams(mu=mu, lambda_a=la, lambda_b=lb)
-            fo = self._first_order(hp, y, mu, method)
-            if method == "URE":
-                d_la = 2.0 * self.sigma2 / self.rc * fo["res_a"]
-                d_lb = 2.0 * self.sigma2 / self.rc * fo["res_b"]
-            else:  # minimizing -loglik
-                d_la = 0.5 * fo["res_a"]
-                d_lb = 0.5 * fo["res_b"]
-            # chain rule: d lambda / d lambda_tilde = -2 lt^{-3}
-            grad = np.array(
-                [d_la * (-2.0 / lt[0] ** 3), d_lb * (-2.0 / lt[1] ** 3)]
-            )
-            return obj, grad
-
-        res = minimize(
-            fun_grad,
-            x0=np.clip(np.asarray(lt0, dtype=float), lo, 1.0),
-            method="L-BFGS-B",
-            jac=True,
-            bounds=[(lo, 1.0), (lo, 1.0)],
-            options={"maxiter": 60, "ftol": 1e-15, "gtol": 1e-11},
-        )
-        return np.clip(res.x, lo, 1.0), float(res.fun)
-
     # -- main fit loop -------------------------------------------------------
 
     @staticmethod
@@ -854,13 +816,6 @@ class FitEngine:
             val, mu_v, cl = self._score_point(lt, pieces, method)
             best = {"lt": lt, "obj": val, "mu": mu_v, "clamped": cl}
 
-        interior = all(1e-4 < t < 1.0 - 1e-4 for t in best["lt"])
-        if method in ("URE", "EBMLE") and interior:
-            lt_pol, val_pol = self._polished(best["lt"], pieces, method, y)
-            if np.isfinite(val_pol) and val_pol < best["obj"]:
-                val, mu_v, cl = self._score_point(tuple(lt_pol), pieces, method)
-                best = {"lt": tuple(lt_pol), "obj": val, "mu": mu_v, "clamped": cl}
-
         cand_points = []
         for cand in extra_candidates or ():
             lt_pair = (cand.lambda_tilde_a, cand.lambda_tilde_b)
@@ -918,7 +873,7 @@ class FitEngine:
             "qmode": self.qmode,
         }
         if method in ("URE", "EBMLE") and isfinite(hp.lambda_a) and isfinite(hp.lambda_b):
-            fo = self._first_order(hp, y, hp.mu, method)
+            fo = _first_order_terms(d, self.qloss, self.sigma2, hp, y, hp.mu, method)
             diagnostics["estimating_eq"] = (fo["res_mu"], fo["res_a"], fo["res_b"])
             diagnostics["residual_scales"] = (
                 fo["scale_mu"],

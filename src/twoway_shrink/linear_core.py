@@ -25,7 +25,7 @@ routines scipy's Cholesky helpers wrap, called without the helpers'
 per-call input checks; a factorization that is not finite or not positive
 definite raises :class:`NumericError` instead.
 
-Threads: the refinement stage of a fit (Nelder-Mead, the polish, the final
+Threads: the refinement stage of a fit (Nelder-Mead and the final
 evaluation) makes hundreds of these calls at order r+c, where OpenBLAS
 threading costs more than it gains.  ``_single_threaded_lapack`` runs
 scipy's OpenBLAS on one thread for the length of a fit, an engine build or

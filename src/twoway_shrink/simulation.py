@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import sqrt
@@ -22,6 +23,8 @@ from .estimators import FitEngine, wls_fit
 from .linear_core import _single_threaded_lapack
 from .risk_metrics import loss_ss
 from .tables import CellTable, _component_labels
+
+_log = logging.getLogger("twoway_shrink")
 
 __all__ = [
     "Constant",
@@ -313,7 +316,9 @@ def compare_estimators(
     Per replicate all estimators see the same data; losses are normalized
     completed sum-of-squares against the true means.  The ``gap`` column is
     the paired mean of loss(estimator) - loss(oracle).  Aborts if more than
-    1% of the replicates fail.
+    1% of the replicates fail; fewer failed replicates are dropped, counted
+    in ``n_failed`` and reported in one warning on the ``twoway_shrink``
+    logger.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -322,6 +327,11 @@ def compare_estimators(
     if len(failures) > 0.01 * N:
         raise RuntimeError(
             f"{len(failures)}/{N} replicates failed; first: {failures[0]}"
+        )
+    if failures:
+        _log.warning(
+            "%s: dropped %d/%d failed replicates; first: %s",
+            spec.label(), len(failures), N, failures[0],
         )
     good = [r for r in records if "__error__" not in r]
     n = len(good)

@@ -6,14 +6,18 @@ and O(n^2) memory, for small test problems only.  The batch capacitance
 path (``CapacitanceBundle``, ``evaluate_bundle``) scores many
 lambda_tilde pairs at once through scipy's ``cho_factor``/``cho_solve``
 and explicit (r+c)-order inverses; the engine's absorbed grid and its
-single-point scorer are checked against it.
+single-point scorer are checked against it.  ``lbfgs_polish`` is a
+derivative-based local search from a fit's lambda_tilde; interior fits
+are checked to leave it nothing to gain.
 """
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.optimize import minimize
 
-from twoway_shrink.linear_core import lam_from_tilde
-from twoway_shrink.tables import quantile_bounds
+from twoway_shrink.estimators import _first_order_terms
+from twoway_shrink.linear_core import LAMBDA_TILDE_EPS, lam_from_tilde
+from twoway_shrink.tables import HyperParams, quantile_bounds
 
 
 def dense_sigma(ctx):
@@ -171,3 +175,46 @@ def evaluate_bundle(engine, bundle, pieces, method, mu_fixed=None):
     return engine._score(
         terms, bundle.logdet, bundle.tr_red, pieces, method, mu_fixed
     )
+
+
+# -- a derivative-based local search -----------------------------------------
+
+def lbfgs_polish(engine, lt0, y, method):
+    """L-BFGS-B from ``lt0`` on the engine's URE or EBMLE objective.
+
+    The gradient in lambda_tilde is the analytic one: the estimating
+    equations of ``_first_order_terms`` at the profiled mu, times
+    d lambda / d lambda_tilde = -2 lambda_tilde^{-3}.  The box is
+    [LAMBDA_TILDE_EPS, 1]^2.  Returns (lambda_tilde, objective), the
+    objective as the engine minimizes it.
+    """
+    y = np.asarray(y, dtype=float)
+    pieces = engine._data_pieces(y, None)
+    lo = LAMBDA_TILDE_EPS
+
+    def fun_grad(lt):
+        lt = np.clip(lt, lo, 1.0)
+        obj, mu, _ = engine._score_point(lt, pieces, method)
+        la, lb = lam_from_tilde(float(lt[0])), lam_from_tilde(float(lt[1]))
+        hp = HyperParams(mu=mu, lambda_a=la, lambda_b=lb)
+        fo = _first_order_terms(
+            engine.design, engine.qloss, engine.sigma2, hp, y, mu, method
+        )
+        if method == "URE":
+            d_la = 2.0 * engine.sigma2 / engine.rc * fo["res_a"]
+            d_lb = 2.0 * engine.sigma2 / engine.rc * fo["res_b"]
+        else:  # minimizing -loglik
+            d_la = 0.5 * fo["res_a"]
+            d_lb = 0.5 * fo["res_b"]
+        grad = np.array([d_la * (-2.0 / lt[0] ** 3), d_lb * (-2.0 / lt[1] ** 3)])
+        return obj, grad
+
+    res = minimize(
+        fun_grad,
+        x0=np.clip(np.asarray(lt0, dtype=float), lo, 1.0),
+        method="L-BFGS-B",
+        jac=True,
+        bounds=[(lo, 1.0), (lo, 1.0)],
+        options={"maxiter": 60, "ftol": 1e-15, "gtol": 1e-11},
+    )
+    return np.clip(res.x, lo, 1.0), float(res.fun)

@@ -263,3 +263,27 @@ class TestGenerationLimits:
         monkeypatch.setattr(sim.FitEngine, "fit", broken_fit)
         with pytest.raises(RuntimeError, match="replicates failed"):
             compare_estimators(small_spec(seed=19), 10, estimators=("ure",))
+
+    def test_dropped_failure_is_logged(self, monkeypatch, caplog):
+        from twoway_shrink import simulation as sim
+
+        real_fit = sim.FitEngine.fit
+        calls = []
+
+        def fails_once(self, *a, **kw):
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("synthetic fit failure")
+            return real_fit(self, *a, **kw)
+
+        monkeypatch.setattr(sim.FitEngine, "fit", fails_once)
+        spec = small_spec(r=3, c=3, seed=19)
+        with caplog.at_level("WARNING", logger="twoway_shrink"):
+            rt = compare_estimators(spec, 100, estimators=("ure",))
+        assert (rt.n_reps, rt.n_failed) == (99, 1)
+        [record] = caplog.records
+        assert record.name == "twoway_shrink"
+        assert record.levelname == "WARNING"
+        message = record.getMessage()
+        assert "1/100" in message
+        assert "RuntimeError: synthetic fit failure" in message
