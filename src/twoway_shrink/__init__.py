@@ -34,12 +34,9 @@ from .risk_metrics import (
     a2_statistic,
     balanced_decoupling_check,
     lambda1_q,
-    lambda1_q_from_grams,
     loss_ss,
     loss_weighted,
     q_matrix,
-    quad_form_moments,
-    ure_variance_zero_mu,
 )
 from .estimators import (
     FitEngine,

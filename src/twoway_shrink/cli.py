@@ -229,29 +229,39 @@ def _parse_config(path) -> dict:
     return cfg
 
 
-def _parse_count_law(spec: str):
+def _law_args(spec: str, what: str, arities: dict):
+    """(kind, numbers) of a ``kind[:a,b,...]`` law; ValueError when malformed."""
     kind, _, rest = spec.partition(":")
+    if kind not in arities:
+        raise ValueError(f"unknown {what} {spec!r}")
     args = [float(x) for x in rest.split(",")] if rest else []
+    if len(args) not in arities[kind]:
+        counts = " or ".join(map(str, arities[kind]))
+        raise ValueError(
+            f"{what} {spec!r} takes {counts} arguments, got {len(args)}"
+        )
+    return kind, args
+
+
+def _parse_count_law(spec: str):
+    kind, args = _law_args(spec, "count law", {
+        "constant": (0, 1), "uniform": (2,), "twopoint": (0, 2, 3),
+        "twopoint-anti": (0, 2, 3),
+    })
+    ints = [int(a) for a in args[:2]]
     if kind == "constant":
-        return Constant(int(args[0]) if args else 1)
+        return Constant(*ints)
     if kind == "uniform":
-        return UniformCounts(int(args[0]), int(args[1]))
-    if kind in ("twopoint", "twopoint-anti"):
-        frac = args[2] if len(args) > 2 else 0.5
-        return TwoPoint(int(args[0]), int(args[1]), frac, anti_effect=kind.endswith("anti"))
-    raise ValueError(f"unknown count law {spec!r}")
+        return UniformCounts(*ints)
+    return TwoPoint(*ints, *args[2:], anti_effect=kind.endswith("anti"))
 
 
 def _parse_effect_law(spec: str):
-    kind, _, rest = spec.partition(":")
-    args = [float(x) for x in rest.split(",")] if rest else []
-    if kind == "normal":
-        return NormalEffects(args[0] if args else 1.0)
-    if kind == "pointmass":
-        return PointMass(args[0] if args else 0.0)
-    if kind == "twogroup":
-        return TwoGroup(*args)
-    raise ValueError(f"unknown effect law {spec!r}")
+    kind, args = _law_args(spec, "effect law", {
+        "normal": (0, 1), "pointmass": (0, 1), "twogroup": (0, 1, 2, 3),
+    })
+    law = {"normal": NormalEffects, "pointmass": PointMass, "twogroup": TwoGroup}
+    return law[kind](*args)
 
 
 def _scenario_from_config(cfg: dict, seed: int) -> ScenarioSpec:

@@ -39,6 +39,13 @@ tests as the oracle the grid and the scorer are checked against.  The
 returned fit is re-evaluated through :func:`ure_value` or
 :func:`marginal_loglik`.
 
+Everything after the pick works in the (r+c)-dimensional effect space,
+as every estimate in the family is additive: the completion to all r*c
+cells (:func:`complete_means`) and the WLS baseline (:func:`wls_fit`)
+are one (r+c)-order solve each, and the first-order terms are traces of
+(r+c)-order matrices.  No design matrix is formed outside the completed
+loss Q.
+
 Every criterion is written for a loss matrix Q on the observed cells
 (:class:`~twoway_shrink.risk_metrics.QLoss`): the sum-of-squares loss
 (Q = I), the count-weighted loss (Q = diag(K)) and the completed
@@ -74,8 +81,8 @@ from .risk_metrics import QLoss, q_matrix
 from .tables import (
     CellTable,
     DesignSet,
-    DisconnectedDesignError,
     HyperParams,
+    _check_connected,
     build_design,
     quantile_bounds,
 )
@@ -132,13 +139,6 @@ class ShrinkageFit:
         return (self.hp.lambda_tilde_a, self.hp.lambda_tilde_b)
 
 
-def _require_connected(design: DesignSet):
-    if design.rank != design.r + design.c - 1:
-        raise DisconnectedDesignError(
-            "design is not connected; cell means are not estimable"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Baseline estimators
 # ---------------------------------------------------------------------------
@@ -146,16 +146,17 @@ def _require_connected(design: DesignSet):
 def wls_fit(design: DesignSet, y: np.ndarray) -> np.ndarray:
     """Weighted least squares fit of the observed cell means.
 
-    Minimizes (y - Z th)^T M^{-1} (y - Z th); the fitted mean vector is
-    unique even though th is not, and the residual is orthogonal to the
-    column space of Z in the M^{-1} inner product.
+    Minimizes (y - Z th)^T M^{-1} (y - Z th).  The intercept's column is
+    the sum of the row effects' columns, so th is taken in effect
+    coordinates: the solution of the weighted normal equations
+    G_w th = [Za Zb]^T M^{-1} y with v^T th = 0
+    (:meth:`~twoway_shrink.tables.DesignSet.effects_solve`).  The fitted
+    mean vector is unique even though th is not, and the residual is
+    orthogonal to the column space of Z in the M^{-1} inner product.
     """
-    _require_connected(design)
     y = np.asarray(y, dtype=float)
-    k = design.k_obs.astype(float)
-    normal = design.Z.T @ (k[:, None] * design.Z)
-    theta = np.linalg.pinv(normal, rcond=1e-10) @ (design.Z.T @ (k * y))
-    return design.Z @ theta
+    rhs = design.effects_rmatvec(design.k_obs * y)
+    return design.effects_matvec(design.effects_solve(rhs, weighted=True))
 
 
 def wls_fit_full(table: CellTable, tau: float = 0.05) -> ShrinkageFit:
@@ -170,7 +171,7 @@ def wls_fit_full(table: CellTable, tau: float = 0.05) -> ShrinkageFit:
         method="WLS",
         hp=HyperParams(mu=mu_w, lambda_a=np.inf, lambda_b=np.inf),
         eta_obs=eta_obs,
-        eta_complete=design.completion_map @ eta_obs,
+        eta_complete=complete_means(design, eta_obs),
         objective=float(np.sum(k * resid * resid)),
         mu_clamped=False,
         tau=tau,
@@ -194,9 +195,16 @@ def bayes_estimate(ctx: SigmaContext, y: np.ndarray, mu: float) -> np.ndarray:
 
 
 def complete_means(design: DesignSet, eta_obs: np.ndarray) -> np.ndarray:
-    """Extend an observed-cell estimate to all r*c cells via Zc Z^+."""
-    _require_connected(design)
-    return design.completion_map @ np.asarray(eta_obs, dtype=float)
+    """Extend an observed-cell estimate to all r*c cells, Zc Z^+ eta_obs.
+
+    The effects theta of the least-squares fit of eta_obs (minimum norm,
+    through the plain gram: eta_obs need not be additive, as at the
+    unshrunken corner) give every cell theta_a[i] + theta_b[j]; on a
+    connected design this is Zc Z^+ eta_obs without forming either matrix.
+    """
+    rhs = design.effects_rmatvec(np.asarray(eta_obs, dtype=float))
+    theta = design.effects_solve(rhs)
+    return (theta[: design.r, None] + theta[None, design.r :]).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +324,21 @@ def marginal_loglik(
 
 def _first_order_terms(
     d: DesignSet, qloss: QLoss | None, s2: float, hp: HyperParams,
-    y: np.ndarray, mu: float, method: str,
+    y: np.ndarray, mu: float, method: str, zqz: np.ndarray | None = None,
 ) -> dict:
     """Estimating-equation left-hand sides and their trace scales.
 
-    ``qloss`` is the loss of the risk estimate (URE); the likelihood
-    equations (EBMLE) do not use it.
+    ``qloss`` is the loss of the risk estimate (URE) and ``zqz`` its
+    effects gram B = [Za Zb]^T Q [Za Zb], when the caller already has it;
+    the likelihood equations (EBMLE) use neither.  The traces are read off
+    (r+c)-order matrices: with G = [Za Zb]^T M^{-1} [Za Zb] and
+    H = Lam C^{-1} Lam,
+
+        [Za Zb]^T Sigma^{-1} [Za Zb] = G - G H G,
+        M Sigma^{-1} [Za Zb] = [Za Zb] (I - H G),
+
+    so the EBMLE traces are diagonal blocks of G - G H G and the URE
+    traces those of (I - G H) B (I - H G).
     """
     ctx = SigmaContext(d, hp, sigma2=s2)
     m = d.m_diag
@@ -329,29 +346,26 @@ def _first_order_terms(
     v = sigma_solve(ctx, xi)
     za_v = np.bincount(d.row_index, weights=v, minlength=d.r)
     zb_v = np.bincount(d.col_index, weights=v, minlength=d.c)
-    x_a = sigma_solve(ctx, d.Za)
-    x_b = sigma_solve(ctx, d.Zb)
+    g, s = d.gram_weighted, ctx.scale
+    hg = s[:, None] * ctx.cap_solve(s[:, None] * g)
     one = np.ones(d.n_obs)
     if method == "EBMLE":
-        tr_a = float(np.sum(d.Za * x_a))
-        tr_b = float(np.sum(d.Zb * x_b))
-        res_mu = float(np.sum(v))
-        res_a = tr_a - float(za_v @ za_v) / s2
-        res_b = tr_b - float(zb_v @ zb_v) / s2
+        diag = np.diag(g) - np.einsum("ij,ji->i", g, hg)
+        w, za_w, zb_w = v, za_v, zb_v
         scale_mu = float(np.sum(sigma_solve(ctx, one)))
     else:
-        mx_a = m[:, None] * x_a
-        mx_b = m[:, None] * x_b
-        tr_a = float(np.sum(mx_a * qloss.apply(mx_a)))
-        tr_b = float(np.sum(mx_b * qloss.apply(mx_b)))
+        p = np.eye(d.q) - hg
+        b = qloss.effects_gram(d) if zqz is None else zqz
+        diag = np.einsum("ij,ij->j", p, b @ p)
         w = sigma_solve(ctx, m * qloss.apply(m * v))
         za_w = np.bincount(d.row_index, weights=w, minlength=d.r)
         zb_w = np.bincount(d.col_index, weights=w, minlength=d.c)
-        res_mu = float(np.sum(w))
-        res_a = tr_a - float(za_v @ za_w) / s2
-        res_b = tr_b - float(zb_v @ zb_w) / s2
         g1 = shrink_apply(ctx, one)
         scale_mu = float(g1 @ qloss.apply(g1))
+    tr_a, tr_b = float(np.sum(diag[: d.r])), float(np.sum(diag[d.r :]))
+    res_mu = float(np.sum(w))
+    res_a = tr_a - float(za_v @ za_w) / s2
+    res_b = tr_b - float(zb_v @ zb_w) / s2
     return {
         "res_mu": res_mu,
         "res_a": res_a,
@@ -488,7 +502,7 @@ class FitEngine:
     def __init__(self, table: CellTable, tau: float = 0.05, qmode: str = "auto"):
         self.table = table
         self.design = build_design(table)
-        _require_connected(self.design)
+        _check_connected(self.design)
         self.tau = float(tau)
         self.bounds = quantile_bounds(table, tau)
         self.qmode, self.qloss = _resolve_qloss(self.design, qmode, None)
@@ -859,7 +873,7 @@ class FitEngine:
         ctx = SigmaContext(d, hp, sigma2=self.sigma2)
         if not at_corner:
             eta_obs = bayes_estimate(ctx, y, hp.mu)
-        eta_complete = d.completion_map @ eta_obs
+        eta_complete = complete_means(d, eta_obs)
         if method == "URE":
             objective = ure_value(ctx, y, hp.mu, qmode=self.qmode, qloss=self.qloss)
         elif method == "EBMLE":
@@ -873,7 +887,9 @@ class FitEngine:
             "qmode": self.qmode,
         }
         if method in ("URE", "EBMLE") and isfinite(hp.lambda_a) and isfinite(hp.lambda_b):
-            fo = _first_order_terms(d, self.qloss, self.sigma2, hp, y, hp.mu, method)
+            fo = _first_order_terms(
+                d, self.qloss, self.sigma2, hp, y, hp.mu, method, self.zqz
+            )
             diagnostics["estimating_eq"] = (fo["res_mu"], fo["res_a"], fo["res_b"])
             diagnostics["residual_scales"] = (
                 fo["scale_mu"],
@@ -970,17 +986,20 @@ class WeightedProblem:
 
     table: CellTable
     y_tilde: np.ndarray
-    Z_tilde: np.ndarray
     one_tilde: np.ndarray
     sqrt_k: np.ndarray
 
     def shrinkage_matrix(self, lambda_a: float, lambda_b: float) -> np.ndarray:
-        """Dense symmetric V_tilde^{-1} applied to transformed residuals."""
-        lam = np.concatenate(
-            [np.full(self.table.r, lambda_a), np.full(self.table.c, lambda_b)]
-        )
-        zt = self.Z_tilde[:, 1:]
-        v = zt @ (lam[:, None] * zt.T) + np.eye(self.table.n_observed)
+        """Dense symmetric V_tilde^{-1} applied to transformed residuals.
+
+        V_tilde = K^{1/2} (lambda_a Za Za^T + lambda_b Zb Zb^T) K^{1/2} + I,
+        where (Za Za^T)_kl is 1 when cells k and l share a row and
+        (Zb Zb^T)_kl is 1 when they share a column.
+        """
+        rows, cols = np.nonzero(self.table.counts)
+        v = lambda_a * (rows[:, None] == rows) + lambda_b * (cols[:, None] == cols)
+        v *= np.outer(self.sqrt_k, self.sqrt_k)
+        v[np.diag_indices_from(v)] += 1.0
         return np.linalg.inv(v)
 
     def fit_ure(self, tau: float = 0.05):
@@ -1007,12 +1026,10 @@ def weighted_transform(table: CellTable) -> WeightedProblem:
     """
     if not table.is_complete:
         raise ValueError("weighted transform requires a fully observed table")
-    design = build_design(table)
     sqrt_k = np.sqrt(table.k_observed.astype(float))
     return WeightedProblem(
         table=table,
         y_tilde=sqrt_k * table.y_observed,
-        Z_tilde=sqrt_k[:, None] * design.Z,
         one_tilde=sqrt_k.copy(),
         sqrt_k=sqrt_k,
     )

@@ -237,17 +237,19 @@ def _check_len(v: np.ndarray, n: int):
 
 
 def sigma_solve(ctx: SigmaContext, v: np.ndarray) -> np.ndarray:
-    """Apply Sigma^{-1} to a vector or to each column of a matrix."""
+    """Apply Sigma^{-1} to a vector.
+
+    Evaluated as M^{-1} v - M^{-1} Z Lam C^{-1} Lam^T Z^T M^{-1} v, one
+    capacitance solve per call.
+    """
     v = np.asarray(v, dtype=float)
     d = ctx.design
     _check_len(v, d.n_obs)
+    if v.ndim != 1:
+        raise ValueError("sigma_solve expects a vector")
     kinv = d.k_obs.astype(float)
-    minv_v = kinv[:, None] * v if v.ndim == 2 else kinv * v
+    minv_v = kinv * v
     s = ctx.scale
-    if v.ndim == 2:
-        t = d.effects_incidence @ minv_v
-        sw = s[:, None] * ctx.cap_solve(s[:, None] * t)
-        return minv_v - kinv[:, None] * (sw[d.row_index] + sw[d.r + d.col_index])
     t = d.effects_rmatvec(minv_v)
     w = ctx.cap_solve(s * t)
     return minv_v - kinv * d.effects_matvec(s * w)

@@ -3,9 +3,9 @@
 When cells are missing, the normalized sum-of-squares loss over all r*c
 (estimable) cell means equals a quadratic form in the observed-cell error
 with the PSD matrix ``Q = (Zc Z^+)^T (Zc Z^+)``.  This module builds that
-matrix, computes its top eigenvalue two independent ways, exposes the
-design-regularity diagnostic, and provides the analytic moments of
-Gaussian quadratic forms used as a test oracle throughout.
+matrix (the one place the dense design is formed), computes its top
+eigenvalue, and exposes the design-regularity diagnostic and the
+balanced-design decoupling check.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import log
 import numpy as np
 import scipy.linalg as sla
 
-from .linear_core import SigmaContext, shrink_apply, sigma_solve
+from .linear_core import SigmaContext, shrink_apply
 from .tables import CellTable, DesignSet, HyperParams, build_design, imbalance_ratio
 
 __all__ = [
@@ -26,11 +26,8 @@ __all__ = [
     "loss_weighted",
     "q_matrix",
     "lambda1_q",
-    "lambda1_q_from_grams",
     "a2_statistic",
-    "quad_form_moments",
     "balanced_decoupling_check",
-    "ure_variance_zero_mu",
 ]
 
 # Above this many observed cells the top eigenvalue switches from a dense
@@ -67,10 +64,8 @@ class QLoss:
         return cls(Q=None, mode="weighted", w=design.k_obs.astype(float))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Q v, for a vector or for each column of a matrix."""
-        if self.w is None:
-            return self.Q @ v
-        return (self.w[:, None] if v.ndim == 2 else self.w) * v
+        """Q v."""
+        return self.Q @ v if self.w is None else self.w * v
 
     def quad(self, g: np.ndarray) -> float:
         """g^T Q g."""
@@ -86,7 +81,10 @@ class QLoss:
         """[Za Zb]^T Q [Za Zb]."""
         if self.w is not None:
             return design.gram_weighted if self.mode == "weighted" else design.gram_plain
-        za_zb = np.concatenate([design.Za, design.Zb], axis=1)
+        n = design.n_obs
+        za_zb = np.zeros((n, design.q))
+        za_zb[np.arange(n), design.row_index] = 1.0
+        za_zb[np.arange(n), design.r + design.col_index] = 1.0
         return za_zb.T @ self.Q @ za_zb
 
 
@@ -150,19 +148,6 @@ def lambda1_q(design: DesignSet) -> float:
     return q_matrix(design).lambda1
 
 
-def lambda1_q_from_grams(design: DesignSet) -> float:
-    """The same eigenvalue via the gram identity lambda1((Zc^T Zc)(Z^T Z)^+)."""
-    if design.rank != design.r + design.c - 1:
-        from .tables import DisconnectedDesignError
-
-        raise DisconnectedDesignError("design is not connected")
-    gc = design.Zc.T @ design.Zc
-    g = design.Z.T @ design.Z
-    prod = gc @ np.linalg.pinv(g, rcond=1e-10)
-    ev = np.linalg.eigvals(prod)
-    return float(np.max(ev.real))
-
-
 def a2_statistic(
     table: CellTable, design: DesignSet | None = None, lambda1: float | None = None
 ) -> float:
@@ -178,25 +163,6 @@ def a2_statistic(
     rc = table.r * table.c
     nu = imbalance_ratio(table)
     return float(rc ** (-1.0 / 8.0) * log(rc) ** 2 * nu * lambda1)
-
-
-def quad_form_moments(A: np.ndarray, V: np.ndarray, eta: np.ndarray):
-    """Mean and variance of y^T A y for y ~ N(eta, V).
-
-    mean = tr(A V) + eta^T A eta
-    var  = 2 tr((A V)^2) + 4 eta^T A V A eta
-    """
-    A = np.asarray(A, dtype=float)
-    V = np.asarray(V, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    n = eta.size
-    if A.shape != (n, n) or V.shape != (n, n):
-        raise ValueError("dimension mismatch between A, V and eta")
-    av = A @ V
-    a_eta = A @ eta
-    mean = float(np.trace(av)) + float(eta @ a_eta)
-    var = 2.0 * float(np.sum(av * av.T)) + 4.0 * float(a_eta @ V @ a_eta)
-    return mean, var
 
 
 def balanced_decoupling_check(
@@ -253,25 +219,3 @@ def balanced_decoupling_check(
     )
     return float(abs(lhs - rhs))
 
-
-def ure_variance_zero_mu(
-    design: DesignSet,
-    hp: HyperParams,
-    eta_obs: np.ndarray,
-    sigma2: float,
-    qloss: QLoss,
-) -> float:
-    """Analytic variance of the risk estimate at location zero.
-
-    With H = Sigma^{-1} M Q M Sigma^{-1} built densely, the variance of the
-    unbiased risk estimate at mu = 0 equals
-    (rc)^{-2} Var(y^T H y) = (rc)^{-2} {2 s^4 tr(HMHM) + 4 s^2 eta^T HMH eta}.
-    Sigma^{-1} is formed by solving against the identity.
-    """
-    sig_inv = sigma_solve(SigmaContext(design, hp), np.eye(design.n_obs))
-    m = design.m_diag
-    H = sig_inv @ (m[:, None] * qloss.Q * m[None, :]) @ sig_inv
-    V = sigma2 * np.diag(m)
-    _, var = quad_form_moments(H, V, np.asarray(eta_obs, dtype=float))
-    rc = design.r * design.c
-    return var / rc**2

@@ -19,7 +19,7 @@ from math import sqrt
 
 import numpy as np
 
-from .estimators import FitEngine, wls_fit
+from .estimators import FitEngine, complete_means, wls_fit
 from .linear_core import _single_threaded_lapack
 from .risk_metrics import loss_ss
 from .tables import CellTable, _component_labels
@@ -280,7 +280,7 @@ def _run_chunk(spec: ScenarioSpec, reps, estimators, tau):
             for name, fit in fits.items():
                 rec[name] = loss_ss(fit.eta_complete, eta_complete)
             if "wls" in estimators:
-                eta_w = engine.design.completion_map @ wls_fit(engine.design, y)
+                eta_w = complete_means(engine.design, wls_fit(engine.design, y))
                 rec["wls"] = loss_ss(eta_w, eta_complete)
         except Exception as exc:  # propagate per-replicate failures upward
             rec = {"__error__": f"{type(exc).__name__}: {exc}"}

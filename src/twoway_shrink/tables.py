@@ -1,10 +1,11 @@
-"""Two-way cell-mean layouts: tables, design matrices, and data-driven bounds.
+"""Two-way cell-mean layouts: tables, their designs, and data-driven bounds.
 
 The central object is :class:`CellTable`, an r x c grid of per-cell
 observation counts and cell averages with a known noise variance.  From a
-table we derive the observed/complete design matrices (:class:`DesignSet`),
-connectivity of the row-column incidence graph, quantile bounds for the
-shrinkage location, and the design imbalance ratio.
+table we derive the design of its observed cells (:class:`DesignSet`: row
+and column index arrays, counts, and the effect-space grams and solves
+built from them), connectivity of the row-column incidence graph, quantile
+bounds for the shrinkage location, and the design imbalance ratio.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -18,7 +19,8 @@ from functools import cached_property
 from math import isfinite
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.linalg import cho_solve, cholesky
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _sparse_components
 
 __all__ = [
@@ -250,47 +252,34 @@ def ingest_observations(records, sigma2: float | None = None) -> CellTable:
 
 @dataclass(frozen=True, eq=False)
 class DesignSet:
-    """Observed and complete designs of a two-way layout.
+    """Index arrays of the observed cells of a two-way layout.
 
-    ``Zc`` is the rc x (r+c+1) complete design [1 | I_r (x) 1_c | 1_r (x) I_c];
-    ``Z`` keeps the rows of the observed cells (lexicographic order, the
-    same order as the diagonal of ``M``).  ``m_diag`` holds the diagonal of
-    the precision-inverse matrix M, i.e. 1/K_ij per observed cell.
+    Observed cells are kept in lexicographic order (the order of
+    ``CellTable.y_observed``): cell k lies in row ``row_index[k]`` and column
+    ``col_index[k]`` and holds ``k_obs[k]`` observations; ``m_diag`` is the
+    diagonal of M, 1/K per observed cell.  The row-column incidence
+    [Za Zb] acts through :meth:`effects_matvec` and
+    :meth:`effects_rmatvec` and its grams are built from count sums, so no
+    design matrix is stored.  The one dense map, ``completion_map``
+    (Zc Z^+), is built on demand for the completed loss.
     """
 
     r: int
     c: int
-    Z: np.ndarray
-    Zc: np.ndarray
     m_diag: np.ndarray
-    E: tuple
     rank: int
-    row_index: np.ndarray = field(repr=False, default=None)
-    col_index: np.ndarray = field(repr=False, default=None)
-    k_obs: np.ndarray = field(repr=False, default=None)
+    row_index: np.ndarray = field(repr=False)
+    col_index: np.ndarray = field(repr=False)
+    k_obs: np.ndarray = field(repr=False)
 
     @property
     def n_obs(self) -> int:
-        return self.Z.shape[0]
+        return self.row_index.size
 
     @property
     def q(self) -> int:
         """Number of row+column effect columns (intercept excluded)."""
         return self.r + self.c
-
-    @property
-    def M(self) -> np.ndarray:
-        return np.diag(self.m_diag)
-
-    @property
-    def Za(self) -> np.ndarray:
-        """Row-effect block of the observed design."""
-        return self.Z[:, 1 : 1 + self.r]
-
-    @property
-    def Zb(self) -> np.ndarray:
-        """Column-effect block of the observed design."""
-        return self.Z[:, 1 + self.r :]
 
     def effects_matvec(self, v: np.ndarray) -> np.ndarray:
         """[Za Zb] @ v for a vector of r+c effect coordinates."""
@@ -303,20 +292,6 @@ class DesignSet:
         return np.concatenate([a, b])
 
     @cached_property
-    def effects_incidence(self) -> csr_matrix:
-        """[Za Zb]^T as a CSR matrix with sorted column indices.
-
-        Its product with a matrix adds each row's entries in observation
-        order, the same order as :meth:`effects_rmatvec`'s bincounts.
-        """
-        n = self.n_obs
-        rows = np.concatenate([self.row_index, self.r + self.col_index])
-        cols = np.concatenate([np.arange(n), np.arange(n)])
-        incidence = csr_matrix((np.ones(2 * n), (rows, cols)), shape=(self.q, n))
-        incidence.sort_indices()
-        return incidence
-
-    @cached_property
     def gram_weighted(self) -> np.ndarray:
         """[Za Zb]^T M^{-1} [Za Zb], built from count sums."""
         return _effects_gram(self, self.k_obs.astype(float))
@@ -326,18 +301,56 @@ class DesignSet:
         """[Za Zb]^T [Za Zb], built from cell-incidence sums."""
         return _effects_gram(self, np.ones(self.n_obs))
 
+    def effects_solve(self, rhs: np.ndarray, weighted: bool = False) -> np.ndarray:
+        """The theta with v^T theta = 0 that solves G theta = rhs.
+
+        G is ``gram_weighted`` or ``gram_plain`` and v = (1_r, -1_c) spans
+        its null space on a connected design; ``rhs`` must lie in the range
+        of G (any [Za Zb]^T x does).  Solved as (G + v v^T) theta = rhs,
+        whose Cholesky factor is kept per gram.
+        """
+        factor = self._weighted_factor if weighted else self._plain_factor
+        return cho_solve((factor, True), rhs)
+
     @cached_property
-    def pinv_Z(self) -> np.ndarray:
-        if self.rank != self.r + self.c - 1:
-            raise DisconnectedDesignError(
-                "design is not connected: some cell means are not estimable"
-            )
-        return np.linalg.pinv(self.Z, rcond=PINV_RTOL)
+    def _plain_factor(self) -> np.ndarray:
+        return _augmented_cholesky(self, self.gram_plain)
+
+    @cached_property
+    def _weighted_factor(self) -> np.ndarray:
+        return _augmented_cholesky(self, self.gram_weighted)
 
     @cached_property
     def completion_map(self) -> np.ndarray:
-        """The rc x |E| matrix Zc Z^+ mapping observed-cell means to all cells."""
-        return self.Zc @ self.pinv_Z
+        """The dense rc x |E| matrix Zc Z^+ mapping observed-cell means to all cells.
+
+        Only the completed loss matrix Q is built from it; completing a
+        vector goes through :meth:`effects_solve` instead.
+        """
+        _check_connected(self)
+        r, c = self.r, self.c
+        rows = np.repeat(np.arange(r), c)
+        cols = np.tile(np.arange(c), r)
+        Zc = np.zeros((r * c, r + c + 1))
+        Zc[:, 0] = 1.0
+        Zc[np.arange(r * c), 1 + rows] = 1.0
+        Zc[np.arange(r * c), 1 + r + cols] = 1.0
+        Z = Zc[self.row_index * c + self.col_index]
+        return Zc @ np.linalg.pinv(Z, rcond=PINV_RTOL)
+
+
+def _check_connected(design: DesignSet):
+    if design.rank != design.r + design.c - 1:
+        raise DisconnectedDesignError(
+            "design is not connected: some cell means are not estimable"
+        )
+
+
+def _augmented_cholesky(design: DesignSet, gram: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of gram + v v^T, v = (1_r, -1_c)."""
+    _check_connected(design)
+    v = np.concatenate([np.ones(design.r), -np.ones(design.c)])
+    return cholesky(gram + np.outer(v, v), lower=True)
 
 
 def _effects_gram(design: DesignSet, w: np.ndarray) -> np.ndarray:
@@ -355,31 +368,17 @@ def _effects_gram(design: DesignSet, w: np.ndarray) -> np.ndarray:
 
 
 def build_design(table: CellTable) -> DesignSet:
-    """Construct the observed/complete design matrices for a table."""
-    r, c = table.r, table.c
-    rows = np.repeat(np.arange(r), c)
-    cols = np.tile(np.arange(c), r)
-    Zc = np.zeros((r * c, r + c + 1))
-    Zc[:, 0] = 1.0
-    Zc[np.arange(r * c), 1 + rows] = 1.0
-    Zc[np.arange(r * c), 1 + r + cols] = 1.0
-    observed = (table.counts > 0).ravel()
-    Z = Zc[observed]
-    row_index = rows[observed]
-    col_index = cols[observed]
+    """Index arrays, counts and rank of a table's observed cells."""
+    row_index, col_index = np.nonzero(table.counts)
     k = table.k_observed.astype(np.int64)
-    m_diag = 1.0 / k
     # [Za Zb] is the incidence matrix of the bipartite row-column graph, so
     # its rank (and Z's, as the intercept is the sum of Za's columns) is
     # the node count minus the number of connected components.
-    rank = r + c - _component_labels(table.counts)[0]
+    rank = table.r + table.c - _component_labels(table.counts)[0]
     return DesignSet(
-        r=r,
-        c=c,
-        Z=_readonly(Z),
-        Zc=_readonly(Zc),
-        m_diag=_readonly(m_diag),
-        E=table.observed_cells,
+        r=table.r,
+        c=table.c,
+        m_diag=_readonly(1.0 / k),
         rank=rank,
         row_index=_readonly(row_index),
         col_index=_readonly(col_index),
@@ -488,9 +487,11 @@ def read_agg_csv(path, sigma2: float) -> CellTable:
     r, c = len(row_ix), len(col_ix)
     counts = np.zeros((r, c), dtype=np.int64)
     means = np.full((r, c), np.nan)
+    seen = set()
     for i, j, k, m in entries:
-        if counts[i, j]:
+        if (i, j) in seen:
             raise ValueError(f"duplicate cell ({i}, {j}) in aggregated input")
+        seen.add((i, j))
         counts[i, j] = k
         if k > 0:
             means[i, j] = m

@@ -1,8 +1,13 @@
 """Reference implementations the library's fast paths are checked against.
 
-The dense ones form Sigma = lambda_a Za Za^T + lambda_b Zb Zb^T + M, or the
-weighted problem's transformed shrinkage matrix, explicitly: O(n^3) work
-and O(n^2) memory, for small test problems only.  The batch capacitance
+``dense_design`` rebuilds the design matrices Zc, Z, Za, Zb and M that the
+library never forms.  The dense references form Sigma = lambda_a Za Za^T
++ lambda_b Zb Zb^T + M, or the weighted problem's transformed shrinkage
+matrix, explicitly: O(n^3) work and O(n^2) memory, for small test
+problems only.  So do the cross-checks of the completed-loss machinery
+(``lambda1_q_from_grams``, ``ure_variance_zero_mu``,
+``quad_form_moments``) and ``first_order_terms_dense``, the column-solve
+form of the estimating equations.  The batch capacitance
 path (``CapacitanceBundle``, ``evaluate_bundle``) scores many
 lambda_tilde pairs at once through scipy's ``cho_factor``/``cho_solve``
 and explicit (r+c)-order inverses; the engine's absorbed grid and its
@@ -11,19 +16,49 @@ derivative-based local search from a fit's lambda_tilde; interior fits
 are checked to leave it nothing to gain.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize
 
 from twoway_shrink.estimators import _first_order_terms
-from twoway_shrink.linear_core import LAMBDA_TILDE_EPS, lam_from_tilde
-from twoway_shrink.tables import HyperParams, quantile_bounds
+from twoway_shrink.linear_core import (
+    LAMBDA_TILDE_EPS,
+    SigmaContext,
+    lam_from_tilde,
+    shrink_apply,
+    sigma_solve,
+)
+from twoway_shrink.tables import DisconnectedDesignError, HyperParams, quantile_bounds
+
+
+def dense_design(d):
+    """The dense design matrices of a :class:`DesignSet`.
+
+    ``Zc`` is the rc x (r+c+1) complete design [1 | I_r (x) 1_c | 1_r (x) I_c],
+    ``Z`` its rows of the observed cells (lexicographic order), ``Za`` and
+    ``Zb`` the row- and column-effect blocks of ``Z`` and ``M`` the diagonal
+    matrix of inverse counts.
+    """
+    r, c = d.r, d.c
+    rows = np.repeat(np.arange(r), c)
+    cols = np.tile(np.arange(c), r)
+    Zc = np.zeros((r * c, r + c + 1))
+    Zc[:, 0] = 1.0
+    Zc[np.arange(r * c), 1 + rows] = 1.0
+    Zc[np.arange(r * c), 1 + r + cols] = 1.0
+    Z = Zc[d.row_index * c + d.col_index]
+    return SimpleNamespace(
+        Zc=Zc, Z=Z, Za=Z[:, 1 : 1 + r], Zb=Z[:, 1 + r :], M=np.diag(d.m_diag)
+    )
 
 
 def dense_sigma(ctx):
     """Sigma of a :class:`SigmaContext`, formed explicitly."""
     d = ctx.design
-    za, zb = d.Za, d.Zb
+    dd = dense_design(d)
+    za, zb = dd.Za, dd.Zb
     sig = ctx.lam_a * (za @ za.T) + ctx.lam_b * (zb @ zb.T)
     sig[np.diag_indices_from(sig)] += d.m_diag
     return sig
@@ -68,6 +103,96 @@ def dense_ure(ctx, y, mu, Q=None, sigma2=None):
     tr_qm = float(np.sum(m)) if Q is None else float(m @ np.diag(Q))
     tr_mid = float(np.sum(sig_inv * q.T))
     return (s2 * tr_qm - 2.0 * s2 * tr_mid + float(xi @ mid @ xi)) / (d.r * d.c)
+
+
+# -- the completed-loss machinery ---------------------------------------------
+
+def lambda1_q_from_grams(design):
+    """lambda1(Q) via the gram identity lambda1((Zc^T Zc)(Z^T Z)^+)."""
+    if design.rank != design.r + design.c - 1:
+        raise DisconnectedDesignError("design is not connected")
+    dd = dense_design(design)
+    gc = dd.Zc.T @ dd.Zc
+    g = dd.Z.T @ dd.Z
+    prod = gc @ np.linalg.pinv(g, rcond=1e-10)
+    ev = np.linalg.eigvals(prod)
+    return float(np.max(ev.real))
+
+
+def quad_form_moments(A, V, eta):
+    """Mean and variance of y^T A y for y ~ N(eta, V).
+
+    mean = tr(A V) + eta^T A eta
+    var  = 2 tr((A V)^2) + 4 eta^T A V A eta
+    """
+    A = np.asarray(A, dtype=float)
+    V = np.asarray(V, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    n = eta.size
+    if A.shape != (n, n) or V.shape != (n, n):
+        raise ValueError("dimension mismatch between A, V and eta")
+    av = A @ V
+    a_eta = A @ eta
+    mean = float(np.trace(av)) + float(eta @ a_eta)
+    var = 2.0 * float(np.sum(av * av.T)) + 4.0 * float(a_eta @ V @ a_eta)
+    return mean, var
+
+
+def ure_variance_zero_mu(design, hp, eta_obs, sigma2, qloss):
+    """Analytic variance of the risk estimate at location zero.
+
+    With H = Sigma^{-1} M Q M Sigma^{-1} built densely, the variance of the
+    unbiased risk estimate at mu = 0 equals
+    (rc)^{-2} Var(y^T H y) = (rc)^{-2} {2 s^4 tr(HMHM) + 4 s^2 eta^T HMH eta}.
+    """
+    sig_inv = np.linalg.inv(dense_sigma(SigmaContext(design, hp)))
+    m = design.m_diag
+    H = sig_inv @ (m[:, None] * qloss.Q * m[None, :]) @ sig_inv
+    V = sigma2 * np.diag(m)
+    _, var = quad_form_moments(H, V, np.asarray(eta_obs, dtype=float))
+    rc = design.r * design.c
+    return var / rc**2
+
+
+# -- the estimating equations in column-solve form ---------------------------
+
+def first_order_terms_dense(d, qloss, s2, hp, y, mu, method):
+    """``_first_order_terms`` with Sigma^{-1} Za and Sigma^{-1} Zb solved
+    column by column against the dense Sigma, and Q applied densely."""
+    ctx = SigmaContext(d, hp, sigma2=s2)
+    dd = dense_design(d)
+    m = d.m_diag
+    v = sigma_solve(ctx, y - mu)
+    za_v, zb_v = dd.Za.T @ v, dd.Zb.T @ v
+    x_a, x_b = dense_solve(ctx, dd.Za), dense_solve(ctx, dd.Zb)
+    one = np.ones(d.n_obs)
+    if method == "EBMLE":
+        tr_a = float(np.sum(dd.Za * x_a))
+        tr_b = float(np.sum(dd.Zb * x_b))
+        res_mu = float(np.sum(v))
+        res_a = tr_a - float(za_v @ za_v) / s2
+        res_b = tr_b - float(zb_v @ zb_v) / s2
+        scale_mu = float(np.sum(sigma_solve(ctx, one)))
+    else:
+        Q = np.diag(qloss.w) if qloss.Q is None else qloss.Q
+        mx_a = m[:, None] * x_a
+        mx_b = m[:, None] * x_b
+        tr_a = float(np.sum(mx_a * (Q @ mx_a)))
+        tr_b = float(np.sum(mx_b * (Q @ mx_b)))
+        w = sigma_solve(ctx, m * (Q @ (m * v)))
+        res_mu = float(np.sum(w))
+        res_a = tr_a - float(za_v @ (dd.Za.T @ w)) / s2
+        res_b = tr_b - float(zb_v @ (dd.Zb.T @ w)) / s2
+        g1 = shrink_apply(ctx, one)
+        scale_mu = float(g1 @ Q @ g1)
+    return {
+        "res_mu": res_mu,
+        "res_a": res_a,
+        "res_b": res_b,
+        "scale_mu": abs(scale_mu),
+        "scale_a": abs(tr_a),
+        "scale_b": abs(tr_b),
+    }
 
 
 # -- the count-weighted loss through the homoscedastic transform -------------
@@ -198,7 +323,7 @@ def lbfgs_polish(engine, lt0, y, method):
         la, lb = lam_from_tilde(float(lt[0])), lam_from_tilde(float(lt[1]))
         hp = HyperParams(mu=mu, lambda_a=la, lambda_b=lb)
         fo = _first_order_terms(
-            engine.design, engine.qloss, engine.sigma2, hp, y, mu, method
+            engine.design, engine.qloss, engine.sigma2, hp, y, mu, method, engine.zqz
         )
         if method == "URE":
             d_la = 2.0 * engine.sigma2 / engine.rc * fo["res_a"]

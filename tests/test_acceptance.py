@@ -19,14 +19,12 @@ from twoway_shrink import (
     fit_ml,
     fit_ure,
     lambda1_q,
-    lambda1_q_from_grams,
     loss_ss,
     marginal_loglik,
     q_matrix,
     quantile_bounds,
     sigma_solve,
     ure_value,
-    ure_variance_zero_mu,
 )
 from twoway_shrink.linear_core import lam_from_tilde
 from twoway_shrink.risk_metrics import QLoss
@@ -40,7 +38,13 @@ from twoway_shrink.simulation import (
     risk_csv,
 )
 from conftest import make_random_table
-from dense_oracle import dense_solve, dense_ure
+from dense_oracle import (
+    dense_design,
+    dense_solve,
+    dense_ure,
+    lambda1_q_from_grams,
+    ure_variance_zero_mu,
+)
 
 N_JOBS = 2
 
@@ -76,8 +80,9 @@ def batched_ure_and_loss(design, ql, hp, eta_obs, sigma2, n_draws, rng):
     G = Xi - (SW[d.row_index] + SW[d.r + d.col_index])
     Q = ql.Q
     tr_qm = float(d.m_diag @ np.diag(Q))
-    zqz = np.concatenate([d.Za, d.Zb], axis=1).T @ Q @ np.concatenate(
-        [d.Za, d.Zb], axis=1
+    dd = dense_design(d)
+    zqz = np.concatenate([dd.Za, dd.Zb], axis=1).T @ Q @ np.concatenate(
+        [dd.Za, dd.Zb], axis=1
     )
     tr_red = float(np.sum(cinv * (s[:, None] * zqz * s[None, :])))
     quad = np.einsum("ij,ik,kj->j", G, Q, G)

@@ -302,6 +302,40 @@ class TestSimulateCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize("line", [
+        "count_law=uniform",
+        "count_law=uniform:1",
+        "count_law=twopoint:1",
+        "count_law=constant:1,2",
+        "effect_a=twogroup:1,2,0.5,9",
+        "effect_b=normal:1,2",
+        "effect_a=normal:x",
+    ])
+    def test_malformed_law_exit_2(self, tmp_path, line, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"r=4\nc=4\nn_reps=2\n{line}\n")
+        code = main([
+            "simulate", "--study", "compare", "--config", str(path), "--seed", "1",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_law_defaults_and_arguments(self):
+        from twoway_shrink.cli import _parse_count_law, _parse_effect_law
+        from twoway_shrink.simulation import (
+            Constant, NormalEffects, TwoGroup, TwoPoint, UniformCounts,
+        )
+
+        assert _parse_count_law("constant") == Constant(1)
+        assert _parse_count_law("uniform:2,7") == UniformCounts(2, 7)
+        assert _parse_count_law("twopoint") == TwoPoint()
+        assert _parse_count_law("twopoint-anti:1,20,0.9") == TwoPoint(
+            1, 20, 0.9, anti_effect=True
+        )
+        assert _parse_effect_law("normal") == NormalEffects(1.0)
+        assert _parse_effect_law("twogroup:0,5,0.1") == TwoGroup(0.0, 5.0, 0.1)
+
+
 class TestNumericFailureExit:
     def test_exit_3_on_numeric_error(self, complete_agg_csv, monkeypatch):
         from twoway_shrink import cli

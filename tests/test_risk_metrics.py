@@ -9,15 +9,13 @@ from twoway_shrink import (
     balanced_decoupling_check,
     build_design,
     lambda1_q,
-    lambda1_q_from_grams,
     loss_ss,
     loss_weighted,
     q_matrix,
-    quad_form_moments,
-    ure_variance_zero_mu,
     ure_value,
 )
 from conftest import make_random_table
+from dense_oracle import lambda1_q_from_grams, quad_form_moments, ure_variance_zero_mu
 
 
 class TestLosses:

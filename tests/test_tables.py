@@ -11,8 +11,10 @@ from twoway_shrink import (
     ingest_observations,
     is_connected,
     quantile_bounds,
+    read_agg_csv,
 )
 from conftest import make_random_table
+from dense_oracle import dense_design
 
 
 class TestAggregation:
@@ -108,20 +110,47 @@ class TestHyperParams:
         assert hp.lambda_tilde_b == 0.0
 
 
+class TestReadAggCsv:
+    def _write(self, tmp_path, lines):
+        path = tmp_path / "agg.csv"
+        path.write_text("row,col,count,mean\n" + "\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("first", ["a,x,0,nan", "a,x,2,1.0"])
+    def test_duplicate_cell_rejected(self, tmp_path, first):
+        rest = ["a,y,1,0.5", "b,x,1,0.1", "b,y,1,0.2"]
+        path = self._write(tmp_path, [first, *rest, "a,x,3,1.5"])
+        with pytest.raises(ValueError, match="duplicate cell"):
+            read_agg_csv(path, 1.0)
+
+    def test_listed_empty_cell_loads(self, tmp_path):
+        lines = ["a,x,1,0.0", "a,y,1,0.5", "b,x,1,0.1", "b,y,0,nan", "c,x,2,1.0",
+                 "c,y,1,2.0"]
+        table = read_agg_csv(self._write(tmp_path, lines), 1.0)
+        assert table.counts.tolist() == [[1, 1], [1, 0], [2, 1]]
+
+
 class TestBuildDesign:
     def test_complete_2x2_block_structure(self):
         table = CellTable(np.ones((2, 2), int), np.arange(4.0).reshape(2, 2), 1.0)
         d = build_design(table)
-        assert d.Zc.shape == (4, 5)
-        assert np.all(d.Zc.sum(axis=1) == 3)
-        assert np.array_equal(d.Z, d.Zc)
+        assert d.row_index.tolist() == [0, 0, 1, 1]
+        assert d.col_index.tolist() == [0, 1, 0, 1]
+        dd = dense_design(d)
+        assert dd.Zc.shape == (4, 5)
+        assert np.all(dd.Zc.sum(axis=1) == 3)
+        assert np.array_equal(dd.Z, dd.Zc)
 
     def test_row_deletion(self):
         counts = np.array([[1, 1], [1, 0]])
         means = np.array([[1.0, 2.0], [3.0, np.nan]])
         d = build_design(CellTable(counts, means, 1.0))
-        assert d.Z.shape == (3, 5)
-        assert np.array_equal(d.Z, d.Zc[:3])
+        assert d.n_obs == 3
+        assert d.row_index.tolist() == [0, 0, 1]
+        assert d.col_index.tolist() == [0, 1, 0]
+        dd = dense_design(d)
+        assert dd.Z.shape == (3, 5)
+        assert np.array_equal(dd.Z, dd.Zc[:3])
 
     def test_m_diag_inverse_counts(self):
         counts = np.ones((3, 3), int)
@@ -129,14 +158,15 @@ class TestBuildDesign:
         means = np.zeros((3, 3))
         d = build_design(CellTable(counts, means, 1.0))
         assert d.m_diag[0] == 0.25
-        assert d.M[0, 0] == 0.25
+        assert dense_design(d).M[0, 0] == 0.25
 
     def test_deletion_reconstruction_random(self, rng):
         for _ in range(20):
             table, _ = make_random_table(rng, 4, 6, n_missing=5)
             d = build_design(table)
             keep = (table.counts > 0).ravel()
-            assert np.array_equal(d.Zc[keep], d.Z)
+            dd = dense_design(d)
+            assert np.array_equal(dd.Zc[keep], dd.Z)
 
 
 class TestConnectivity:
@@ -168,7 +198,8 @@ class TestConnectivity:
             means = np.where(counts > 0, 0.0, np.nan)
             table = CellTable(counts, means, 1.0)
             d = build_design(table)
-            rank = np.linalg.matrix_rank(d.Z.T @ d.Z)
+            z = dense_design(d).Z
+            rank = np.linalg.matrix_rank(z.T @ z)
             assert is_connected(table) == (rank == r + c - 1)
             agree += 1
         assert agree >= 100
@@ -184,7 +215,7 @@ class TestConnectivity:
                 continue
             table = CellTable(counts, np.where(counts > 0, 0.0, np.nan), 1.0)
             d = build_design(table)
-            assert d.rank == np.linalg.matrix_rank(d.Z)
+            assert d.rank == np.linalg.matrix_rank(dense_design(d).Z)
             kinds.add("connected" if is_connected(table) else "disconnected")
             if np.any(counts.sum(0) == 0) or np.any(counts.sum(1) == 0):
                 kinds.add("empty line")
