@@ -43,8 +43,11 @@ class QLoss:
     "weighted" for the count-weighted loss and "qmatrix" for the completed
     (missing-cell) loss.  The two diagonal losses are kept as the weight
     vector ``w`` (ones, or the counts K) with ``Q`` None; the completed
-    loss is the dense ``Q``.  ``lambda1`` is computed on first access;
-    fitting never needs it.
+    loss is the dense ``Q``, built by :func:`q_matrix` for one design.
+    ``lambda1`` is computed on first access; fitting never needs it.  The
+    completed loss's effects gram is kept after its first
+    :meth:`effects_gram` call, so a fit engine and the risk estimate share
+    one.
     """
 
     Q: np.ndarray | None
@@ -78,14 +81,18 @@ class QLoss:
         return float(np.sum(self.w * m_diag))
 
     def effects_gram(self, design: DesignSet) -> np.ndarray:
-        """[Za Zb]^T Q [Za Zb]."""
+        """[Za Zb]^T Q [Za Zb], built once for the design of the last call."""
         if self.w is not None:
             return design.gram_weighted if self.mode == "weighted" else design.gram_plain
-        n = design.n_obs
-        za_zb = np.zeros((n, design.q))
-        za_zb[np.arange(n), design.row_index] = 1.0
-        za_zb[np.arange(n), design.r + design.col_index] = 1.0
-        return za_zb.T @ self.Q @ za_zb
+        memo = self.__dict__.get("_effects_gram")
+        if memo is None or memo[0] is not design:
+            n = design.n_obs
+            za_zb = np.zeros((n, design.q))
+            za_zb[np.arange(n), design.row_index] = 1.0
+            za_zb[np.arange(n), design.r + design.col_index] = 1.0
+            memo = (design, za_zb.T @ self.Q @ za_zb)
+            self.__dict__["_effects_gram"] = memo  # as cached_property stores
+        return memo[1]
 
 
 def loss_ss(eta_hat: np.ndarray, eta: np.ndarray) -> float:

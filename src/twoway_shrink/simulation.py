@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import sqrt
@@ -318,7 +319,7 @@ def compare_estimators(
     the paired mean of loss(estimator) - loss(oracle).  Aborts if more than
     1% of the replicates fail; fewer failed replicates are dropped, counted
     in ``n_failed`` and reported in one warning on the ``twoway_shrink``
-    logger.
+    logger that names each distinct reason with its count.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -329,9 +330,10 @@ def compare_estimators(
             f"{len(failures)}/{N} replicates failed; first: {failures[0]}"
         )
     if failures:
+        reasons = "; ".join(f"{why} (x{k})" for why, k in Counter(failures).items())
         _log.warning(
-            "%s: dropped %d/%d failed replicates; first: %s",
-            spec.label(), len(failures), N, failures[0],
+            "%s: dropped %d/%d failed replicates: %s",
+            spec.label(), len(failures), N, reasons,
         )
     good = [r for r in records if "__error__" not in r]
     n = len(good)

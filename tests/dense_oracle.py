@@ -323,7 +323,7 @@ def lbfgs_polish(engine, lt0, y, method):
         la, lb = lam_from_tilde(float(lt[0])), lam_from_tilde(float(lt[1]))
         hp = HyperParams(mu=mu, lambda_a=la, lambda_b=lb)
         fo = _first_order_terms(
-            engine.design, engine.qloss, engine.sigma2, hp, y, mu, method, engine.zqz
+            engine.design, engine.qloss, engine.sigma2, hp, y, mu, method
         )
         if method == "URE":
             d_la = 2.0 * engine.sigma2 / engine.rc * fo["res_a"]

@@ -559,7 +559,7 @@ class TestAbsorbedGrid:
         eta_obs = eta[(table.counts > 0).ravel()]
         for qmode in ("identity", "qmatrix"):
             engine = FitEngine(table, qmode=qmode)
-            grid = engine._grid_bundle
+            grid = engine._loss_grid()
             ref = CapacitanceBundle(engine, grid.lt)
             # Points with a lambda_tilde = 0 coordinate sit at lambda = 1e12,
             # where the capacitance path amplifies rounding by lambda.
@@ -897,3 +897,115 @@ class TestFitValidation:
             np.testing.assert_allclose(
                 fit.eta_complete, d.completion_map @ fit.eta_obs, atol=1e-12
             )
+
+
+def _same_fit(a, b):
+    return (
+        a.hp == b.hp
+        and a.objective == b.objective
+        and a.mu_clamped == b.mu_clamped
+        and a.eta_obs.tobytes() == b.eta_obs.tobytes()
+        and a.eta_complete.tobytes() == b.eta_complete.tobytes()
+        and a.diagnostics == b.diagnostics
+    )
+
+
+class TestLazyLoss:
+    """The completed loss is built by the criteria that read it, once."""
+
+    def test_likelihood_fits_build_no_completed_loss(self, rng, monkeypatch):
+        from twoway_shrink import estimators, tables
+
+        table, _ = make_random_table(rng, 12, 5, k_max=20, n_missing=15)
+        y = table.y_observed
+        expected = fit_ml(table)
+
+        def refuse(*args):
+            raise AssertionError("the completed loss was built")
+
+        monkeypatch.setattr(estimators, "q_matrix", refuse)
+        monkeypatch.setattr(tables.DesignSet, "completion_map", property(refuse))
+        assert _same_fit(fit_ml(table), expected)
+        engine = FitEngine(table, qmode="auto")
+        assert engine.qmode == "qmatrix"
+        fit = engine.fit(y, "EBMLE")
+        assert _same_fit(fit, expected)
+        assert fit.qmode == fit.diagnostics["qmode"] == "qmatrix"
+        assert engine.objective_at((0.4, 0.7), y, "ebmle")[0] < np.inf
+        with pytest.raises(AssertionError, match="completed loss"):
+            engine.fit(y, "URE")
+
+    @pytest.mark.parametrize("order", [
+        ("EBMLE", "URE", "ORACLE"), ("URE", "EBMLE", "ORACLE"),
+    ])
+    def test_shared_engine_fits_equal_fresh_engines(self, rng, order):
+        table, eta = make_random_table(rng, 9, 5, k_max=20, n_missing=8)
+        eta_obs = eta[(table.counts > 0).ravel()]
+        y = table.y_observed
+        engine = FitEngine(table)
+        for method in order:
+            shared = engine.fit(y, method, eta_obs)
+            fresh = FitEngine(table).fit(y, method, eta_obs)
+            assert _same_fit(shared, fresh), method
+
+    def test_constructor_validates_qmode(self, rng):
+        complete, _ = make_random_table(rng, 4, 5)
+        missing, _ = make_random_table(rng, 4, 5, n_missing=3)
+        with pytest.raises(ValueError, match="unknown qmode"):
+            FitEngine(complete, qmode="bogus")
+        with pytest.raises(ValueError, match="fully observed"):
+            FitEngine(missing, qmode="weighted")
+
+    def test_likelihood_engine_holds_no_n_by_n_array(self, rng):
+        table, _ = make_random_table(rng, 30, 6, k_max=20, n_missing=50)
+        engine = FitEngine(table, qmode="auto")
+        engine.fit(table.y_observed, "EBMLE")
+        n = engine.n
+        values = list(vars(engine).values())
+        for value in list(values):
+            values += [getattr(value, s, None) for s in getattr(value, "__slots__", ())]
+        shapes = [v.shape for v in values if isinstance(v, np.ndarray)]
+        assert (n, n) not in shapes
+        assert "qloss" not in vars(engine)
+
+    def test_likelihood_fit_on_a_missing_table_stays_small(self):
+        """A 150 x 40 table with 30% of cells missing: Q alone (4,200 cells
+        observed) would be 141 MB."""
+        import tracemalloc
+
+        rng = np.random.default_rng(150)
+        counts = rng.integers(1, 21, size=(150, 40))
+        counts.ravel()[rng.choice(counts.size, counts.size * 3 // 10, replace=False)] = 0
+        means = np.where(counts > 0, rng.normal(0, 1, counts.shape), np.nan)
+        table = CellTable(counts, means, 1.0)
+        tracemalloc.start()
+        try:
+            fit_ml(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, f"fit_ml peak {peak / 1e6:.1f} MB"
+
+
+class TestScoreGap:
+    """A fit reports how far the scorer's value of its pick is from the
+    exact re-evaluation, and warns when they disagree."""
+
+    def test_wls_limit_oracle_pick_warns(self, caplog):
+        from twoway_shrink.simulation import compare_estimators
+
+        with caplog.at_level("WARNING", logger="twoway_shrink"):
+            compare_estimators(ebmle_stress_scenario(seed=20), 10)
+        [record] = caplog.records
+        message = record.getMessage()
+        assert record.name == "twoway_shrink"
+        assert message.startswith("ORACLE fit at lambda_tilde")
+        assert "relative gap 0.000914" in message
+
+    def test_normal_fits_do_not_warn(self, rng, caplog):
+        table, _ = make_random_table(rng, 8, 6, k_max=20, n_missing=6)
+        with caplog.at_level("WARNING", logger="twoway_shrink"):
+            fits = [fit_ure(table), fit_ml(table)]
+        assert caplog.records == []
+        for fit in fits:
+            assert 0.0 <= fit.diagnostics["score_gap"] <= 1e-12, fit.method

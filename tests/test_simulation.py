@@ -268,22 +268,27 @@ class TestGenerationLimits:
         from twoway_shrink import simulation as sim
 
         real_fit = sim.FitEngine.fit
-        calls = []
+        calls, fitted = [], []
 
-        def fails_once(self, *a, **kw):
+        def fails_thrice(self, *a, **kw):
             calls.append(None)
-            if len(calls) == 1:
+            if len(calls) in (1, 3):
                 raise RuntimeError("synthetic fit failure")
-            return real_fit(self, *a, **kw)
+            if len(calls) == 2:
+                raise ValueError("another synthetic failure")
+            if not fitted:  # one real fit stands in for all 297
+                fitted.append(real_fit(self, *a, **kw))
+            return fitted[0]
 
-        monkeypatch.setattr(sim.FitEngine, "fit", fails_once)
+        monkeypatch.setattr(sim.FitEngine, "fit", fails_thrice)
         spec = small_spec(r=3, c=3, seed=19)
         with caplog.at_level("WARNING", logger="twoway_shrink"):
-            rt = compare_estimators(spec, 100, estimators=("ure",))
-        assert (rt.n_reps, rt.n_failed) == (99, 1)
+            rt = compare_estimators(spec, 300, estimators=("ure",))
+        assert (rt.n_reps, rt.n_failed) == (297, 3)
         [record] = caplog.records
         assert record.name == "twoway_shrink"
         assert record.levelname == "WARNING"
         message = record.getMessage()
-        assert "1/100" in message
-        assert "RuntimeError: synthetic fit failure" in message
+        assert "3/300" in message
+        assert "RuntimeError: synthetic fit failure (x2)" in message
+        assert "ValueError: another synthetic failure (x1)" in message
