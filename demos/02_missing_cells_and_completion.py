@@ -37,8 +37,9 @@ print(f"observed {table.n_observed} of {r * c} cells; connected: {is_connected(t
 design = build_design(table)
 print("design diagnostics:")
 print(f"  imbalance ratio     nu = {imbalance_ratio(table):.2f}")
-print(f"  loss-matrix top eig    = {lambda1_q(design):.4f}  (1 exactly when complete)")
-print(f"  regularity statistic   = {a2_statistic(table, design):.2f}")
+lambda1 = lambda1_q(design)
+print(f"  loss-matrix top eig    = {lambda1:.4f}  (1 exactly when complete)")
+print(f"  regularity statistic   = {a2_statistic(table, lambda1=lambda1):.2f}")
 
 fit = fit_ure(table)
 print(f"\nURE fit: lambda = ({fit.hp.lambda_a:.3f}, {fit.hp.lambda_b:.3f}), "

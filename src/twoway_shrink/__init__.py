@@ -49,8 +49,6 @@ from .estimators import (
     fit_ure,
     marginal_loglik,
     oracle_fit,
-    profile_mu_gls,
-    profile_mu_ure,
     ure_value,
     weighted_transform,
     wls_fit,

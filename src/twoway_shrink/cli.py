@@ -104,17 +104,6 @@ def _load(args):
     return load_table(args.input, args.schema, sigma2=sigma2)
 
 
-def _lambda1(table) -> float:
-    """lambda1(Q); Q is only built when cells are missing.
-
-    On a complete table Zc = Z, so Q = (Z Z^+)^T (Z Z^+) is the orthogonal
-    projector onto col(Z) and its top eigenvalue is exactly 1.
-    """
-    if table.is_complete:
-        return 1.0
-    return lambda1_q(build_design(table))
-
-
 def _fit_report(args) -> dict:
     table = _load(args)
     if not is_connected(table):
@@ -128,11 +117,7 @@ def _fit_report(args) -> dict:
     if args.method != "wls":
         qmode = {"ss": "identity", "q": "qmatrix", "weighted": "weighted"}[loss]
         engine = FitEngine(table, tau=args.tau, qmode=qmode)
-    # The engine's completed loss already holds Q; reuse its eigenvalue.
-    if engine is not None and engine.qmode == "qmatrix":
-        lambda1 = engine.qloss.lambda1
-    else:
-        lambda1 = _lambda1(table)
+    lambda1 = lambda1_q(build_design(table) if engine is None else engine.design)
     diagnostics = {
         "connected": True,
         "nu": imbalance_ratio(table),
@@ -201,7 +186,7 @@ def cmd_diagnose(args) -> int:
     if not connected:
         print(_disconnected_message(table))
         return EXIT_OK
-    lambda1 = _lambda1(table)
+    lambda1 = lambda1_q(build_design(table))
     print(f"imbalance ratio nu: {imbalance_ratio(table)!r}")
     print(f"lambda1(Q): {lambda1!r}")
     print(f"a2 statistic: {a2_statistic(table, lambda1=lambda1)!r}")

@@ -100,8 +100,6 @@ __all__ = [
     "bayes_estimate",
     "complete_means",
     "ure_value",
-    "profile_mu_ure",
-    "profile_mu_gls",
     "marginal_loglik",
     "fit_ure",
     "fit_ml",
@@ -284,43 +282,6 @@ def ure_value(
     b = s[:, None] * qloss.effects_gram(design) * s[None, :]
     tr_red = float(np.sum(ctx.cap_inverse * b))
     return (-s2 * tr_qm + 2.0 * s2 * tr_red + qloss.quad(g)) / rc
-
-
-def profile_mu_ure(
-    ctx: SigmaContext,
-    y: np.ndarray,
-    qmode: str = "auto",
-    qloss: QLoss | None = None,
-) -> float:
-    """Unconstrained minimizer of the risk estimate over mu at fixed lambdas.
-
-    Computed by regressing M Sigma^{-1} y on M Sigma^{-1} 1 in the Q inner
-    product; clamping to the quantile interval is the caller's job.
-    """
-    design = ctx.design
-    _, qloss = _resolve_qloss(design, qmode, qloss)
-    y = np.asarray(y, dtype=float)
-    g_y = shrink_apply(ctx, y)
-    g_1 = shrink_apply(ctx, np.ones(design.n_obs))
-    qg1 = qloss.apply(g_1)
-    num, den = float(qg1 @ g_y), float(qg1 @ g_1)
-    if not np.isfinite(den) or den <= 0.0 or den < 1e-300:
-        raise NumericError(
-            "profile denominator underflowed (lambda too close to the "
-            "no-shrinkage limit for a meaningful location profile)"
-        )
-    return num / den
-
-
-def profile_mu_gls(ctx: SigmaContext, y: np.ndarray) -> float:
-    """Generalized least squares location, (1' Sigma^{-1} y)/(1' Sigma^{-1} 1)."""
-    y = np.asarray(y, dtype=float)
-    v_y = sigma_solve(ctx, y)
-    v_1 = sigma_solve(ctx, np.ones(y.size))
-    den = float(np.sum(v_1))
-    if not np.isfinite(den) or den <= 0.0:
-        raise NumericError("GLS denominator is not positive")
-    return float(np.sum(v_y)) / den
 
 
 def marginal_loglik(

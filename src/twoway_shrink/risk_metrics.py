@@ -3,22 +3,29 @@
 When cells are missing, the normalized sum-of-squares loss over all r*c
 (estimable) cell means equals a quadratic form in the observed-cell error
 with the PSD matrix ``Q = (Zc Z^+)^T (Zc Z^+)``.  This module builds that
-matrix (the one place the dense design is formed), computes its top
-eigenvalue, and exposes the design-regularity diagnostic and the
-balanced-design decoupling check.
+matrix (the one place the dense design is formed) for the criteria that
+read it, and computes its top eigenvalue without it, from the
+(r+c+1)-order grams.  It also exposes the design-regularity diagnostic
+and the balanced-design decoupling check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import log
 
 import numpy as np
 import scipy.linalg as sla
 
 from .linear_core import SigmaContext, shrink_apply
-from .tables import CellTable, DesignSet, HyperParams, build_design, imbalance_ratio
+from .tables import (
+    CellTable,
+    DesignSet,
+    HyperParams,
+    _check_connected,
+    build_design,
+    imbalance_ratio,
+)
 
 __all__ = [
     "QLoss",
@@ -30,33 +37,25 @@ __all__ = [
     "balanced_decoupling_check",
 ]
 
-# Above this many observed cells the top eigenvalue switches from a dense
-# symmetric eigensolver to power iteration.
-DENSE_EIG_LIMIT = 2000
-
 
 @dataclass(frozen=True, eq=False)
 class QLoss:
-    """Loss matrix for observed-cell errors, with its largest eigenvalue.
+    """Loss matrix for observed-cell errors.
 
     ``mode`` is "identity" for the fully-observed sum-of-squares loss,
     "weighted" for the count-weighted loss and "qmatrix" for the completed
     (missing-cell) loss.  The two diagonal losses are kept as the weight
     vector ``w`` (ones, or the counts K) with ``Q`` None; the completed
     loss is the dense ``Q``, built by :func:`q_matrix` for one design.
-    ``lambda1`` is computed on first access; fitting never needs it.  The
-    completed loss's effects gram is kept after its first
-    :meth:`effects_gram` call, so a fit engine and the risk estimate share
-    one.
+    Its top eigenvalue is :func:`lambda1_q`, computed from the design
+    without ``Q``.  The completed loss's effects gram is kept after its
+    first :meth:`effects_gram` call, so a fit engine and the risk estimate
+    share one.
     """
 
     Q: np.ndarray | None
     mode: str
     w: np.ndarray | None = None
-
-    @cached_property
-    def lambda1(self) -> float:
-        return _top_eigenvalue(self.Q) if self.w is None else float(np.max(self.w))
 
     @classmethod
     def identity(cls, design: DesignSet) -> "QLoss":
@@ -116,28 +115,6 @@ def loss_weighted(eta_hat: np.ndarray, eta: np.ndarray, table: CellTable) -> flo
     return float(np.sum(k * d * d)) / (table.r * table.c)
 
 
-def _top_eigenvalue(Q: np.ndarray) -> float:
-    n = Q.shape[0]
-    if n <= DENSE_EIG_LIMIT:
-        return float(sla.eigh(Q, eigvals_only=True, subset_by_index=(n - 1, n - 1))[0])
-    # Power iteration for very large problems.
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(10_000):
-        w = Q @ v
-        lam_new = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(lam_new - lam) <= 1e-9 * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return lam
-
-
 def q_matrix(design: DesignSet) -> QLoss:
     """Build Q = (Zc Z^+)^T (Zc Z^+) converting observed error to full loss.
 
@@ -151,22 +128,44 @@ def q_matrix(design: DesignSet) -> QLoss:
 
 
 def lambda1_q(design: DesignSet) -> float:
-    """Largest eigenvalue of the completed-loss matrix Q (always >= 1)."""
-    return q_matrix(design).lambda1
+    """Largest eigenvalue of the completed-loss matrix Q (always >= 1).
+
+    On a complete design Q is the projector onto col(Z), so the value is
+    exactly 1.  Otherwise it is the top eigenvalue of the symmetric-definite
+    pencil (Zc^T Zc, Z^T Z), whose eigenvalues are the nonzero ones of
+    (Zc^T Zc)(Z^T Z)^+ and so of Q.  Both grams vanish on the null space
+    {(-a-b, a 1_r, b 1_c)}; dropping the last row and column effects leaves
+    both positive definite at order r+c-1.
+    """
+    r, c = design.r, design.c
+    if design.n_obs == r * c:
+        return 1.0
+    _check_connected(design)
+    complete = np.block([[c * np.eye(r), np.ones((r, c))],
+                         [np.ones((c, r)), r * np.eye(c)]])
+    keep = np.r_[0:r, r + 1:r + c]  # intercept, rows 1..r-1, columns 1..c-1
+    g, gc = (_bordered(gram, r)[np.ix_(keep, keep)]
+             for gram in (design.gram_plain, complete))
+    k = r + c - 2
+    return float(sla.eigh(gc, g, eigvals_only=True, subset_by_index=(k, k))[0])
 
 
-def a2_statistic(
-    table: CellTable, design: DesignSet | None = None, lambda1: float | None = None
-) -> float:
+def _bordered(gram: np.ndarray, r: int) -> np.ndarray:
+    """The (r+c+1)-order gram of [1 Za Zb] from the effects gram [Za Zb]^T [Za Zb]."""
+    d = np.diag(gram)  # cells per row, then per column
+    return np.block([[d[:r].sum(), d], [d[:, None], gram]])
+
+
+def a2_statistic(table: CellTable, *, lambda1: float | None = None) -> float:
     """(rc)^{-1/8} (log rc)^2 * imbalance * lambda1(Q), the design diagnostic.
 
     Small values indicate the regime in which the asymptotic optimality
     guarantees of URE tuning are expected to bite; the raw value is
     reported without a threshold.  ``lambda1`` is lambda1(Q) when the
-    caller already has it; otherwise Q is built to compute it.
+    caller already has it; otherwise :func:`lambda1_q` computes it.
     """
     if lambda1 is None:
-        lambda1 = lambda1_q(design if design is not None else build_design(table))
+        lambda1 = lambda1_q(build_design(table))
     rc = table.r * table.c
     nu = imbalance_ratio(table)
     return float(rc ** (-1.0 / 8.0) * log(rc) ** 2 * nu * lambda1)

@@ -296,7 +296,7 @@ def _gather(spec, N, estimators, tau, n_jobs):
     else:
         chunks = [list(ch) for ch in np.array_split(reps, n_jobs) if len(ch)]
         records = []
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             futures = [
                 pool.submit(_run_chunk, spec, ch, estimators, tau) for ch in chunks
             ]
@@ -319,10 +319,18 @@ def compare_estimators(
     the paired mean of loss(estimator) - loss(oracle).  Aborts if more than
     1% of the replicates fail; fewer failed replicates are dropped, counted
     in ``n_failed`` and reported in one warning on the ``twoway_shrink``
-    logger that names each distinct reason with its count.
+    logger that names each distinct reason with its count.  Unknown or
+    repeated estimator names raise ValueError before any fit.
     """
     if N < 1:
         raise ValueError("N must be positive")
+    estimators = tuple(estimators)
+    unknown = set(estimators) - set(ALL_ESTIMATORS)
+    if unknown or len(set(estimators)) < len(estimators):
+        raise ValueError(
+            f"estimators must be distinct names from {', '.join(ALL_ESTIMATORS)}; "
+            f"got {', '.join(estimators)}"
+        )
     records = _gather(spec, N, estimators, tau, n_jobs)
     failures = [r["__error__"] for r in records if "__error__" in r]
     if len(failures) > 0.01 * N:
@@ -432,21 +440,13 @@ class ConcentrationResult:
     se_diff: tuple
 
     def to_csv(self, out=None) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["scenario", "estimator", "size", "mean_loss", "se", "gap"])
-        for (a, b), ma, sa, md in zip(
-            self.lt_grid, self.mean_abs, self.se_abs, self.mean_diff
-        ):
-            writer.writerow(
-                [self.scenario, f"lt={a:g},{b:g}", self.size,
-                 _fmt(ma), _fmt(sa), _fmt(md)]
+        extra = [
+            [self.scenario, f"lt={a:g},{b:g}", self.size, _fmt(ma), _fmt(sa), _fmt(md)]
+            for (a, b), ma, sa, md in zip(
+                self.lt_grid, self.mean_abs, self.se_abs, self.mean_diff
             )
-        text = buf.getvalue()
-        if out is not None:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        return text
+        ]
+        return risk_csv((), extra_rows=extra, out=out)
 
 
 def ure_concentration_study(

@@ -7,7 +7,9 @@ matrix, explicitly: O(n^3) work and O(n^2) memory, for small test
 problems only.  So do the cross-checks of the completed-loss machinery
 (``lambda1_q_from_grams``, ``ure_variance_zero_mu``,
 ``quad_form_moments``) and ``first_order_terms_dense``, the column-solve
-form of the estimating equations.  The batch capacitance
+form of the estimating equations.  ``profile_mu_ure`` and
+``profile_mu_gls`` are the location profiles as regressions of observed
+vectors, the oracles of the engine's closed-form mu.  The batch capacitance
 path (``CapacitanceBundle``, ``evaluate_bundle``) scores many
 lambda_tilde pairs at once through scipy's ``cho_factor``/``cho_solve``
 and explicit (r+c)-order inverses; the engine's absorbed grid and its
@@ -22,9 +24,10 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize
 
-from twoway_shrink.estimators import _first_order_terms
+from twoway_shrink.estimators import _first_order_terms, _resolve_qloss
 from twoway_shrink.linear_core import (
     LAMBDA_TILDE_EPS,
+    NumericError,
     SigmaContext,
     lam_from_tilde,
     shrink_apply,
@@ -103,6 +106,40 @@ def dense_ure(ctx, y, mu, Q=None, sigma2=None):
     tr_qm = float(np.sum(m)) if Q is None else float(m @ np.diag(Q))
     tr_mid = float(np.sum(sig_inv * q.T))
     return (s2 * tr_qm - 2.0 * s2 * tr_mid + float(xi @ mid @ xi)) / (d.r * d.c)
+
+
+# -- location profiles ---------------------------------------------------------
+
+def profile_mu_ure(ctx, y, qmode="auto", qloss=None):
+    """Unconstrained minimizer of the risk estimate over mu at fixed lambdas.
+
+    Computed by regressing M Sigma^{-1} y on M Sigma^{-1} 1 in the Q inner
+    product; clamping to the quantile interval is the caller's job.
+    """
+    design = ctx.design
+    _, qloss = _resolve_qloss(design, qmode, qloss)
+    y = np.asarray(y, dtype=float)
+    g_y = shrink_apply(ctx, y)
+    g_1 = shrink_apply(ctx, np.ones(design.n_obs))
+    qg1 = qloss.apply(g_1)
+    num, den = float(qg1 @ g_y), float(qg1 @ g_1)
+    if not np.isfinite(den) or den <= 0.0 or den < 1e-300:
+        raise NumericError(
+            "profile denominator underflowed (lambda too close to the "
+            "no-shrinkage limit for a meaningful location profile)"
+        )
+    return num / den
+
+
+def profile_mu_gls(ctx, y):
+    """Generalized least squares location, (1' Sigma^{-1} y)/(1' Sigma^{-1} 1)."""
+    y = np.asarray(y, dtype=float)
+    v_y = sigma_solve(ctx, y)
+    v_1 = sigma_solve(ctx, np.ones(y.size))
+    den = float(np.sum(v_1))
+    if not np.isfinite(den) or den <= 0.0:
+        raise NumericError("GLS denominator is not positive")
+    return float(np.sum(v_y)) / den
 
 
 # -- the completed-loss machinery ---------------------------------------------

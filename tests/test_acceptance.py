@@ -253,9 +253,12 @@ def test_criterion_5_q_machinery():
             continue
         d = build_design(table)
         ql = q_matrix(d)
+        v1 = lambda1_q(d)
         v2 = lambda1_q_from_grams(d)
-        ok = ok and ql.lambda1 >= 1.0 - 1e-12
-        ok = ok and abs(ql.lambda1 - v2) <= 1e-9 * max(1.0, abs(v2))
+        dense_top = np.linalg.eigvalsh(ql.Q).max()
+        ok = ok and v1 >= 1.0 - 1e-12
+        ok = ok and abs(v1 - v2) <= 1e-9 * max(1.0, abs(v2))
+        ok = ok and abs(v1 - dense_top) <= 1e-9 * max(1.0, abs(dense_top))
         e1 = rng.normal(0, 1, d.n_obs)
         e2 = rng.normal(0, 1, d.n_obs)
         lhs = float((e1 - e2) @ ql.Q @ (e1 - e2)) / (r * c)

@@ -125,9 +125,7 @@ class TestFitCommand:
         table = load_table(missing_agg_csv, "agg", sigma2=1.0)
         design = build_design(table)
         assert report["diagnostics"]["lambda1_q"] == risk_metrics.lambda1_q(design)
-        assert report["diagnostics"]["a2_statistic"] == risk_metrics.a2_statistic(
-            table, design
-        )
+        assert report["diagnostics"]["a2_statistic"] == risk_metrics.a2_statistic(table)
 
     def test_estimate_sigma2_from_raw(self, raw_csv, tmp_path):
         out = tmp_path / "r.json"
@@ -222,6 +220,41 @@ class TestDiagnoseCommand:
         assert "lambda1(Q): 1.0\n" in capsys.readouterr().out
         assert built == []
 
+    def test_missing_table_diagnostics_build_no_q(self, missing_agg_csv, tmp_path,
+                                                  capsys, monkeypatch):
+        # lambda1(Q) comes from (r+c+1)-order grams: only the URE fit, whose
+        # criterion reads the completed loss, builds Q, and it builds it once.
+        from twoway_shrink import estimators, risk_metrics
+        from twoway_shrink.tables import DesignSet
+
+        def forbidden(*args):
+            raise AssertionError("completed loss built")
+
+        common = ["--input", missing_agg_csv, "--schema", "agg", "--sigma2", "1.0"]
+        with monkeypatch.context() as m:
+            m.setattr(risk_metrics, "q_matrix", forbidden)
+            m.setattr(estimators, "q_matrix", forbidden)
+            m.setattr(DesignSet, "completion_map", property(forbidden))
+            for method in ("ml", "wls"):
+                out = tmp_path / f"{method}.json"
+                assert main(["fit", *common, "--method", method, "--out", str(out)]) == 0
+                assert load_report(out)["diagnostics"]["lambda1_q"] > 1.0
+            assert main(["diagnose", *common]) == 0
+            assert "lambda1(Q): " in capsys.readouterr().out
+
+        built = []
+        original = risk_metrics.q_matrix
+
+        def counted(design):
+            built.append(design)
+            return original(design)
+
+        monkeypatch.setattr(risk_metrics, "q_matrix", counted)
+        monkeypatch.setattr(estimators, "q_matrix", counted)
+        out = tmp_path / "ure.json"
+        assert main(["fit", *common, "--method", "ure", "--out", str(out)]) == 0
+        assert len(built) == 1
+
     def test_missing_lambda1_above_one(self, missing_agg_csv, capsys):
         main([
             "diagnose", "--input", missing_agg_csv, "--schema", "agg",
@@ -292,6 +325,15 @@ class TestSimulateCommand:
         assert any("p_exceed_ure" in ln for ln in lines)
         assert any(",oracle,4x4," in ln for ln in lines)
         assert any(",ure,6x6," in ln for ln in lines)
+
+    @pytest.mark.parametrize("names", ["wls,foo", "wls,ure,wls"])
+    def test_bad_estimator_names_exit_2(self, tmp_path, names, capsys):
+        cfg = self._config(tmp_path, extra=f"estimators={names}\n")
+        code = main([
+            "simulate", "--study", "compare", "--config", cfg, "--seed", "1",
+        ])
+        assert code == 2
+        assert "wls, ebmle, ure, oracle" in capsys.readouterr().err
 
     def test_bad_config_exit_2(self, tmp_path):
         path = tmp_path / "bad.txt"

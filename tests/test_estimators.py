@@ -17,7 +17,6 @@ from twoway_shrink import (
     loss_ss,
     marginal_loglik,
     oracle_fit,
-    profile_mu_ure,
     q_matrix,
     quantile_bounds,
     ure_value,
@@ -33,6 +32,8 @@ from dense_oracle import (
     dense_ure,
     evaluate_bundle,
     lbfgs_polish,
+    profile_mu_gls,
+    profile_mu_ure,
     weighted_bayes_estimate,
     weighted_grid_min,
     weighted_ure,
@@ -343,9 +344,7 @@ class TestFitMl:
             for lt_b in np.linspace(0.0, 1.0, 9)[1:]:
                 hp = HyperParams(0.0, lam_from_tilde(lt_a), lam_from_tilde(lt_b))
                 ctx = SigmaContext(d, hp, mode="fast", sigma2=table.sigma2)
-                mu = float(np.clip(
-                    profile_mu_gls_helper(ctx, y), *fit.bounds
-                ))
+                mu = float(np.clip(profile_mu_gls(ctx, y), *fit.bounds))
                 assert fit.objective >= marginal_loglik(ctx, y, mu) - slack
 
     def test_pure_noise_small_lambda(self):
@@ -373,12 +372,6 @@ class TestFitMl:
         rc = table.r * table.c
         diff = np.linalg.norm(f_ure.eta_obs - f_ml.eta_obs) / np.sqrt(rc)
         assert diff > 10 * 1e-10
-
-
-def profile_mu_gls_helper(ctx, y):
-    from twoway_shrink import profile_mu_gls
-
-    return profile_mu_gls(ctx, y)
 
 
 class TestEstimatingEquations:

@@ -3,6 +3,7 @@ import pytest
 
 from twoway_shrink import (
     CellTable,
+    DisconnectedDesignError,
     HyperParams,
     SigmaContext,
     a2_statistic,
@@ -61,17 +62,17 @@ class TestQMatrix:
         Q = ql.Q
         np.testing.assert_allclose(Q @ Q, Q, atol=1e-10)
         np.testing.assert_allclose(Q, Q.T, atol=1e-12)
-        assert ql.lambda1 == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.eigvalsh(Q).max() == pytest.approx(1.0, abs=1e-9)
+        assert lambda1_q(d) == 1.0
 
     def test_one_empty_cell_raises_lambda1(self, rng):
         counts = np.ones((3, 3), int)
         counts[1, 1] = 0
         means = np.where(counts > 0, 1.0, np.nan)
         d = build_design(CellTable(counts, means, 1.0))
-        ql = q_matrix(d)
-        assert ql.lambda1 > 1.0
-        dense_top = np.linalg.eigvalsh(ql.Q).max()
-        assert ql.lambda1 == pytest.approx(dense_top, rel=1e-12)
+        assert lambda1_q(d) > 1.0
+        dense_top = np.linalg.eigvalsh(q_matrix(d).Q).max()
+        assert lambda1_q(d) == pytest.approx(dense_top, rel=1e-12)
 
     def test_q_loss_identity(self, rng):
         for _ in range(10):
@@ -106,6 +107,31 @@ class TestLambda1:
             assert v1 == pytest.approx(v2, rel=1e-9)
             assert v1 >= 1.0 - 1e-12
             checked += 1
+
+    def test_pencil_matches_dense_q(self, rng):
+        # lambda1_q never forms Q; check it against the dense Q's spectrum
+        # on designs with missing cells, tall and wide alike
+        shapes = []
+        while len(shapes) < 60:
+            r, c = (int(v) for v in rng.integers(2, 12, size=2))
+            if r == c:
+                continue
+            n_missing = int(rng.integers(1, r * c - (r + c - 1) + 1))
+            try:
+                table, _ = make_random_table(rng, r, c, n_missing=n_missing)
+            except RuntimeError:
+                continue
+            d = build_design(table)
+            dense_top = np.linalg.eigvalsh(q_matrix(d).Q).max()
+            assert lambda1_q(d) == pytest.approx(dense_top, rel=1e-12)
+            shapes.append((r, c))
+        assert any(r > c for r, c in shapes) and any(r < c for r, c in shapes)
+
+    def test_disconnected_design_raises(self):
+        counts = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        means = np.where(counts > 0, 0.0, np.nan)
+        with pytest.raises(DisconnectedDesignError):
+            lambda1_q(build_design(CellTable(counts, means, 1.0)))
 
 
 class TestA2Statistic:
@@ -242,12 +268,15 @@ class TestUreVarianceIdentity:
 
 
 class TestLargeProblemEigenPath:
-    def test_power_iteration_branch(self):
-        # above the dense-eigensolver limit the top eigenvalue comes from
-        # power iteration; on a complete design it must still be 1
-        import twoway_shrink.risk_metrics as rm
-
+    # lambda1_q works at order r+c-1 whatever the number of observed cells
+    def test_complete_design_is_exactly_one(self):
         table = CellTable(np.ones((46, 46), int), np.zeros((46, 46)), 1.0)
         d = build_design(table)
-        assert d.n_obs > rm.DENSE_EIG_LIMIT
-        assert lambda1_q(d) == pytest.approx(1.0, abs=1e-6)
+        assert d.n_obs > 2000
+        assert lambda1_q(d) == 1.0
+
+    def test_missing_cells_match_gram_oracle(self, rng):
+        table, _ = make_random_table(rng, 60, 45, n_missing=540)
+        d = build_design(table)
+        assert d.n_obs > 2000
+        assert lambda1_q(d) == pytest.approx(lambda1_q_from_grams(d), rel=1e-10)

@@ -156,6 +156,50 @@ class TestCompareEstimators:
         assert risk_csv([rt1]) == risk_csv([rt2])
         np.testing.assert_array_equal(rt1.losses["ure"], rt2.losses["ure"])
 
+    def test_pool_never_exceeds_chunk_count(self, monkeypatch):
+        import twoway_shrink.simulation as sim
+
+        class InlineFuture:
+            def __init__(self, value):
+                self._value = value
+
+            def result(self):
+                return self._value
+
+        class InlineExecutor:
+            workers = []
+
+            def __init__(self, max_workers):
+                self.workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return InlineFuture(fn(*args))
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlineExecutor)
+        spec = small_spec(seed=12)
+        serial = compare_estimators(spec, 5, estimators=("wls",), n_jobs=1)
+        for n_jobs, workers in ((64, 5), (3, 3), (2, 2)):
+            rt = compare_estimators(spec, 5, estimators=("wls",), n_jobs=n_jobs)
+            assert InlineExecutor.workers[-1] == workers
+            np.testing.assert_array_equal(rt.losses["wls"], serial.losses["wls"])
+
+    @pytest.mark.parametrize("names", [("wls", "foo"), ("wls", "ure", "wls"), ("",)])
+    def test_bad_estimator_names_rejected_before_fitting(self, names, monkeypatch):
+        import twoway_shrink.simulation as sim
+
+        def no_fits(*args):
+            raise AssertionError("replicates were fitted")
+
+        monkeypatch.setattr(sim, "_gather", no_fits)
+        with pytest.raises(ValueError, match="wls, ebmle, ure, oracle"):
+            compare_estimators(small_spec(), 4, estimators=names)
+
 
 class TestStudies:
     def test_oracle_gap_smoke(self):
