@@ -35,9 +35,7 @@ from .simulation import (
 from .tables import (
     DisconnectedDesignError,
     build_design,
-    design_components,
     imbalance_ratio,
-    is_connected,
     load_table,
 )
 
@@ -85,16 +83,6 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _disconnected_message(table) -> str:
-    comps = design_components(table)
-    parts = []
-    for k, (rows, cols) in enumerate(comps, start=1):
-        rl = [str(table.row_labels[i]) for i in rows]
-        cl = [str(table.col_labels[j]) for j in cols]
-        parts.append(f"component {k}: rows {rl}, cols {cl}")
-    return "design is disconnected; " + "; ".join(parts)
-
-
 def _load(args):
     sigma2 = None if args.estimate_sigma2 else args.sigma2
     if sigma2 is None and not args.estimate_sigma2:
@@ -106,8 +94,6 @@ def _load(args):
 
 def _fit_report(args) -> dict:
     table = _load(args)
-    if not is_connected(table):
-        raise DisconnectedDesignError(_disconnected_message(table))
     loss = args.loss
     if loss == "auto":
         loss = "ss" if table.is_complete else "q"
@@ -180,13 +166,15 @@ def cmd_fit(args) -> int:
 
 def cmd_diagnose(args) -> int:
     table = _load(args)
-    connected = is_connected(table)
     print(f"table: {table.r} x {table.c}, observed cells: {table.n_observed}")
-    print(f"connected: {connected}")
-    if not connected:
-        print(_disconnected_message(table))
+    try:
+        design = build_design(table)
+    except DisconnectedDesignError as exc:
+        print("connected: False")
+        print(exc)
         return EXIT_OK
-    lambda1 = lambda1_q(build_design(table))
+    print("connected: True")
+    lambda1 = lambda1_q(design)
     print(f"imbalance ratio nu: {imbalance_ratio(table)!r}")
     print(f"lambda1(Q): {lambda1!r}")
     print(f"a2 statistic: {a2_statistic(table, lambda1=lambda1)!r}")
@@ -346,10 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DisconnectedDesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # DisconnectedDesignError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -88,7 +88,6 @@ from .tables import (
     CellTable,
     DesignSet,
     HyperParams,
-    _check_connected,
     build_design,
     quantile_bounds,
 )
@@ -145,10 +144,6 @@ class ShrinkageFit:
     bounds: tuple
     qmode: str
     diagnostics: dict
-
-    @property
-    def lambda_tilde(self) -> tuple:
-        return (self.hp.lambda_tilde_a, self.hp.lambda_tilde_b)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +206,8 @@ def complete_means(design: DesignSet, eta_obs: np.ndarray) -> np.ndarray:
 
     The effects theta of the least-squares fit of eta_obs (minimum norm,
     through the plain gram: eta_obs need not be additive, as at the
-    unshrunken corner) give every cell theta_a[i] + theta_b[j]; on a
-    connected design this is Zc Z^+ eta_obs without forming either matrix.
+    unshrunken corner) give every cell theta_a[i] + theta_b[j], which is
+    Zc Z^+ eta_obs without forming either matrix.
     """
     rhs = design.effects_rmatvec(np.asarray(eta_obs, dtype=float))
     theta = design.effects_solve(rhs)
@@ -304,14 +299,15 @@ def marginal_loglik(
 
 
 def _first_order_terms(
-    d: DesignSet, qloss: QLoss | None, s2: float, hp: HyperParams,
-    y: np.ndarray, mu: float, method: str,
+    ctx: SigmaContext, qloss: QLoss | None, y: np.ndarray, mu: float, method: str
 ) -> dict:
     """Estimating-equation left-hand sides and their trace scales.
 
-    ``qloss`` is the loss of the risk estimate (URE), whose effects gram
-    B = [Za Zb]^T Q [Za Zb] enters the traces; the likelihood equations
-    (EBMLE) do not use it.  The traces are read off
+    ``ctx`` carries the design, the hyper-parameters and sigma^2; a fit
+    passes the context its pick was evaluated with, so the capacitance
+    matrix is factored once.  ``qloss`` is the loss of the risk estimate
+    (URE), whose effects gram B = [Za Zb]^T Q [Za Zb] enters the traces;
+    the likelihood equations (EBMLE) do not use it.  The traces are read off
     (r+c)-order matrices: with G = [Za Zb]^T M^{-1} [Za Zb] and
     H = Lam C^{-1} Lam,
 
@@ -321,7 +317,7 @@ def _first_order_terms(
     so the EBMLE traces are diagonal blocks of G - G H G and the URE
     traces those of (I - G H) B (I - H G).
     """
-    ctx = SigmaContext(d, hp, sigma2=s2)
+    d, s2 = ctx.design, _resolve_sigma2(ctx, None)
     m = d.m_diag
     xi = y - mu
     v = sigma_solve(ctx, xi)
@@ -498,9 +494,7 @@ class FitEngine:
 
     @_single_threaded_lapack
     def __init__(self, table: CellTable, tau: float = 0.05, qmode: str = "auto"):
-        self.table = table
         self.design = build_design(table)
-        _check_connected(self.design)
         self.tau = float(tau)
         self.bounds = quantile_bounds(table, tau)
         self.qmode = _resolve_qmode(self.design, qmode)
@@ -515,9 +509,8 @@ class FitEngine:
         self.t_1 = d.effects_rmatvec(self.k)
         lt_axis = np.linspace(0.0, 1.0, GRID_POINTS)
         pairs = np.array([(a, b) for a in lt_axis for b in lt_axis])
-        self._corner_mask = (pairs[:, 0] == 0.0) & (pairs[:, 1] == 0.0)
-        self.grid_pairs = pairs
-        self._grid_bundle = _AbsorbedGrid(d, lt_axis, pairs[~self._corner_mask])
+        corner = (pairs[:, 0] == 0.0) & (pairs[:, 1] == 0.0)
+        self._grid_bundle = _AbsorbedGrid(d, lt_axis, pairs[~corner])
         self._wls_pair = np.array([LAMBDA_TILDE_EPS, LAMBDA_TILDE_EPS])
         self._mid = 0.5 * (self.bounds[0] + self.bounds[1])
         self._eye = np.eye(d.q)
@@ -921,7 +914,7 @@ class FitEngine:
         }
         if method in ("URE", "EBMLE") and isfinite(hp.lambda_a) and isfinite(hp.lambda_b):
             qloss = None if method == "EBMLE" else self.qloss
-            fo = _first_order_terms(d, qloss, self.sigma2, hp, y, hp.mu, method)
+            fo = _first_order_terms(ctx, qloss, y, hp.mu, method)
             diagnostics["estimating_eq"] = (fo["res_mu"], fo["res_a"], fo["res_b"])
             diagnostics["residual_scales"] = (
                 fo["scale_mu"],
@@ -997,9 +990,8 @@ def estimating_eq_residuals(fit: ShrinkageFit, table: CellTable):
         return (float("nan"),) * 3
     design = build_design(table)
     qloss = _resolve_qloss(design, fit.qmode, None)[1] if fit.method == "URE" else None
-    fo = _first_order_terms(
-        design, qloss, table.sigma2, fit.hp, table.y_observed, fit.hp.mu, fit.method
-    )
+    ctx = SigmaContext(design, fit.hp, sigma2=table.sigma2)
+    fo = _first_order_terms(ctx, qloss, table.y_observed, fit.hp.mu, fit.method)
     return fo["res_mu"], fo["res_a"], fo["res_b"]
 
 

@@ -22,7 +22,6 @@ from .tables import (
     CellTable,
     DesignSet,
     HyperParams,
-    _check_connected,
     build_design,
     imbalance_ratio,
 )
@@ -140,7 +139,6 @@ def lambda1_q(design: DesignSet) -> float:
     r, c = design.r, design.c
     if design.n_obs == r * c:
         return 1.0
-    _check_connected(design)
     complete = np.block([[c * np.eye(r), np.ones((r, c))],
                          [np.ones((c, r)), r * np.eye(c)]])
     keep = np.r_[0:r, r + 1:r + c]  # intercept, rows 1..r-1, columns 1..c-1

@@ -235,6 +235,13 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _mean_se(x: np.ndarray) -> tuple:
+    """(mean, standard error) of a sample; the error is NaN below two values."""
+    n = x.size
+    se = float(x.std(ddof=1) / sqrt(n)) if n > 1 else float("nan")
+    return float(x.mean()), se
+
+
 def risk_csv(tables, extra_rows=(), out=None) -> str:
     """Emit risk tables as long-format CSV (scenario,estimator,size,mean_loss,se,gap)."""
     buf = io.StringIO()
@@ -344,7 +351,6 @@ def compare_estimators(
             spec.label(), len(failures), N, reasons,
         )
     good = [r for r in records if "__error__" not in r]
-    n = len(good)
     losses = {
         est: np.array([r[est] for r in good])
         for est in estimators
@@ -353,12 +359,9 @@ def compare_estimators(
     oracle = losses.get("oracle")
     for est in estimators:
         ls = losses[est]
-        mean = float(ls.mean())
-        se = float(ls.std(ddof=1) / sqrt(n)) if n > 1 else float("nan")
+        mean, se = _mean_se(ls)
         if oracle is not None and est != "oracle":
-            d = ls - oracle
-            gap = float(d.mean())
-            gap_se = float(d.std(ddof=1) / sqrt(n)) if n > 1 else float("nan")
+            gap, gap_se = _mean_se(ls - oracle)
         elif oracle is not None:
             gap, gap_se = 0.0, 0.0
         else:
@@ -367,7 +370,7 @@ def compare_estimators(
     return RiskTable(
         scenario=spec.label(),
         size=spec.size,
-        n_reps=n,
+        n_reps=len(good),
         n_failed=len(failures),
         rows=tuple(rows),
         losses=losses,
@@ -476,10 +479,12 @@ def ure_concentration_study(
     mean_abs, se_abs, mean_diff, se_diff = [], [], [], []
     for p in pairs:
         d = np.array(diffs[p])
-        mean_abs.append(float(np.abs(d).mean()))
-        se_abs.append(float(np.abs(d).std(ddof=1) / sqrt(N)))
-        mean_diff.append(float(d.mean()))
-        se_diff.append(float(d.std(ddof=1) / sqrt(N)))
+        m, se = _mean_se(np.abs(d))
+        mean_abs.append(m)
+        se_abs.append(se)
+        m, se = _mean_se(d)
+        mean_diff.append(m)
+        se_diff.append(se)
     return ConcentrationResult(
         scenario=spec.label(),
         size=spec.size,

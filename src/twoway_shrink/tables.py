@@ -4,8 +4,13 @@ The central object is :class:`CellTable`, an r x c grid of per-cell
 observation counts and cell averages with a known noise variance.  From a
 table we derive the design of its observed cells (:class:`DesignSet`: row
 and column index arrays, counts, and the effect-space grams and solves
-built from them), connectivity of the row-column incidence graph, quantile
-bounds for the shrinkage location, and the design imbalance ratio.
+built from them), quantile bounds for the shrinkage location, and the
+design imbalance ratio.
+
+Every cell mean is estimable exactly when the row-column incidence graph
+of the observed cells is connected.  :func:`build_design` is where that is
+decided: it raises :class:`DisconnectedDesignError` on a disconnected
+table, so every :class:`DesignSet` is connected by construction.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -261,13 +266,14 @@ class DesignSet:
     [Za Zb] acts through :meth:`effects_matvec` and
     :meth:`effects_rmatvec` and its grams are built from count sums, so no
     design matrix is stored.  The one dense map, ``completion_map``
-    (Zc Z^+), is built on demand for the completed loss.
+    (Zc Z^+), is built on demand for the completed loss.  Designs come from
+    :func:`build_design`, so the row-column graph is connected and Z has
+    rank r+c-1.
     """
 
     r: int
     c: int
     m_diag: np.ndarray
-    rank: int
     row_index: np.ndarray = field(repr=False)
     col_index: np.ndarray = field(repr=False)
     k_obs: np.ndarray = field(repr=False)
@@ -305,7 +311,7 @@ class DesignSet:
         """The theta with v^T theta = 0 that solves G theta = rhs.
 
         G is ``gram_weighted`` or ``gram_plain`` and v = (1_r, -1_c) spans
-        its null space on a connected design; ``rhs`` must lie in the range
+        its null space; ``rhs`` must lie in the range
         of G (any [Za Zb]^T x does).  Solved as (G + v v^T) theta = rhs,
         whose Cholesky factor is kept per gram.
         """
@@ -327,7 +333,6 @@ class DesignSet:
         Only the completed loss matrix Q is built from it; completing a
         vector goes through :meth:`effects_solve` instead.
         """
-        _check_connected(self)
         r, c = self.r, self.c
         rows = np.repeat(np.arange(r), c)
         cols = np.tile(np.arange(c), r)
@@ -339,16 +344,8 @@ class DesignSet:
         return Zc @ np.linalg.pinv(Z, rcond=PINV_RTOL)
 
 
-def _check_connected(design: DesignSet):
-    if design.rank != design.r + design.c - 1:
-        raise DisconnectedDesignError(
-            "design is not connected: some cell means are not estimable"
-        )
-
-
 def _augmented_cholesky(design: DesignSet, gram: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of gram + v v^T, v = (1_r, -1_c)."""
-    _check_connected(design)
     v = np.concatenate([np.ones(design.r), -np.ones(design.c)])
     return cholesky(gram + np.outer(v, v), lower=True)
 
@@ -368,18 +365,22 @@ def _effects_gram(design: DesignSet, w: np.ndarray) -> np.ndarray:
 
 
 def build_design(table: CellTable) -> DesignSet:
-    """Index arrays, counts and rank of a table's observed cells."""
+    """Index arrays and counts of a table's observed cells.
+
+    Raises :class:`DisconnectedDesignError`, naming each component by the
+    table's labels, when the row-column graph of the observed cells is
+    disconnected.  [Za Zb] is that graph's incidence matrix, so Z has rank
+    r+c minus the number of components, and every cell mean is estimable
+    exactly when there is one.
+    """
+    if not is_connected(table):
+        raise DisconnectedDesignError(_disconnected_message(table))
     row_index, col_index = np.nonzero(table.counts)
     k = table.k_observed.astype(np.int64)
-    # [Za Zb] is the incidence matrix of the bipartite row-column graph, so
-    # its rank (and Z's, as the intercept is the sum of Za's columns) is
-    # the node count minus the number of connected components.
-    rank = table.r + table.c - _component_labels(table.counts)[0]
     return DesignSet(
         r=table.r,
         c=table.c,
         m_diag=_readonly(1.0 / k),
-        rank=rank,
         row_index=_readonly(row_index),
         col_index=_readonly(col_index),
         k_obs=_readonly(k),
@@ -420,6 +421,15 @@ def design_components(table: CellTable):
         nodes = np.nonzero(labels == k)[0]
         comps.append((tuple(nodes[nodes < r]), tuple(nodes[nodes >= r] - r)))
     return comps
+
+
+def _disconnected_message(table: CellTable) -> str:
+    parts = []
+    for k, (rows, cols) in enumerate(design_components(table), start=1):
+        rl = [str(table.row_labels[i]) for i in rows]
+        cl = [str(table.col_labels[j]) for j in cols]
+        parts.append(f"component {k}: rows {rl}, cols {cl}")
+    return "design is disconnected; " + "; ".join(parts)
 
 
 def quantile_bounds(table: CellTable, tau: float):

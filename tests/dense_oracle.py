@@ -33,7 +33,7 @@ from twoway_shrink.linear_core import (
     shrink_apply,
     sigma_solve,
 )
-from twoway_shrink.tables import DisconnectedDesignError, HyperParams, quantile_bounds
+from twoway_shrink.tables import HyperParams, quantile_bounds
 
 
 def dense_design(d):
@@ -146,8 +146,6 @@ def profile_mu_gls(ctx, y):
 
 def lambda1_q_from_grams(design):
     """lambda1(Q) via the gram identity lambda1((Zc^T Zc)(Z^T Z)^+)."""
-    if design.rank != design.r + design.c - 1:
-        raise DisconnectedDesignError("design is not connected")
     dd = dense_design(design)
     gc = dd.Zc.T @ dd.Zc
     g = dd.Z.T @ dd.Z
@@ -359,9 +357,8 @@ def lbfgs_polish(engine, lt0, y, method):
         obj, mu, _ = engine._score_point(lt, pieces, method)
         la, lb = lam_from_tilde(float(lt[0])), lam_from_tilde(float(lt[1]))
         hp = HyperParams(mu=mu, lambda_a=la, lambda_b=lb)
-        fo = _first_order_terms(
-            engine.design, engine.qloss, engine.sigma2, hp, y, mu, method
-        )
+        ctx = SigmaContext(engine.design, hp, sigma2=engine.sigma2)
+        fo = _first_order_terms(ctx, engine.qloss, y, mu, method)
         if method == "URE":
             d_la = 2.0 * engine.sigma2 / engine.rc * fo["res_a"]
             d_lb = 2.0 * engine.sigma2 / engine.rc * fo["res_b"]

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -276,6 +278,32 @@ class TestDiagnoseCommand:
         assert float(nu_line.split(":")[1]) == k.max() / k.min()
 
 
+class TestDisconnectedTable:
+    MESSAGE = (
+        "design is disconnected; component 1: rows ['a', 'b'], cols ['x', 'y']; "
+        "component 2: rows ['c', 'd'], cols ['z', 'w']\n"
+    )
+
+    def test_diagnose_names_components(self, disconnected_csv, capsys):
+        code = main(["diagnose", "--input", disconnected_csv, "--schema", "agg",
+                     "--sigma2", "1.0"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert out == (
+            "table: 4 x 4, observed cells: 8\nconnected: False\n" + self.MESSAGE
+        )
+        assert err == ""
+
+    @pytest.mark.parametrize("method", ["ure", "ml", "wls"])
+    def test_fit_exit_2(self, disconnected_csv, method, capsys):
+        code = main(["fit", "--input", disconnected_csv, "--schema", "agg",
+                     "--method", method, "--sigma2", "1.0"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: " + self.MESSAGE
+
+
 class TestSimulateCommand:
     def _config(self, tmp_path, extra=""):
         cfg = (
@@ -310,6 +338,18 @@ class TestSimulateCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "scenario,estimator,size,mean_loss,se,gap"
         assert "lt=0,0" in out
+
+    def test_concentration_one_replicate_empty_se(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, extra="lt_grid=0,0;0.5,0.5\nn_reps=1\n")
+        code = main([
+            "simulate", "--study", "concentration", "--config", cfg, "--seed", "1",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == ""
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 2
+        assert all(row[3] != "" and row[4] == "" for row in rows)
 
     def test_oracle_gap_study(self, tmp_path):
         cfg = self._config(tmp_path, extra="sizes=4x4,6x6\n")

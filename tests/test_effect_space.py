@@ -15,6 +15,7 @@ from twoway_shrink import (
     CellTable,
     HyperParams,
     QLoss,
+    SigmaContext,
     build_design,
     complete_means,
     fit_ml,
@@ -100,7 +101,8 @@ def test_first_order_terms_match_column_solves(designs):
             for ql in losses:
                 ql.effects_gram(d)
         for method, ql in [("EBMLE", None)] + [("URE", ql) for ql in losses]:
-            got = _first_order_terms(d, ql, table.sigma2, hp, y, hp.mu, method)
+            ctx = SigmaContext(d, hp, sigma2=table.sigma2)
+            got = _first_order_terms(ctx, ql, y, hp.mu, method)
             ref = first_order_terms_dense(d, ql, table.sigma2, hp, y, hp.mu, method)
             for key in ("scale_mu", "scale_a", "scale_b"):
                 assert got[key] == pytest.approx(ref[key], rel=RTOL)

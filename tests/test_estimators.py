@@ -8,6 +8,7 @@ from twoway_shrink import (
     HyperParams,
     ShrinkageFit,
     SigmaContext,
+    a2_statistic,
     bayes_estimate,
     build_design,
     complete_means,
@@ -22,6 +23,7 @@ from twoway_shrink import (
     ure_value,
     weighted_transform,
     wls_fit,
+    wls_fit_full,
 )
 from twoway_shrink.linear_core import lam_from_tilde
 from twoway_shrink.simulation import ebmle_stress_scenario, gen_scenario
@@ -76,8 +78,8 @@ class TestWls:
     def test_disconnected_raises(self):
         counts = np.array([[2, 0, 0], [0, 1, 1], [0, 1, 1]])
         means = np.where(counts > 0, 1.0, np.nan)
-        d = build_design(CellTable(counts, means, 1.0))
         with pytest.raises(DisconnectedDesignError):
+            d = build_design(CellTable(counts, means, 1.0))
             wls_fit(d, np.zeros(d.n_obs))
 
 
@@ -875,7 +877,38 @@ class TestDominanceChain:
             assert lo <= loss_ss(f_ml.eta_complete, eta) + 1e-8
 
 
+def _three_component_table():
+    """Rows a-c x columns x-z, rows d-e x columns w-v, and an empty column u."""
+    counts = np.zeros((5, 6), int)
+    counts[:3, :3] = 1
+    counts[3:, 3:5] = 2
+    means = np.where(counts > 0, 1.0, np.nan)
+    return CellTable(counts, means, 1.0, row_labels=tuple("abcde"),
+                     col_labels=tuple("xyzwvu"))
+
+
+THREE_COMPONENTS = (
+    "design is disconnected; component 1: rows ['a', 'b', 'c'], cols ['x', 'y', 'z']; "
+    "component 2: rows ['d', 'e'], cols ['w', 'v']; component 3: rows [], cols ['u']"
+)
+
+
 class TestFitValidation:
+    @pytest.mark.parametrize("entry", [
+        build_design,
+        FitEngine,
+        fit_ure,
+        fit_ml,
+        lambda t: oracle_fit(t, true_eta=np.zeros(t.n_observed)),
+        wls_fit_full,
+        a2_statistic,
+    ], ids=["build_design", "FitEngine", "fit_ure", "fit_ml", "oracle_fit",
+            "wls_fit_full", "a2_statistic"])
+    def test_disconnected_table_names_every_component(self, entry):
+        with pytest.raises(DisconnectedDesignError) as exc:
+            entry(_three_component_table())
+        assert str(exc.value) == THREE_COMPONENTS
+
     def test_disconnected_design_rejected(self):
         counts = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
         means = np.where(counts > 0, 1.0, np.nan)

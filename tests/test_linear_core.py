@@ -45,8 +45,9 @@ def trace_blocks(ctx):
     tr(S^{-1} Zb Zb^T S^{-1} M^2)): the trace scales of the likelihood and
     the plain-loss risk estimating equations."""
     d, y = ctx.design, np.zeros(ctx.design.n_obs)
-    ml = _first_order_terms(d, None, 1.0, ctx.hp, y, 0.0, "EBMLE")
-    ure = _first_order_terms(d, QLoss.identity(d), 1.0, ctx.hp, y, 0.0, "URE")
+    ctx = SigmaContext(d, ctx.hp, sigma2=1.0)
+    ml = _first_order_terms(ctx, None, y, 0.0, "EBMLE")
+    ure = _first_order_terms(ctx, QLoss.identity(d), y, 0.0, "URE")
     return ml["scale_a"], ml["scale_b"], ure["scale_a"], ure["scale_b"]
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,14 @@ class TestStudies:
         for md, sd in zip(res.mean_diff, res.se_diff):
             assert abs(md) <= 3.0 * sd  # URE unbiased at every grid point
         assert all(m >= 0 for m in res.mean_abs)
+
+    def test_concentration_one_replicate_nan_se(self):
+        spec = small_spec(r=4, c=4, seed=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ure_concentration_study(spec, [(0.0, 0.0), (0.5, 0.5)], N=1)
+        assert all(np.isfinite(res.mean_abs)) and all(np.isfinite(res.mean_diff))
+        assert all(np.isnan(res.se_abs)) and all(np.isnan(res.se_diff))
 
     def test_concentration_matches_batch_oracle_bitwise(self):
         # The study scores through FitEngine.objective_at; replaying it

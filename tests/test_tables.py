@@ -3,6 +3,7 @@ import pytest
 
 from twoway_shrink import (
     CellTable,
+    DisconnectedDesignError,
     HyperParams,
     aggregate_records,
     build_design,
@@ -169,6 +170,25 @@ class TestBuildDesign:
             assert np.array_equal(dd.Zc[keep], dd.Z)
 
 
+def _dense_z(counts):
+    """[1 Za Zb] of the nonzero cells of a counts array, in lexicographic order."""
+    r, c = counts.shape
+    rows, cols = np.nonzero(counts)
+    z = np.zeros((rows.size, 1 + r + c))
+    z[:, 0] = 1.0
+    z[np.arange(rows.size), 1 + rows] = 1.0
+    z[np.arange(rows.size), 1 + r + cols] = 1.0
+    return z
+
+
+def _accepts(table):
+    try:
+        build_design(table)
+    except DisconnectedDesignError:
+        return False
+    return True
+
+
 class TestConnectivity:
     def test_two_components(self):
         counts = np.array([[1, 0], [0, 1], [1, 1]])  # pad to satisfy min cells
@@ -197,15 +217,16 @@ class TestConnectivity:
                 continue
             means = np.where(counts > 0, 0.0, np.nan)
             table = CellTable(counts, means, 1.0)
-            d = build_design(table)
-            z = dense_design(d).Z
-            rank = np.linalg.matrix_rank(z.T @ z)
-            assert is_connected(table) == (rank == r + c - 1)
+            z = _dense_z(counts)
+            full = np.linalg.matrix_rank(z.T @ z) == r + c - 1
+            assert is_connected(table) == full
+            assert _accepts(table) == full
             agree += 1
         assert agree >= 100
 
 
     def test_rank_from_components_matches_svd(self, rng):
+        """build_design accepts a table iff its Z has rank r+c-1."""
         kinds = set()
         for _ in range(300):
             r = int(rng.integers(2, 9))
@@ -214,9 +235,9 @@ class TestConnectivity:
             if counts.sum() == 0 or np.count_nonzero(counts) < r + c - 1:
                 continue
             table = CellTable(counts, np.where(counts > 0, 0.0, np.nan), 1.0)
-            d = build_design(table)
-            assert d.rank == np.linalg.matrix_rank(dense_design(d).Z)
-            kinds.add("connected" if is_connected(table) else "disconnected")
+            full = np.linalg.matrix_rank(_dense_z(counts)) == r + c - 1
+            assert _accepts(table) == full
+            kinds.add("connected" if full else "disconnected")
             if np.any(counts.sum(0) == 0) or np.any(counts.sum(1) == 0):
                 kinds.add("empty line")
         assert kinds == {"connected", "disconnected", "empty line"}
