@@ -34,6 +34,7 @@ from .risk_metrics import (
     a2_statistic,
     balanced_decoupling_check,
     lambda1_q,
+    loss_mode,
     loss_ss,
     loss_weighted,
     q_matrix,

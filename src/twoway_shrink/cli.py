@@ -18,8 +18,9 @@ import numpy as np
 from . import __version__
 from .estimators import FitEngine, wls_fit_full
 from .linear_core import NumericError
-from .risk_metrics import a2_statistic, lambda1_q
+from .risk_metrics import a2_statistic, lambda1_q, loss_mode
 from .simulation import (
+    ALL_ESTIMATORS,
     Constant,
     NormalEffects,
     PointMass,
@@ -44,6 +45,10 @@ REPORT_SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
+
+# The --loss name of each qmode; risk_metrics.loss_mode resolves "auto".
+LOSS_QMODES = {"auto": "auto", "ss": "identity", "q": "qmatrix", "weighted": "weighted"}
+QMODE_LOSSES = {qmode: loss for loss, qmode in LOSS_QMODES.items()}
 
 
 def _jsonable(x):
@@ -94,16 +99,16 @@ def _load(args):
 
 def _fit_report(args) -> dict:
     table = _load(args)
-    loss = args.loss
-    if loss == "auto":
-        loss = "ss" if table.is_complete else "q"
-    if loss == "weighted" and args.method != "ure":
+    if args.loss == "weighted" and args.method != "ure":
         raise ValueError("--loss weighted is only available with --method ure")
-    engine = None
-    if args.method != "wls":
-        qmode = {"ss": "identity", "q": "qmatrix", "weighted": "weighted"}[loss]
+    qmode = LOSS_QMODES[args.loss]
+    if args.method == "wls":
+        engine, design = None, build_design(table)
+        qmode = loss_mode(design, qmode)
+    else:
         engine = FitEngine(table, tau=args.tau, qmode=qmode)
-    lambda1 = lambda1_q(build_design(table) if engine is None else engine.design)
+        design, qmode = engine.design, engine.qmode
+    lambda1 = lambda1_q(design)
     diagnostics = {
         "connected": True,
         "nu": imbalance_ratio(table),
@@ -115,24 +120,18 @@ def _fit_report(args) -> dict:
     }
     if engine is None:
         fit = wls_fit_full(table, tau=args.tau)
-        hp, objective = fit.hp, fit.objective
-        eta_complete, mu_clamped = fit.eta_complete, fit.mu_clamped
-        method_tag = "wls"
     else:
-        method = "URE" if args.method == "ure" else "EBMLE"
-        fit = engine.fit(table.y_observed, method)
-        hp, objective = fit.hp, fit.objective
-        eta_complete, mu_clamped = fit.eta_complete, fit.mu_clamped
+        fit = engine.fit(table.y_observed, "URE" if args.method == "ure" else "EBMLE")
         diagnostics["estimating_eq"] = fit.diagnostics.get("estimating_eq")
         diagnostics["grid_ties"] = fit.diagnostics.get("grid_ties", [])
-        method_tag = "ure-weighted" if loss == "weighted" else args.method
+    hp, objective = fit.hp, fit.objective
     if not isfinite(objective):
         raise NumericError("fit produced a non-finite objective")
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "method": method_tag,
+        "method": "ure-weighted" if qmode == "weighted" else args.method,
         "tau": args.tau,
-        "loss": loss,
+        "loss": QMODE_LOSSES[qmode],
         "hp": {
             "mu": hp.mu,
             "lambda_a": None if not isfinite(hp.lambda_a) else hp.lambda_a,
@@ -140,9 +139,9 @@ def _fit_report(args) -> dict:
             "lambda_tilde_a": hp.lambda_tilde_a,
             "lambda_tilde_b": hp.lambda_tilde_b,
         },
-        "mu_clamped": bool(mu_clamped),
+        "mu_clamped": bool(fit.mu_clamped),
         "objective": objective,
-        "eta_complete": np.asarray(eta_complete).reshape(table.r, table.c),
+        "eta_complete": np.asarray(fit.eta_complete).reshape(table.r, table.c),
         "row_labels": [str(x) for x in table.row_labels],
         "col_labels": [str(x) for x in table.col_labels],
         "diagnostics": diagnostics,
@@ -257,15 +256,18 @@ def cmd_simulate(args) -> int:
     spec = _scenario_from_config(cfg, args.seed)
     n_reps = int(cfg.get("n_reps", 200))
     tau = float(cfg.get("tau", 0.05))
+    estimators = tuple(
+        e.strip() for e in cfg.get("estimators", ",".join(ALL_ESTIMATORS)).split(",")
+    )
     if args.study == "compare":
-        estimators = tuple(
-            e.strip() for e in cfg.get("estimators", "wls,ebmle,ure,oracle").split(",")
-        )
         table = compare_estimators(
             spec, n_reps, estimators=estimators, tau=tau, n_jobs=args.jobs
         )
         text = risk_csv([table], out=args.out)
     elif args.study == "oracle-gap":
+        if sorted(estimators) != sorted(ALL_ESTIMATORS):
+            raise ValueError(f"oracle-gap always fits {', '.join(ALL_ESTIMATORS)}; "
+                             f"estimators={cfg['estimators']} must name all four")
         sizes = []
         for tok in cfg.get("sizes", "10x10,20x20,40x40").split(","):
             a, _, b = tok.strip().partition("x")

@@ -16,7 +16,10 @@ variance components nonnegative.  Hyper-parameters are chosen by one of
 All three share one optimizer contract: the scale parameters are searched
 over the bounded square lambda_tilde = (1+lambda)^{-1/2} in [0,1]^2 by a
 33 x 33 grid followed by Nelder-Mead refinement, with mu profiled in
-closed form and clamped to its interval at every candidate.
+closed form and clamped to its interval at every candidate.  Candidates
+come in a fixed order (the best grid point, the WLS limit, Nelder-Mead's
+result, extra candidates); one replaces the best only when its objective
+is finite and strictly lower.
 
 The lambda_tilde = (0, 0) corner of the search box denotes the unshrunken
 estimator eta_hat = y, whose risk estimate is exactly sigma^2 tr(QM)/(rc);
@@ -51,11 +54,12 @@ loss Q.
 Every criterion is written for a loss matrix Q on the observed cells
 (:class:`~twoway_shrink.risk_metrics.QLoss`): the sum-of-squares loss
 (Q = I), the count-weighted loss (Q = diag(K)) and the completed
-missing-cell loss.  The two diagonal losses are kept as weight vectors,
-so only the completed loss forms an n x n matrix.  A :class:`FitEngine`
-builds it (through :func:`~twoway_shrink.risk_metrics.q_matrix`) on its
-first URE or ORACLE evaluation; a likelihood fit never reads the loss and
-builds none.  The count-weighted loss needs no optimizer of its own:
+missing-cell loss.  :mod:`~twoway_shrink.risk_metrics` decides which one
+a ``qmode`` names (:func:`~twoway_shrink.risk_metrics.loss_mode`) and
+builds it; only the completed loss forms an n x n matrix.  A
+:class:`FitEngine` builds its loss on its first URE or ORACLE evaluation;
+a likelihood fit never reads the loss and builds none.  The count-weighted
+loss needs no optimizer of its own:
 scaling by sqrt(K) turns it into the plain loss of a homoscedastic
 problem whose shrinkage family is the same y - M Sigma^{-1} (y - mu 1),
 so :class:`FitEngine` fits it with Q = diag(K).
@@ -83,7 +87,7 @@ from .linear_core import (
     shrink_apply,
     sigma_solve,
 )
-from .risk_metrics import QLoss, q_matrix
+from .risk_metrics import QLoss, loss_mode
 from .tables import (
     CellTable,
     DesignSet,
@@ -183,7 +187,7 @@ def wls_fit_full(table: CellTable, tau: float = 0.05) -> ShrinkageFit:
         mu_clamped=False,
         tau=tau,
         bounds=quantile_bounds(table, tau),
-        qmode="identity" if table.is_complete else "qmatrix",
+        qmode=loss_mode(design),
         diagnostics={},
     )
 
@@ -226,28 +230,6 @@ def _resolve_sigma2(ctx: SigmaContext, sigma2):
     return float(ctx.sigma2)
 
 
-def _resolve_qmode(design: DesignSet, qmode: str) -> str:
-    """The loss ``qmode`` names on ``design``; raises if it is not valid there."""
-    complete = design.n_obs == design.r * design.c
-    if qmode == "auto":
-        return "identity" if complete else "qmatrix"
-    if qmode == "weighted" and not complete:
-        raise ValueError("the count-weighted loss requires a fully observed table")
-    if qmode not in ("identity", "weighted", "qmatrix"):
-        raise ValueError(f"unknown qmode {qmode!r}")
-    return qmode
-
-
-def _resolve_qloss(design: DesignSet, qmode: str, qloss):
-    """(qmode, QLoss); ``qloss`` is reused for the completed loss only."""
-    qmode = _resolve_qmode(design, qmode)
-    if qmode == "identity":
-        return qmode, QLoss.identity(design)
-    if qmode == "weighted":
-        return qmode, QLoss.weighted(design)
-    return qmode, qloss if qloss is not None else q_matrix(design)
-
-
 def ure_value(
     ctx: SigmaContext,
     y: np.ndarray,
@@ -264,17 +246,20 @@ def ure_value(
 
     g = M Sigma^{-1} (y - mu 1).  At the doubly infinite corner the value
     is the exact risk estimate of the unshrunken estimator, s2 tr(QM) / rc.
+    ``qloss`` is the loss when given; otherwise ``qmode`` names it
+    (:meth:`~twoway_shrink.risk_metrics.QLoss.of`).
     """
     design = ctx.design
     s2 = _resolve_sigma2(ctx, sigma2)
-    qmode, qloss = _resolve_qloss(design, qmode, qloss)
+    if qloss is None:
+        qloss = QLoss.of(design, qmode)
     rc = design.r * design.c
-    tr_qm = qloss.trace_qm(design.m_diag)
+    tr_qm = qloss.trace_qm
     if isinf(ctx.hp.lambda_a) and isinf(ctx.hp.lambda_b):
         return s2 * tr_qm / rc
     g = shrink_apply(ctx, np.asarray(y, dtype=float) - mu)
     s = ctx.scale
-    b = s[:, None] * qloss.effects_gram(design) * s[None, :]
+    b = s[:, None] * qloss.effects_gram * s[None, :]
     tr_red = float(np.sum(ctx.cap_inverse * b))
     return (-s2 * tr_qm + 2.0 * s2 * tr_red + qloss.quad(g)) / rc
 
@@ -332,7 +317,7 @@ def _first_order_terms(
         scale_mu = float(np.sum(sigma_solve(ctx, one)))
     else:
         p = np.eye(d.q) - hg
-        b = qloss.effects_gram(d)
+        b = qloss.effects_gram
         diag = np.einsum("ij,ij->j", p, b @ p)
         w = sigma_solve(ctx, m * qloss.apply(m * v))
         za_w = np.bincount(d.row_index, weights=w, minlength=d.r)
@@ -483,11 +468,12 @@ class FitEngine:
     vectors is how the simulation harness amortizes the design-level work
     (the absorbed grid, loss-matrix grams) over replicates.
 
-    The constructor validates ``qmode`` and builds what every criterion
-    reads: the design, the quantile bounds and the lambda-only part of the
-    absorbed grid.  The loss and everything derived from it (``qloss``,
-    ``tr_qm``, ``zqz``, ``q_1``, ``zq_1`` and the grid's loss terms) are
-    built on first use by URE or ORACLE, once per engine.  EBMLE never
+    The constructor resolves ``qmode`` (``loss_mode``) and builds what
+    every criterion reads: the design, the quantile bounds and the
+    lambda-only part of the absorbed grid.  The loss and everything derived
+    from it (``qloss`` with its ``trace_qm`` and ``effects_gram``, ``q_1``,
+    ``zq_1`` and the grid's loss terms) are built on first use by URE or
+    ORACLE, once per engine.  EBMLE never
     reads the loss, so a likelihood fit on a table with missing cells
     builds neither the completion map nor the dense n x n ``Q``.
     """
@@ -497,7 +483,7 @@ class FitEngine:
         self.design = build_design(table)
         self.tau = float(tau)
         self.bounds = quantile_bounds(table, tau)
-        self.qmode = _resolve_qmode(self.design, qmode)
+        self.qmode = loss_mode(self.design, qmode)
         self.sigma2 = table.sigma2
         d = self.design
         self.rc = d.r * d.c
@@ -519,15 +505,7 @@ class FitEngine:
 
     @cached_property
     def qloss(self) -> QLoss:
-        return _resolve_qloss(self.design, self.qmode, None)[1]
-
-    @cached_property
-    def tr_qm(self) -> float:
-        return self.qloss.trace_qm(self.design.m_diag)
-
-    @cached_property
-    def zqz(self) -> np.ndarray:
-        return self.qloss.effects_gram(self.design)
+        return QLoss.of(self.design, self.qmode)
 
     @cached_property
     def q_1(self) -> np.ndarray:
@@ -541,7 +519,7 @@ class FitEngine:
         """The absorbed grid with its loss terms, which are built once."""
         grid = self._grid_bundle
         if grid.Wv is None:
-            grid.add_loss(self.zqz)
+            grid.add_loss(self.qloss.effects_gram)
         return grid
 
     # -- candidate machinery ------------------------------------------------
@@ -635,13 +613,13 @@ class FitEngine:
             }
         else:
             # URE and ORACLE share the shrinkage-direction solves.
+            zqz = self.qloss.effects_gram
             if method == "URE":
-                b = s[:, None] * self.zqz
+                b = s[:, None] * zqz
                 b *= s
                 b *= inv
                 tr_red = float(np.sum(b))
             u_y, u_1 = S * w_y, S * w_1
-            zqz = self.zqz
             terms = {
                 "uy_zq_y": u_y @ pieces["zq_y"],
                 "uy_zq_1": u_y @ self.zq_1,
@@ -674,8 +652,8 @@ class FitEngine:
                 "tu_11": grid.dot(sol_1, self.t_1),
             }
             return self._score(terms, grid.logdet, None, pieces, method)
-        grid = self._loss_grid()
-        sol_y, sol_1 = grid.solve(t_y, self.zqz), grid.solve(self.t_1, self.zqz)
+        grid, zqz = self._loss_grid(), self.qloss.effects_gram
+        sol_y, sol_1 = grid.solve(t_y, zqz), grid.solve(self.t_1, zqz)
         terms = {
             "uy_zq_y": grid.dot(sol_y, pieces["zq_y"]),
             "uy_zq_1": grid.dot(sol_y, self.zq_1),
@@ -733,7 +711,7 @@ class FitEngine:
             with np.errstate(divide="ignore", invalid="ignore"):
                 mu, clamped = pick_mu(c_y1 / np.maximum(c_11, 1e-300), c_11)
             quad = c_yy - 2.0 * mu * c_y1 + mu * mu * c_11
-            obj = (-s2 * self.tr_qm + 2.0 * s2 * tr_red + quad) / self.rc
+            obj = (-s2 * self.qloss.trace_qm + 2.0 * s2 * tr_red + quad) / self.rc
             return obj, mu, clamped
         if method == "ORACLE":
             # delta = A + mu * B with A = Z u_y - eta, B = 1 - Z u_1.
@@ -750,7 +728,7 @@ class FitEngine:
 
     def _corner_value(self, pieces: dict, method: str):
         if method == "URE":
-            return self.sigma2 * self.tr_qm / self.rc
+            return self.sigma2 * self.qloss.trace_qm / self.rc
         if method == "ORACLE":
             # loss of the unshrunken estimator: (y-eta)^T Q (y-eta) / rc
             return (
@@ -759,6 +737,36 @@ class FitEngine:
         return np.inf  # -loglik diverges at the corner
 
     # -- main fit loop -------------------------------------------------------
+
+    def _point(self, lt: tuple, pieces: dict, method: str, mu_fixed=None) -> dict:
+        """A candidate: lambda_tilde ``lt`` with its objective, mu and clamp flag."""
+        obj, mu, clamped = self._score_point(lt, pieces, method, mu_fixed)
+        return {"lt": lt, "obj": obj, "mu": mu, "clamped": clamped}
+
+    def _grid_pick(self, pieces: dict, method: str) -> tuple:
+        """(candidate, ties): the best grid point, the corner included.
+
+        Points within ``GRID_TIE_TOL`` of the minimum tie.  Ties go to the
+        largest lambda_tilde_a, then the largest lambda_tilde_b, so to the
+        stronger shrinkage; the corner (0, 0) comes last.  ``ties`` lists
+        the tied points in grid order, or nothing when the pick is unique.
+        """
+        grid = self._evaluate_grid(pieces, method)
+        corner = self._score_point((0.0, 0.0), pieces, method)
+        obj, mu, clamped = (np.append(g, c) for g, c in zip(grid, corner))
+        pairs = np.vstack([self._grid_bundle.lt, [[0.0, 0.0]]])
+        finite = np.isfinite(obj)
+        if not np.any(finite):
+            raise NumericError("all candidate objectives are non-finite")
+        best_val = np.min(obj[finite])
+        tie_tol = GRID_TIE_TOL * max(1.0, abs(best_val))
+        tie_idx = np.nonzero(finite & (obj <= best_val + tie_tol))[0]
+        tied = pairs[tie_idx]
+        pick = tie_idx[np.lexsort((-tied[:, 1], -tied[:, 0]))[0]]
+        ties = [tuple(pairs[i]) for i in tie_idx] if len(tie_idx) > 1 else []
+        point = {"lt": tuple(pairs[pick]), "obj": float(obj[pick]),
+                 "mu": float(mu[pick]), "clamped": bool(clamped[pick])}
+        return point, ties
 
     @staticmethod
     def _check_method(method: str, true_eta_obs) -> str:
@@ -782,71 +790,31 @@ class FitEngine:
         eta = None if true_eta_obs is None else np.asarray(true_eta_obs, dtype=float)
         pieces = self._data_pieces(y, eta, loss=method != "EBMLE")
 
-        obj, mu, clamped = self._evaluate_grid(pieces, method)
-        grid_pairs = self._grid_bundle.lt
-        corner_obj, corner_mu, corner_clamped = self._score_point(
-            (0.0, 0.0), pieces, method
-        )
-        all_pairs = np.vstack([grid_pairs, [[0.0, 0.0]]])
-        all_obj = np.concatenate([obj, [corner_obj]])
-        all_mu = np.concatenate([mu, [corner_mu]])
-        all_clamped = np.concatenate([clamped, [corner_clamped]])
+        # Candidates in a fixed order: the grid pick, the WLS limit (outside
+        # the grid's tie-break, so exact ties keep the stronger shrinkage),
+        # Nelder-Mead from the best so far, then each extra candidate with
+        # its mu and with mu profiled.  A candidate replaces the best only
+        # when its objective is finite and strictly lower.
+        best, grid_ties = self._grid_pick(pieces, method)
 
-        # WLS-limit candidate, kept outside the tie-break pool so that exact
-        # ties keep preferring stronger shrinkage.
-        wls_obj, wls_mu, wls_cl = self._score_point(self._wls_pair, pieces, method)
+        def consider(point):
+            nonlocal best
+            if np.isfinite(point["obj"]) and point["obj"] < best["obj"]:
+                best = point
 
-        finite = np.isfinite(all_obj)
-        if not np.any(finite):
-            raise NumericError("all candidate objectives are non-finite")
-        best_val = np.min(all_obj[finite])
-        tie_tol = GRID_TIE_TOL * max(1.0, abs(best_val))
-        tie_idx = np.nonzero(finite & (all_obj <= best_val + tie_tol))[0]
-        lam_pairs = np.array(
-            [
-                (lam_from_tilde(a) if a > 0 or b > 0 else np.inf,
-                 lam_from_tilde(b) if a > 0 or b > 0 else np.inf)
-                for a, b in all_pairs[tie_idx]
-            ]
-        )
-        order = np.lexsort((lam_pairs[:, 1], lam_pairs[:, 0]))
-        pick = tie_idx[order[0]]
-        grid_ties = [tuple(all_pairs[i]) for i in tie_idx] if len(tie_idx) > 1 else []
-
-        best = {
-            "lt": tuple(all_pairs[pick]),
-            "obj": float(all_obj[pick]),
-            "mu": float(all_mu[pick]),
-            "clamped": bool(all_clamped[pick]),
-        }
-        if np.isfinite(wls_obj) and wls_obj < best["obj"]:
-            best = {
-                "lt": tuple(self._wls_pair),
-                "obj": wls_obj,
-                "mu": wls_mu,
-                "clamped": wls_cl,
-            }
+        consider(self._point(tuple(self._wls_pair), pieces, method))
 
         def nm_objective(lt):
-            lt = np.clip(lt, 0.0, 1.0)
-            val, _, _ = self._score_point(lt, pieces, method)
-            return val
+            return self._score_point(np.clip(lt, 0.0, 1.0), pieces, method)[0]
 
         nm = minimize(
             nm_objective,
             x0=np.asarray(best["lt"], dtype=float),
             method="Nelder-Mead",
             bounds=[(0.0, 1.0), (0.0, 1.0)],
-            options={
-                "maxfev": NM_MAX_FEVALS,
-                "fatol": NM_FATOL,
-                "xatol": 1e-9,
-            },
+            options={"maxfev": NM_MAX_FEVALS, "fatol": NM_FATOL, "xatol": 1e-9},
         )
-        if np.isfinite(nm.fun) and nm.fun < best["obj"]:
-            lt = tuple(np.clip(nm.x, 0.0, 1.0))
-            val, mu_v, cl = self._score_point(lt, pieces, method)
-            best = {"lt": lt, "obj": val, "mu": mu_v, "clamped": cl}
+        consider(self._point(tuple(np.clip(nm.x, 0.0, 1.0)), pieces, method))
 
         cand_points = []
         for cand in extra_candidates or ():
@@ -854,14 +822,11 @@ class FitEngine:
             if isinf(cand.lambda_a) and isinf(cand.lambda_b):
                 lt_pair = (0.0, 0.0)
             mu_c = float(np.clip(cand.mu, *self.bounds))
-            val_at, _, _ = self._score_point(lt_pair, pieces, method, mu_c)
-            point = {"lt": lt_pair, "obj": val_at, "mu": mu_c, "clamped": mu_c != cand.mu}
+            point = self._point(lt_pair, pieces, method, mu_c)
+            point["clamped"] = mu_c != cand.mu
             cand_points.append(point)
-            if np.isfinite(val_at) and val_at < best["obj"]:
-                best = point
-            val, mu_p, cl = self._score_point(lt_pair, pieces, method)
-            if np.isfinite(val) and val < best["obj"]:
-                best = {"lt": lt_pair, "obj": val, "mu": mu_p, "clamped": cl}
+            consider(point)
+            consider(self._point(lt_pair, pieces, method))
 
         fit = self._build_fit(best, y, eta, method, grid_ties)
         if method == "ORACLE":
@@ -892,7 +857,7 @@ class FitEngine:
             eta_obs = bayes_estimate(ctx, y, hp.mu)
         eta_complete = complete_means(d, eta_obs)
         if method == "URE":
-            objective = ure_value(ctx, y, hp.mu, qmode=self.qmode, qloss=self.qloss)
+            objective = ure_value(ctx, y, hp.mu, qloss=self.qloss)
         elif method == "EBMLE":
             objective = marginal_loglik(ctx, y, hp.mu)
         else:
@@ -989,7 +954,7 @@ def estimating_eq_residuals(fit: ShrinkageFit, table: CellTable):
     if not (isfinite(fit.hp.lambda_a) and isfinite(fit.hp.lambda_b)):
         return (float("nan"),) * 3
     design = build_design(table)
-    qloss = _resolve_qloss(design, fit.qmode, None)[1] if fit.method == "URE" else None
+    qloss = QLoss.of(design, fit.qmode) if fit.method == "URE" else None
     ctx = SigmaContext(design, fit.hp, sigma2=table.sigma2)
     fo = _first_order_terms(ctx, qloss, table.y_observed, fit.hp.mu, fit.method)
     return fo["res_mu"], fo["res_a"], fo["res_b"]

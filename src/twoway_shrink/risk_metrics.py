@@ -2,16 +2,18 @@
 
 When cells are missing, the normalized sum-of-squares loss over all r*c
 (estimable) cell means equals a quadratic form in the observed-cell error
-with the PSD matrix ``Q = (Zc Z^+)^T (Zc Z^+)``.  This module builds that
-matrix (the one place the dense design is formed) for the criteria that
-read it, and computes its top eigenvalue without it, from the
-(r+c+1)-order grams.  It also exposes the design-regularity diagnostic
+with the PSD matrix ``Q = (Zc Z^+)^T (Zc Z^+)``.  This module is the one
+place that decides a fit's loss (:func:`loss_mode`) and builds it
+(:class:`QLoss`); only the completed loss forms ``Q`` (the one place the
+dense design is formed), and its top eigenvalue comes without it, from
+the (r+c+1)-order grams.  It also exposes the design-regularity diagnostic
 and the balanced-design decoupling check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import log
 
 import numpy as np
@@ -28,6 +30,7 @@ from .tables import (
 
 __all__ = [
     "QLoss",
+    "loss_mode",
     "loss_ss",
     "loss_weighted",
     "q_matrix",
@@ -37,32 +40,62 @@ __all__ = [
 ]
 
 
+LOSS_MODES = ("identity", "weighted", "qmatrix")
+
+
+def loss_mode(design: DesignSet, qmode: str = "auto") -> str:
+    """The loss ``qmode`` names on ``design``; raises if it is not valid there.
+
+    "auto" is the sum-of-squares loss on a fully observed table and the
+    completed loss otherwise.  The count-weighted loss needs every cell.
+    """
+    complete = design.n_obs == design.r * design.c
+    if qmode == "auto":
+        return "identity" if complete else "qmatrix"
+    if qmode == "weighted" and not complete:
+        raise ValueError("the count-weighted loss requires a fully observed table")
+    if qmode not in LOSS_MODES:
+        raise ValueError(f"unknown qmode {qmode!r}")
+    return qmode
+
+
 @dataclass(frozen=True, eq=False)
 class QLoss:
-    """Loss matrix for observed-cell errors.
+    """Loss matrix for observed-cell errors on one design.
 
     ``mode`` is "identity" for the fully-observed sum-of-squares loss,
     "weighted" for the count-weighted loss and "qmatrix" for the completed
     (missing-cell) loss.  The two diagonal losses are kept as the weight
     vector ``w`` (ones, or the counts K) with ``Q`` None; the completed
-    loss is the dense ``Q``, built by :func:`q_matrix` for one design.
-    Its top eigenvalue is :func:`lambda1_q`, computed from the design
-    without ``Q``.  The completed loss's effects gram is kept after its
-    first :meth:`effects_gram` call, so a fit engine and the risk estimate
-    share one.
+    loss is the dense ``Q``, built by :func:`q_matrix`.  Its top
+    eigenvalue is :func:`lambda1_q`, computed from the design without
+    ``Q``.  :meth:`of` resolves a ``qmode`` through :func:`loss_mode` and
+    builds the loss; ``w``, ``trace_qm`` and ``effects_gram`` are built
+    once per loss.
     """
 
-    Q: np.ndarray | None
+    design: DesignSet
     mode: str
-    w: np.ndarray | None = None
+    Q: np.ndarray | None = None
+
+    def __post_init__(self):
+        has_q = self.Q is not None
+        if self.mode not in LOSS_MODES or has_q != (self.mode == "qmatrix"):
+            raise ValueError(f"no {self.mode!r} loss {'with' if has_q else 'without'} Q")
 
     @classmethod
-    def identity(cls, design: DesignSet) -> "QLoss":
-        return cls(Q=None, mode="identity", w=np.ones(design.n_obs))
+    def of(cls, design: DesignSet, qmode: str = "auto") -> "QLoss":
+        """The loss ``qmode`` names on ``design`` (see :func:`loss_mode`)."""
+        mode = loss_mode(design, qmode)
+        return q_matrix(design) if mode == "qmatrix" else cls(design, mode)
 
-    @classmethod
-    def weighted(cls, design: DesignSet) -> "QLoss":
-        return cls(Q=None, mode="weighted", w=design.k_obs.astype(float))
+    @cached_property
+    def w(self) -> np.ndarray | None:
+        """Diagonal of a diagonal loss (ones or the counts K); None with ``Q``."""
+        if self.Q is not None:
+            return None
+        d = self.design
+        return d.k_obs.astype(float) if self.mode == "weighted" else np.ones(d.n_obs)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Q v."""
@@ -72,25 +105,25 @@ class QLoss:
         """g^T Q g."""
         return float(g @ self.Q @ g) if self.w is None else float(g @ (self.w * g))
 
-    def trace_qm(self, m_diag: np.ndarray) -> float:
-        """tr(QM) for the diagonal M given by ``m_diag``."""
+    @cached_property
+    def trace_qm(self) -> float:
+        """tr(QM) for the design's diagonal M."""
+        m_diag = self.design.m_diag
         if self.w is None:
             return float(m_diag @ np.diag(self.Q))
         return float(np.sum(self.w * m_diag))
 
-    def effects_gram(self, design: DesignSet) -> np.ndarray:
-        """[Za Zb]^T Q [Za Zb], built once for the design of the last call."""
+    @cached_property
+    def effects_gram(self) -> np.ndarray:
+        """[Za Zb]^T Q [Za Zb]."""
+        design = self.design
         if self.w is not None:
             return design.gram_weighted if self.mode == "weighted" else design.gram_plain
-        memo = self.__dict__.get("_effects_gram")
-        if memo is None or memo[0] is not design:
-            n = design.n_obs
-            za_zb = np.zeros((n, design.q))
-            za_zb[np.arange(n), design.row_index] = 1.0
-            za_zb[np.arange(n), design.r + design.col_index] = 1.0
-            memo = (design, za_zb.T @ self.Q @ za_zb)
-            self.__dict__["_effects_gram"] = memo  # as cached_property stores
-        return memo[1]
+        n = design.n_obs
+        za_zb = np.zeros((n, design.q))
+        za_zb[np.arange(n), design.row_index] = 1.0
+        za_zb[np.arange(n), design.r + design.col_index] = 1.0
+        return za_zb.T @ self.Q @ za_zb
 
 
 def loss_ss(eta_hat: np.ndarray, eta: np.ndarray) -> float:
@@ -123,7 +156,7 @@ def q_matrix(design: DesignSet) -> QLoss:
     T = design.completion_map
     Q = T.T @ T
     Q = 0.5 * (Q + Q.T)
-    return QLoss(Q=Q, mode="qmatrix")
+    return QLoss(design, "qmatrix", Q)
 
 
 def lambda1_q(design: DesignSet) -> float:

@@ -414,8 +414,7 @@ def oracle_gap_study(
     for (r, c) in sizes:
         spec = replace(template, r=r, c=c, name=template.name or "oracle-gap")
         rt = compare_estimators(
-            spec, N, estimators=("wls", "ebmle", "ure", "oracle"),
-            tau=tau, n_jobs=n_jobs,
+            spec, N, estimators=ALL_ESTIMATORS, tau=tau, n_jobs=n_jobs
         )
         eps = exceed_frac * rt.row("oracle").mean_loss
         exceed = rt.losses["ure"] >= rt.losses["oracle"] + eps
@@ -460,15 +459,19 @@ def ure_concentration_study(
 ) -> ConcentrationResult:
     """Monte-Carlo E|URE - loss| at location zero over a hyper-parameter grid.
 
-    ``lt_grid`` is a list of (lambda_tilde_a, lambda_tilde_b) pairs; the
-    exact (0, 0) pair denotes the unshrunken corner, where URE - loss is
+    ``lt_grid`` is a list of distinct (lambda_tilde_a, lambda_tilde_b)
+    pairs (a repeated pair raises ValueError); the exact (0, 0) pair
+    denotes the unshrunken corner, where URE - loss is
     sigma^2 tr(QM)/(rc) minus the loss of the raw data vector.
     """
+    pairs = [tuple(p) for p in lt_grid]
+    repeated = [p for i, p in enumerate(pairs) if p in pairs[:i]]
+    if repeated:
+        raise ValueError(f"lt_grid lists the pair {repeated[0]} more than once")
     table0, eta_complete = gen_scenario(spec, 0)
     engine = FitEngine(table0, tau=tau, qmode="auto")
     observed = table0.counts > 0
     eta_obs = eta_complete.reshape(spec.r, spec.c)[observed]
-    pairs = [tuple(p) for p in lt_grid]
     diffs = {p: [] for p in pairs}
     for rep in range(N):
         y = gen_scenario(spec, rep)[0].y_observed

@@ -136,14 +136,9 @@ class CellTable:
     def c(self) -> int:
         return self.counts.shape[1]
 
-    @cached_property
-    def observed_cells(self) -> tuple:
-        """Observed (i, j) pairs in lexicographic order."""
-        return tuple(zip(*np.nonzero(self.counts)))
-
     @property
     def n_observed(self) -> int:
-        return len(self.observed_cells)
+        return int(np.count_nonzero(self.counts))
 
     @property
     def is_complete(self) -> bool:

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize
 
-from twoway_shrink.estimators import _first_order_terms, _resolve_qloss
+from twoway_shrink.estimators import _first_order_terms
 from twoway_shrink.linear_core import (
     LAMBDA_TILDE_EPS,
     NumericError,
@@ -33,6 +33,7 @@ from twoway_shrink.linear_core import (
     shrink_apply,
     sigma_solve,
 )
+from twoway_shrink.risk_metrics import QLoss
 from twoway_shrink.tables import HyperParams, quantile_bounds
 
 
@@ -117,7 +118,8 @@ def profile_mu_ure(ctx, y, qmode="auto", qloss=None):
     product; clamping to the quantile interval is the caller's job.
     """
     design = ctx.design
-    _, qloss = _resolve_qloss(design, qmode, qloss)
+    if qloss is None:
+        qloss = QLoss.of(design, qmode)
     y = np.asarray(y, dtype=float)
     g_y = shrink_apply(ctx, y)
     g_1 = shrink_apply(ctx, np.ones(design.n_obs))
@@ -298,7 +300,8 @@ class CapacitanceBundle:
             self.S[i] = s
             self.Cinv[i] = inv
             self.logdet[i] = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-            self.tr_red[i] = float(np.sum(inv * (s[:, None] * engine.zqz * s[None, :])))
+            b = s[:, None] * engine.qloss.effects_gram * s[None, :]
+            self.tr_red[i] = float(np.sum(inv * b))
 
 
 def evaluate_bundle(engine, bundle, pieces, method, mu_fixed=None):
@@ -319,7 +322,7 @@ def evaluate_bundle(engine, bundle, pieces, method, mu_fixed=None):
     else:
         u_y = bundle.S * solve(pieces["t_y"])[1]
         u_1 = bundle.S * solve(engine.t_1)[1]
-        zqz = engine.zqz
+        zqz = engine.qloss.effects_gram
         terms = {
             "uy_zq_y": u_y @ pieces["zq_y"],
             "uy_zq_1": u_y @ engine.zq_1,

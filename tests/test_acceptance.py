@@ -121,7 +121,7 @@ def test_criterion_1_ure_unbiasedness():
     for table, eta, hp in triples:
         d = build_design(table)
         if table.is_complete:
-            ql = QLoss(Q=np.eye(d.n_obs), mode="identity")
+            ql = QLoss(d, "qmatrix", np.eye(d.n_obs))
         else:
             ql = q_matrix(d)
         eta_obs = eta.reshape(table.r, table.c)[table.counts > 0]

@@ -105,7 +105,7 @@ class TestFitCommand:
         assert report["objective"] == pytest.approx(recomputed, rel=1e-12)
 
     def test_completed_loss_built_once(self, missing_agg_csv, tmp_path, monkeypatch):
-        from twoway_shrink import estimators, risk_metrics
+        from twoway_shrink import risk_metrics
 
         built = []
         original = risk_metrics.q_matrix
@@ -115,7 +115,6 @@ class TestFitCommand:
             return original(design)
 
         monkeypatch.setattr(risk_metrics, "q_matrix", counted)
-        monkeypatch.setattr(estimators, "q_matrix", counted)
         out = tmp_path / "rep.json"
         code = main([
             "fit", "--input", missing_agg_csv, "--schema", "agg",
@@ -199,7 +198,7 @@ class TestDiagnoseCommand:
     def test_complete_table_builds_no_q(self, complete_agg_csv, tmp_path, capsys,
                                         monkeypatch):
         # On a complete table Q is the projector onto col(Z): lambda1 is 1.
-        from twoway_shrink import estimators, risk_metrics
+        from twoway_shrink import risk_metrics
 
         built = []
         original = risk_metrics.q_matrix
@@ -209,7 +208,6 @@ class TestDiagnoseCommand:
             return original(design)
 
         monkeypatch.setattr(risk_metrics, "q_matrix", counted)
-        monkeypatch.setattr(estimators, "q_matrix", counted)
         common = ["--input", complete_agg_csv, "--schema", "agg", "--sigma2", "1.0"]
         for method, loss in (("ure", "auto"), ("ml", "ss"), ("ure", "weighted"),
                              ("wls", "auto")):
@@ -226,7 +224,7 @@ class TestDiagnoseCommand:
                                                   capsys, monkeypatch):
         # lambda1(Q) comes from (r+c+1)-order grams: only the URE fit, whose
         # criterion reads the completed loss, builds Q, and it builds it once.
-        from twoway_shrink import estimators, risk_metrics
+        from twoway_shrink import risk_metrics
         from twoway_shrink.tables import DesignSet
 
         def forbidden(*args):
@@ -235,7 +233,6 @@ class TestDiagnoseCommand:
         common = ["--input", missing_agg_csv, "--schema", "agg", "--sigma2", "1.0"]
         with monkeypatch.context() as m:
             m.setattr(risk_metrics, "q_matrix", forbidden)
-            m.setattr(estimators, "q_matrix", forbidden)
             m.setattr(DesignSet, "completion_map", property(forbidden))
             for method in ("ml", "wls"):
                 out = tmp_path / f"{method}.json"
@@ -252,7 +249,6 @@ class TestDiagnoseCommand:
             return original(design)
 
         monkeypatch.setattr(risk_metrics, "q_matrix", counted)
-        monkeypatch.setattr(estimators, "q_matrix", counted)
         out = tmp_path / "ure.json"
         assert main(["fit", *common, "--method", "ure", "--out", str(out)]) == 0
         assert len(built) == 1
@@ -305,11 +301,11 @@ class TestDisconnectedTable:
 
 
 class TestSimulateCommand:
-    def _config(self, tmp_path, extra=""):
+    def _config(self, tmp_path, extra="", estimators="wls,ure"):
         cfg = (
             "r=5\nc=5\ncount_law=constant:1\n"
             "effect_a=normal:0.5\neffect_b=normal:0.5\n"
-            "sigma2=1.0\nn_reps=6\nestimators=wls,ure\nname=t\n" + extra
+            f"sigma2=1.0\nn_reps=6\nestimators={estimators}\nname=t\n" + extra
         )
         path = tmp_path / "cfg.txt"
         path.write_text(cfg)
@@ -351,8 +347,33 @@ class TestSimulateCommand:
         assert len(rows) == 2
         assert all(row[3] != "" and row[4] == "" for row in rows)
 
+    def test_concentration_repeated_pair_exit_2(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, extra="lt_grid=0.5,0.5;0.2,0.2;0.5,0.50\n")
+        code = main([
+            "simulate", "--study", "concentration", "--config", cfg, "--seed", "1",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "more than once" in err
+
+    @pytest.mark.parametrize("names", ["wls,ure", "wls,foo", "wls,ebmle,ure,oracle,ure"])
+    def test_oracle_gap_rejects_other_estimators(self, tmp_path, names, capsys):
+        # The study always fits all four; a config naming others must not
+        # be accepted silently.
+        cfg = self._config(tmp_path, extra="sizes=4x4\n", estimators=names)
+        code = main([
+            "simulate", "--study", "oracle-gap", "--config", cfg, "--seed", "2",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "oracle-gap always fits wls, ebmle, ure, oracle" in err
+
     def test_oracle_gap_study(self, tmp_path):
-        cfg = self._config(tmp_path, extra="sizes=4x4,6x6\n")
+        cfg = self._config(
+            tmp_path, extra="sizes=4x4,6x6\n", estimators="oracle, ure,ebmle,wls"
+        )
         out = tmp_path / "gap.csv"
         code = main([
             "simulate", "--study", "oracle-gap", "--config", cfg,

@@ -89,9 +89,9 @@ def test_first_order_terms_match_column_solves(designs):
     rng = np.random.default_rng(2)
     for i, (table, _) in enumerate(designs):
         d = build_design(table)
-        losses = [QLoss.identity(d) if table.is_complete else q_matrix(d)]
+        losses = [QLoss.of(d, "identity") if table.is_complete else q_matrix(d)]
         if table.is_complete:
-            losses.append(QLoss.weighted(d))
+            losses.append(QLoss.of(d, "weighted"))
         lt = rng.uniform(0.05, 1.0, size=2)
         hp = HyperParams(
             float(rng.normal()), lam_from_tilde(lt[0]), lam_from_tilde(lt[1])
@@ -99,7 +99,7 @@ def test_first_order_terms_match_column_solves(designs):
         y = table.y_observed
         if i % 2:  # the completed loss's gram, already built and kept
             for ql in losses:
-                ql.effects_gram(d)
+                ql.effects_gram
         for method, ql in [("EBMLE", None)] + [("URE", ql) for ql in losses]:
             ctx = SigmaContext(d, hp, sigma2=table.sigma2)
             got = _first_order_terms(ctx, ql, y, hp.mu, method)

@@ -6,6 +6,7 @@ from twoway_shrink import (
     DisconnectedDesignError,
     FitEngine,
     HyperParams,
+    QLoss,
     ShrinkageFit,
     SigmaContext,
     a2_statistic,
@@ -187,6 +188,32 @@ class TestUreValue:
             diffs[i] = ure_value(ctx, y, hp.mu, qmode="qmatrix", qloss=ql) - loss
         se = diffs.std(ddof=1) / np.sqrt(n_draws)
         assert abs(diffs.mean()) <= 3 * se
+
+
+    @pytest.mark.parametrize("qmode", ["identity", "weighted", "qmatrix"])
+    def test_given_loss_equals_named_loss(self, rng, qmode):
+        for n_missing in (0, 4):
+            if qmode == "weighted" and n_missing:
+                continue
+            table, _ = make_random_table(rng, 5, 4, k_max=5, n_missing=n_missing)
+            d = build_design(table)
+            ql = QLoss.of(d, qmode)
+            assert ql.mode == qmode
+            for lt in ((0.0, 0.0), (0.3, 0.8), (1.0, 0.5)):
+                hp = HyperParams(
+                    0.2,
+                    np.inf if lt == (0.0, 0.0) else lam_from_tilde(lt[0]),
+                    np.inf if lt == (0.0, 0.0) else lam_from_tilde(lt[1]),
+                )
+                ctx = SigmaContext(d, hp, sigma2=table.sigma2)
+                y = table.y_observed
+                # The loss given is the loss used, whatever qmode says.
+                assert ure_value(ctx, y, 0.2, qloss=ql) == ure_value(
+                    ctx, y, 0.2, qmode=qmode
+                )
+                assert ure_value(ctx, y, 0.2, qmode="weighted", qloss=ql) == (
+                    ure_value(ctx, y, 0.2, qmode=qmode)
+                )
 
 
 class TestProfileMu:
@@ -640,7 +667,7 @@ class TestSinglePointScorer:
         pieces = engine._data_pieces(y, eta_obs)
         mid = 0.5 * (engine.bounds[0] + engine.bounds[1])
         ure = engine.objective_at((0.0, 0.0), y, "ure")
-        assert ure == (engine.sigma2 * engine.tr_qm / engine.rc, mid, False)
+        assert ure == (engine.sigma2 * engine.qloss.trace_qm / engine.rc, mid, False)
         loss = engine.objective_at((0.0, 0.0), y, "ORACLE", true_eta_obs=eta_obs, mu=0.5)
         assert loss[0] == pytest.approx(
             float((y - eta_obs) @ engine.qloss.apply(y - eta_obs)) / engine.rc,
@@ -686,6 +713,30 @@ class TestOneOptimizer:
             y, "ORACLE", true_eta_obs=eta_obs, extra_candidates=[f.hp for f in fits]
         )
         assert calls == ["Nelder-Mead"]
+
+    def test_exact_ties_prefer_strongest_shrinkage(self, monkeypatch):
+        # All observed means equal and eta = y: every grid point's realized
+        # loss is rounding noise of 0, so all 1,089 points tie.  The pick is
+        # the largest lambda_tilde_a, then the largest lambda_tilde_b, and
+        # Nelder-Mead starts there; the corner is the last resort.
+        from twoway_shrink import estimators
+
+        starts = []
+        real = estimators.minimize
+
+        def recording(fun, x0, *args, **kwargs):
+            starts.append(tuple(x0))
+            return real(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "minimize", recording)
+        counts = np.random.default_rng(0).integers(1, 6, size=(6, 4))
+        table = CellTable(counts, np.full((6, 4), 0.7), 1.0)
+        y = table.y_observed
+        fit = FitEngine(table).fit(y, "ORACLE", true_eta_obs=y)
+        assert starts == [(1.0, 1.0)]
+        axis = np.linspace(0.0, 1.0, 33)
+        grid = [(a, b) for a in axis for b in axis if (a, b) != (0.0, 0.0)]
+        assert fit.diagnostics["grid_ties"] == grid + [(0.0, 0.0)]
 
     @staticmethod
     def _polish_gains(rng):
@@ -940,7 +991,7 @@ class TestLazyLoss:
     """The completed loss is built by the criteria that read it, once."""
 
     def test_likelihood_fits_build_no_completed_loss(self, rng, monkeypatch):
-        from twoway_shrink import estimators, tables
+        from twoway_shrink import risk_metrics, tables
 
         table, _ = make_random_table(rng, 12, 5, k_max=20, n_missing=15)
         y = table.y_observed
@@ -949,7 +1000,7 @@ class TestLazyLoss:
         def refuse(*args):
             raise AssertionError("the completed loss was built")
 
-        monkeypatch.setattr(estimators, "q_matrix", refuse)
+        monkeypatch.setattr(risk_metrics, "q_matrix", refuse)
         monkeypatch.setattr(tables.DesignSet, "completion_map", property(refuse))
         assert _same_fit(fit_ml(table), expected)
         engine = FitEngine(table, qmode="auto")

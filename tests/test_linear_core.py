@@ -34,7 +34,7 @@ def trace_sigma_inv_msq(ctx, Q=None):
     if Q is None:
         qmode, qloss, tr_qm = "identity", None, float(np.sum(d.m_diag))
     else:
-        qmode, qloss = "qmatrix", QLoss(Q=Q, mode="qmatrix")
+        qmode, qloss = "qmatrix", QLoss(d, "qmatrix", Q)
         tr_qm = float(d.m_diag @ np.diag(Q))
     ure = ure_value(ctx, np.zeros(d.n_obs), 0.0, sigma2=1.0, qmode=qmode, qloss=qloss)
     return 0.5 * (tr_qm - ure * d.r * d.c)
@@ -47,7 +47,7 @@ def trace_blocks(ctx):
     d, y = ctx.design, np.zeros(ctx.design.n_obs)
     ctx = SigmaContext(d, ctx.hp, sigma2=1.0)
     ml = _first_order_terms(ctx, None, y, 0.0, "EBMLE")
-    ure = _first_order_terms(ctx, QLoss.identity(d), y, 0.0, "URE")
+    ure = _first_order_terms(ctx, QLoss.of(d, "identity"), y, 0.0, "URE")
     return ml["scale_a"], ml["scale_b"], ure["scale_a"], ure["scale_b"]
 
 

@@ -5,11 +5,13 @@ from twoway_shrink import (
     CellTable,
     DisconnectedDesignError,
     HyperParams,
+    QLoss,
     SigmaContext,
     a2_statistic,
     balanced_decoupling_check,
     build_design,
     lambda1_q,
+    loss_mode,
     loss_ss,
     loss_weighted,
     q_matrix,
@@ -84,6 +86,33 @@ class TestQMatrix:
             lhs = float((e1 - e2) @ ql.Q @ (e1 - e2)) / (d.r * d.c)
             rhs = loss_ss(d.completion_map @ e1, d.completion_map @ e2)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+class TestLossChoice:
+    def test_loss_mode_and_of(self, rng):
+        complete = build_design(make_random_table(rng, 4, 5)[0])
+        missing = build_design(make_random_table(rng, 4, 5, n_missing=3)[0])
+        assert loss_mode(complete) == "identity"
+        assert loss_mode(missing) == "qmatrix"
+        for d, qmode in ((complete, "weighted"), (missing, "identity"),
+                         (complete, "qmatrix")):
+            assert loss_mode(d, qmode) == qmode
+            ql = QLoss.of(d, qmode)
+            assert ql.design is d and ql.mode == qmode
+            assert (ql.Q is None) == (qmode != "qmatrix")
+        np.testing.assert_array_equal(QLoss.of(complete, "weighted").w, complete.k_obs)
+        with pytest.raises(ValueError, match="unknown qmode"):
+            QLoss.of(complete, "bogus")
+        with pytest.raises(ValueError, match="fully observed"):
+            loss_mode(missing, "weighted")
+
+    def test_dense_q_for_the_completed_loss_only(self, rng):
+        d = build_design(make_random_table(rng, 4, 5)[0])
+        eye = np.eye(d.n_obs)
+        for mode, Q in (("qmatrix", None), ("identity", eye), ("weighted", eye),
+                        ("auto", None), ("bogus", eye)):
+            with pytest.raises(ValueError, match=repr(mode)):
+                QLoss(d, mode, Q)
 
 
 class TestLambda1:

@@ -230,6 +230,20 @@ class TestStudies:
         assert all(np.isfinite(res.mean_abs)) and all(np.isfinite(res.mean_diff))
         assert all(np.isnan(res.se_abs)) and all(np.isnan(res.se_diff))
 
+    def test_concentration_rejects_a_repeated_pair(self, monkeypatch):
+        # A pair listed twice would share one list of differences, and so
+        # count each replicate twice in its standard error.
+        from twoway_shrink import simulation
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fit ran before the grid was checked")
+
+        monkeypatch.setattr(simulation, "FitEngine", refuse)
+        spec = small_spec(r=4, c=4, seed=16)
+        grid = [(0.5, 0.5), (0.2, 0.2), (0.5, 0.5)]
+        with pytest.raises(ValueError, match=r"\(0\.5, 0\.5\) more than once"):
+            ure_concentration_study(spec, grid, N=3)
+
     def test_concentration_matches_batch_oracle_bitwise(self):
         # The study scores through FitEngine.objective_at; replaying it
         # with the tests' batch capacitance oracle gives the same bits.
