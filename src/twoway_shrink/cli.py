@@ -28,6 +28,7 @@ from .simulation import (
     TwoGroup,
     TwoPoint,
     UniformCounts,
+    check_estimators,
     compare_estimators,
     oracle_gap_study,
     risk_csv,
@@ -259,15 +260,16 @@ def cmd_simulate(args) -> int:
     estimators = tuple(
         e.strip() for e in cfg.get("estimators", ",".join(ALL_ESTIMATORS)).split(",")
     )
+    if args.study == "oracle-gap" and sorted(estimators) != sorted(ALL_ESTIMATORS):
+        raise ValueError(f"oracle-gap always fits {', '.join(ALL_ESTIMATORS)}; "
+                         f"estimators={cfg['estimators']} must name all four")
+    check_estimators(estimators)
     if args.study == "compare":
         table = compare_estimators(
             spec, n_reps, estimators=estimators, tau=tau, n_jobs=args.jobs
         )
         text = risk_csv([table], out=args.out)
     elif args.study == "oracle-gap":
-        if sorted(estimators) != sorted(ALL_ESTIMATORS):
-            raise ValueError(f"oracle-gap always fits {', '.join(ALL_ESTIMATORS)}; "
-                             f"estimators={cfg['estimators']} must name all four")
         sizes = []
         for tok in cfg.get("sizes", "10x10,20x20,40x40").split(","):
             a, _, b = tok.strip().partition("x")

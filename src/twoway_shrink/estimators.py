@@ -32,12 +32,13 @@ engine eigendecomposes one min(r, c)-order Schur complement per grid value
 of that factor's lambda (:class:`_AbsorbedGrid`).  Only which grid point
 wins (and, where refinement does not improve on it, its profiled mu)
 reaches a fit.  Every other candidate (the near-boundary one, the
-Nelder-Mead points, extra candidates) is scored one point at a time by
-the engine's single-point scorer (``FitEngine._score_point``, public as
-:meth:`FitEngine.objective_at`): one (r+c)-order capacitance Cholesky
-factorization and explicit inverse through LAPACK directly, then the same
-criterion formulas as the grid (``FitEngine._score``).  The batch form of
-that path, many points through explicit inverses at once, lives in the
+Nelder-Mead points, extra candidates) is scored one point at a time
+(``FitEngine._score_point``, public as :meth:`FitEngine.objective_at`)
+by a :class:`_CapacitancePoint`: one (r+c)-order capacitance Cholesky
+factorization and explicit inverse through LAPACK directly.  The grid and
+the point answer the same solver interface, and ``FitEngine._score`` is
+the one statement of the three criteria over either.  The batch form of
+the point, many points through explicit inverses at once, lives in the
 tests as the oracle the grid and the scorer are checked against.  The
 returned fit is re-evaluated through :func:`ure_value` or
 :func:`marginal_loglik`; ``diagnostics["score_gap"]`` is the relative gap
@@ -79,7 +80,7 @@ from .linear_core import (
     LAMBDA_TILDE_EPS,
     NumericError,
     SigmaContext,
-    _capacitance_cholesky,
+    _capacitance_factor,
     _cholesky_solve,
     _single_threaded_lapack,
     lam_from_tilde,
@@ -222,11 +223,9 @@ def complete_means(design: DesignSet, eta_obs: np.ndarray) -> np.ndarray:
 # Criteria
 # ---------------------------------------------------------------------------
 
-def _resolve_sigma2(ctx: SigmaContext, sigma2):
-    if sigma2 is not None:
-        return float(sigma2)
+def _sigma2(ctx: SigmaContext) -> float:
     if ctx.sigma2 is None:
-        raise ValueError("sigma2 must be supplied on the context or the call")
+        raise ValueError("sigma2 must be supplied on the context")
     return float(ctx.sigma2)
 
 
@@ -234,7 +233,6 @@ def ure_value(
     ctx: SigmaContext,
     y: np.ndarray,
     mu: float,
-    sigma2: float | None = None,
     qmode: str = "auto",
     qloss: QLoss | None = None,
 ) -> float:
@@ -250,7 +248,7 @@ def ure_value(
     (:meth:`~twoway_shrink.risk_metrics.QLoss.of`).
     """
     design = ctx.design
-    s2 = _resolve_sigma2(ctx, sigma2)
+    s2 = _sigma2(ctx)
     if qloss is None:
         qloss = QLoss.of(design, qmode)
     rc = design.r * design.c
@@ -264,9 +262,7 @@ def ure_value(
     return (-s2 * tr_qm + 2.0 * s2 * tr_red + qloss.quad(g)) / rc
 
 
-def marginal_loglik(
-    ctx: SigmaContext, y: np.ndarray, mu: float, sigma2: float | None = None
-) -> float:
+def marginal_loglik(ctx: SigmaContext, y: np.ndarray, mu: float) -> float:
     """Exact log-density of y ~ N(mu 1, sigma^2 Sigma).
 
     log|Sigma| is assembled as log|M| + log|capacitance| (the determinant
@@ -275,7 +271,7 @@ def marginal_loglik(
     """
     if isinf(ctx.hp.lambda_a) and isinf(ctx.hp.lambda_b):
         return -np.inf
-    s2 = _resolve_sigma2(ctx, sigma2)
+    s2 = _sigma2(ctx)
     y = np.asarray(y, dtype=float)
     n = y.size
     xi = y - mu
@@ -302,7 +298,7 @@ def _first_order_terms(
     so the EBMLE traces are diagonal blocks of G - G H G and the URE
     traces those of (I - G H) B (I - H G).
     """
-    d, s2 = ctx.design, _resolve_sigma2(ctx, None)
+    d, s2 = ctx.design, _sigma2(ctx)
     m = d.m_diag
     xi = y - mu
     v = sigma_solve(ctx, xi)
@@ -427,7 +423,7 @@ class _AbsorbedGrid:
         return np.einsum("ijk,ij->ik", self.V, v_b)
 
     def solve(self, t: np.ndarray, zqz: np.ndarray | None = None) -> tuple:
-        """u = Lam C^{-1} Lam t at every grid point, as (h t_A, z, ...).
+        """u = Lam C^{-1} Lam t at every grid point, as (t, h t_A, z, ...).
 
         With ``zqz`` (B) the result also carries what :meth:`quad` needs:
         B_AA (h t_A) and the coordinates of B [h t_A; 0].
@@ -435,23 +431,27 @@ class _AbsorbedGrid:
         a0 = self.h * t[self.a]
         z = self.f * self._coords(t)[:, None, :]
         if zqz is None:
-            return a0, z
+            return t, a0, z
         # Rows of a0 @ B[A] are B[:, A] a0 (B is symmetric); einsum keeps
         # this small product off the BLAS thread pool.
         ba = np.einsum("ia,aj->ij", a0, zqz[self.a])
-        return a0, z, ba[:, self.a], self._coords(ba)
+        return t, a0, z, ba[:, self.a], self._coords(ba)
+
+    def tu(self, sol_s: tuple, sol_t: tuple) -> np.ndarray:
+        """t_s . u_t per grid point, for solutions from :meth:`solve`."""
+        return self.dot(sol_t, sol_s[0])
 
     def dot(self, sol: tuple, s: np.ndarray) -> np.ndarray:
         """s . u per grid point, for u given by :meth:`solve`."""
-        a0, z = sol[:2]
+        a0, z = sol[1:3]
         return self._flat(
             (a0 @ s[self.a])[:, None] + np.einsum("ijk,ik->ij", z, self._coords(s))
         )
 
     def quad(self, sol1: tuple, sol2: tuple) -> np.ndarray:
         """u1^T B u2 per grid point, for u1 and u2 from :meth:`solve` with B."""
-        _, z1, ba1, g1 = sol1
-        a2, z2, _, g2 = sol2
+        _, _, z1, ba1, g1 = sol1
+        _, a2, z2, _, g2 = sol2
         total = (
             np.sum(ba1 * a2, axis=1)[:, None]
             + np.einsum("ijk,ik->ij", z2, g1)
@@ -459,6 +459,50 @@ class _AbsorbedGrid:
             + np.sum((z1 @ self.Wv) * z2, axis=2)
         )
         return self._flat(total)
+
+
+class _CapacitancePoint:
+    """One lambda_tilde pair behind :class:`_AbsorbedGrid`'s interface.
+
+    C = I + S G_w S, S = Lam, is factored and inverted against ``eye``, and
+    u = S C^{-1} S t.  The operands have the shapes of a batch of one point
+    with a C-ordered inverse, as the tests' batch oracle forms them, so
+    that both round alike; each term is a scalar.  ``logdet`` is set
+    without a loss gram ``zqz`` (EBMLE), ``tr_red`` on request (URE).
+    """
+
+    __slots__ = ("S", "Cinv", "zqz", "logdet", "tr_red")
+
+    def __init__(self, design: DesignSet, lt_pair, eye, zqz=None, tr_red=False):
+        s = np.empty(design.q)
+        s[: design.r] = np.sqrt(lam_from_tilde(lt_pair[0]))
+        s[design.r :] = np.sqrt(lam_from_tilde(lt_pair[1]))
+        f = _capacitance_factor(design, s)
+        inv = _cholesky_solve(f, eye)
+        self.S, self.Cinv, self.zqz = s[None, :], np.ascontiguousarray(inv)[None], zqz
+        self.logdet = self.tr_red = None
+        if zqz is None:
+            self.logdet = 2.0 * float(np.sum(np.log(np.diag(f))))
+        elif tr_red:
+            b = s[:, None] * zqz
+            b *= s
+            b *= inv
+            self.tr_red = float(np.sum(b))
+
+    def solve(self, t: np.ndarray, zqz: np.ndarray | None = None) -> tuple:
+        """(S t, C^{-1} S t, u), with u = S C^{-1} S t only given ``zqz``."""
+        p = self.S * t[None, :]
+        w = np.einsum("gij,gj->gi", self.Cinv, p)
+        return p, w, None if zqz is None else self.S * w
+
+    def tu(self, sol_s: tuple, sol_t: tuple):
+        return np.einsum("gi,gi->g", sol_s[0], sol_t[1])[0]
+
+    def dot(self, sol: tuple, v: np.ndarray):
+        return (sol[2] @ v)[0]
+
+    def quad(self, sol1: tuple, sol2: tuple):
+        return np.einsum("gi,ij,gj->g", sol1[2], self.zqz, sol2[2])[0]
 
 
 class FitEngine:
@@ -577,107 +621,32 @@ class FitEngine:
     def _score_point(self, lt_pair, pieces: dict, method: str, mu_fixed=None):
         """(objective, mu, clamped) at one lambda_tilde pair.
 
-        Every refinement-stage evaluation comes here: one capacitance
-        factorization and explicit inverse, then the solve terms, scored
-        as scalars by :meth:`_score`.  The terms are formed with
-        batch-shaped operands (a batch of one point, C-ordered inverse), as
-        the tests' batch oracle forms them, so that both round alike.
-        ``mu_fixed`` pins the location instead of profiling it.
+        Every refinement-stage evaluation comes here.  The exact (0, 0)
+        pair is the unshrunken corner; any other pair is scored by
+        :meth:`_score` through a :class:`_CapacitancePoint`.  ``mu_fixed``
+        pins the location instead of profiling it.
         """
         lta, ltb = float(lt_pair[0]), float(lt_pair[1])
         if lta == 0.0 and ltb == 0.0:
             mu = self._mid if mu_fixed is None else mu_fixed
             return self._corner_value(pieces, method), mu, False
-        d = self.design
-        q = d.q
-        s = np.empty(q)
-        s[: d.r] = np.sqrt(lam_from_tilde(lta))
-        s[d.r :] = np.sqrt(lam_from_tilde(ltb))
-        cap = s[:, None] * d.gram_weighted
-        cap *= s
-        cap.reshape(-1)[:: q + 1] += 1.0
-        f = _capacitance_cholesky(cap)
-        inv = _cholesky_solve(f, self._eye)
-        S, Cinv = s[None, :], np.ascontiguousarray(inv)[None]
-        t_y = pieces["t_y"]
-        p_y, p_1 = S * t_y[None, :], S * self.t_1[None, :]
-        w_y = np.einsum("gij,gj->gi", Cinv, p_y)
-        w_1 = np.einsum("gij,gj->gi", Cinv, p_1)
-        logdet = tr_red = None
-        if method == "EBMLE":
-            logdet = 2.0 * float(np.sum(np.log(np.diag(f))))
-            terms = {
-                "tu_yy": np.einsum("gi,gi->g", p_y, w_y),
-                "tu_1y": np.einsum("gi,gi->g", p_1, w_y),
-                "tu_11": np.einsum("gi,gi->g", p_1, w_1),
-            }
-        else:
-            # URE and ORACLE share the shrinkage-direction solves.
-            zqz = self.qloss.effects_gram
-            if method == "URE":
-                b = s[:, None] * zqz
-                b *= s
-                b *= inv
-                tr_red = float(np.sum(b))
-            u_y, u_1 = S * w_y, S * w_1
-            terms = {
-                "uy_zq_y": u_y @ pieces["zq_y"],
-                "uy_zq_1": u_y @ self.zq_1,
-                "u1_zq_y": u_1 @ pieces["zq_y"],
-                "u1_zq_1": u_1 @ self.zq_1,
-                "uy_B_uy": np.einsum("gi,ij,gj->g", u_y, zqz, u_y),
-                "uy_B_u1": np.einsum("gi,ij,gj->g", u_y, zqz, u_1),
-                "u1_B_u1": np.einsum("gi,ij,gj->g", u_1, zqz, u_1),
-            }
-            if method == "ORACLE":
-                terms["uy_zq_eta"] = u_y @ pieces["zq_eta"]
-                terms["u1_zq_eta"] = u_1 @ pieces["zq_eta"]
-        terms = {k: v[0] for k, v in terms.items()}
-        obj, mu, clamped = self._score(terms, logdet, tr_red, pieces, method, mu_fixed)
+        zqz = None if method == "EBMLE" else self.qloss.effects_gram
+        point = _CapacitancePoint(
+            self.design, (lta, ltb), self._eye, zqz, tr_red=method == "URE"
+        )
+        obj, mu, clamped = self._score(point, pieces, method, mu_fixed)
         return float(obj), float(mu), bool(clamped)
 
-    def _evaluate_grid(self, pieces: dict, method: str):
-        """Objective, mu and clamp flags over the grid, in the absorbed form.
+    def _score(self, solver, pieces: dict, method: str, mu_fixed=None):
+        """Objective, mu and clamp flags at the points of ``solver``.
 
-        With u = Lam C^{-1} Lam t, the terms are t.u for EBMLE and, for
-        URE and ORACLE, the products of u with Z^T Q vectors and B = zqz.
-        """
-        t_y = pieces["t_y"]
-        if method == "EBMLE":
-            grid = self._grid_bundle
-            sol_y, sol_1 = grid.solve(t_y), grid.solve(self.t_1)
-            terms = {
-                "tu_yy": grid.dot(sol_y, t_y),
-                "tu_1y": grid.dot(sol_y, self.t_1),
-                "tu_11": grid.dot(sol_1, self.t_1),
-            }
-            return self._score(terms, grid.logdet, None, pieces, method)
-        grid, zqz = self._loss_grid(), self.qloss.effects_gram
-        sol_y, sol_1 = grid.solve(t_y, zqz), grid.solve(self.t_1, zqz)
-        terms = {
-            "uy_zq_y": grid.dot(sol_y, pieces["zq_y"]),
-            "uy_zq_1": grid.dot(sol_y, self.zq_1),
-            "u1_zq_y": grid.dot(sol_1, pieces["zq_y"]),
-            "u1_zq_1": grid.dot(sol_1, self.zq_1),
-            "uy_B_uy": grid.quad(sol_y, sol_y),
-            "uy_B_u1": grid.quad(sol_y, sol_1),
-            "u1_B_u1": grid.quad(sol_1, sol_1),
-        }
-        if method == "ORACLE":
-            terms["uy_zq_eta"] = grid.dot(sol_y, pieces["zq_eta"])
-            terms["u1_zq_eta"] = grid.dot(sol_1, pieces["zq_eta"])
-        return self._score(terms, grid.logdet, grid.tr_red, pieces, method)
-
-    def _score(
-        self, terms: dict, logdet, tr_red, pieces: dict, method: str, mu_fixed=None
-    ):
-        """Objective, mu and clamp flags from the per-point solve terms.
-
-        The one statement of the three criteria, with mu profiled in closed
-        form and clamped to the quantile interval (or pinned to
-        ``mu_fixed``).  ``logdet`` is log|C| (EBMLE) and ``tr_red`` is
-        tr(C^{-1} Lam^T Z^T Q Z Lam) (URE), per point.  The terms are arrays
-        over points or, from :meth:`_score_point`, scalars.
+        The one statement of the three criteria, over the absorbed grid or
+        one :class:`_CapacitancePoint`, with mu profiled in closed form and
+        clamped to the quantile interval (or pinned to ``mu_fixed``).  With
+        u = Lam C^{-1} Lam t, EBMLE reads t . u and log|C|; URE and ORACLE
+        read u's products with Z^T Q vectors and B = zqz, and URE
+        tr(C^{-1} Lam^T Z^T Q Z Lam).  Values are arrays over the grid's
+        points or scalars at one point.
         """
         s2 = self.sigma2
 
@@ -689,40 +658,46 @@ class FitEngine:
             mu = np.clip(mu_raw, *self.bounds)
             return mu, mu != mu_raw
 
+        zqz = None if method == "EBMLE" else self.qloss.effects_gram
+        sol_y = solver.solve(pieces["t_y"], zqz)
+        sol_1 = solver.solve(self.t_1, zqz)
         if method == "EBMLE":
-            qs_yy = pieces["yKy"] - terms["tu_yy"]
-            qs_y1 = pieces["yK1"] - terms["tu_1y"]
-            qs_11 = pieces["K11"] - terms["tu_11"]
+            qs_yy = pieces["yKy"] - solver.tu(sol_y, sol_y)
+            qs_y1 = pieces["yK1"] - solver.tu(sol_1, sol_y)
+            qs_11 = pieces["K11"] - solver.tu(sol_1, sol_1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 mu, clamped = pick_mu(qs_y1 / np.maximum(qs_11, 1e-300), qs_11)
             quad = qs_yy - 2.0 * mu * qs_y1 + mu * mu * qs_11
             loglik = (
                 -0.5 * self.n * log(2.0 * pi * s2)
-                - 0.5 * (self.sum_log_m + logdet)
+                - 0.5 * (self.sum_log_m + solver.logdet)
                 - quad / (2.0 * s2)
             )
             return -loglik, mu, clamped
+        uy_zq_1, u1_zq_1 = solver.dot(sol_y, self.zq_1), solver.dot(sol_1, self.zq_1)
+        uy_B_uy = solver.quad(sol_y, sol_y)
+        uy_B_u1 = solver.quad(sol_y, sol_1)
+        c_11 = pieces["one1"] - 2.0 * u1_zq_1 + solver.quad(sol_1, sol_1)
         if method == "URE":
-            c_yy = pieces["yy"] - 2.0 * terms["uy_zq_y"] + terms["uy_B_uy"]
-            c_y1 = (
-                pieces["y1"] - terms["u1_zq_y"] - terms["uy_zq_1"] + terms["uy_B_u1"]
-            )
-            c_11 = pieces["one1"] - 2.0 * terms["u1_zq_1"] + terms["u1_B_u1"]
+            zq_y = pieces["zq_y"]
+            c_yy = pieces["yy"] - 2.0 * solver.dot(sol_y, zq_y) + uy_B_uy
+            c_y1 = pieces["y1"] - solver.dot(sol_1, zq_y) - uy_zq_1 + uy_B_u1
             with np.errstate(divide="ignore", invalid="ignore"):
                 mu, clamped = pick_mu(c_y1 / np.maximum(c_11, 1e-300), c_11)
             quad = c_yy - 2.0 * mu * c_y1 + mu * mu * c_11
-            obj = (-s2 * self.qloss.trace_qm + 2.0 * s2 * tr_red + quad) / self.rc
+            obj = (
+                -s2 * self.qloss.trace_qm + 2.0 * s2 * solver.tr_red + quad
+            ) / self.rc
             return obj, mu, clamped
         if method == "ORACLE":
-            # delta = A + mu * B with A = Z u_y - eta, B = 1 - Z u_1.
-            aqa = terms["uy_B_uy"] - 2.0 * terms["uy_zq_eta"] + pieces["ee"]
-            aqb = (
-                terms["uy_zq_1"] - terms["uy_B_u1"] - pieces["e1"] + terms["u1_zq_eta"]
-            )
-            bqb = pieces["one1"] - 2.0 * terms["u1_zq_1"] + terms["u1_B_u1"]
+            # delta = A + mu * B with A = Z u_y - eta, B = 1 - Z u_1, so
+            # B^T Q B is c_11.
+            zq_eta = pieces["zq_eta"]
+            aqa = uy_B_uy - 2.0 * solver.dot(sol_y, zq_eta) + pieces["ee"]
+            aqb = uy_zq_1 - uy_B_u1 - pieces["e1"] + solver.dot(sol_1, zq_eta)
             with np.errstate(divide="ignore", invalid="ignore"):
-                mu, clamped = pick_mu(-aqb / np.maximum(bqb, 1e-300), bqb)
-            obj = (aqa + 2.0 * mu * aqb + mu * mu * bqb) / self.rc
+                mu, clamped = pick_mu(-aqb / np.maximum(c_11, 1e-300), c_11)
+            obj = (aqa + 2.0 * mu * aqb + mu * mu * c_11) / self.rc
             return obj, mu, clamped
         raise ValueError(f"unknown method {method!r}")
 
@@ -751,9 +726,10 @@ class FitEngine:
         stronger shrinkage; the corner (0, 0) comes last.  ``ties`` lists
         the tied points in grid order, or nothing when the pick is unique.
         """
-        grid = self._evaluate_grid(pieces, method)
+        grid = self._grid_bundle if method == "EBMLE" else self._loss_grid()
+        scores = self._score(grid, pieces, method)
         corner = self._score_point((0.0, 0.0), pieces, method)
-        obj, mu, clamped = (np.append(g, c) for g, c in zip(grid, corner))
+        obj, mu, clamped = (np.append(g, c) for g, c in zip(scores, corner))
         pairs = np.vstack([self._grid_bundle.lt, [[0.0, 0.0]]])
         finite = np.isfinite(obj)
         if not np.any(finite):

@@ -18,9 +18,12 @@ This is the library's only path, and it forms no n x n matrix of its
 own.  The tests keep a dense oracle that forms Sigma explicitly and check
 this path against it.
 
-LAPACK: the capacitance matrix is factored by ``potrf`` and solved by
-``potrs``, resolved once from scipy's LAPACK and called directly
-(:func:`_capacitance_cholesky`, :func:`_cholesky_solve`).  These are the
+LAPACK: :func:`_capacitance_factor` is the one builder of C; it forms C
+in place and factors it by ``potrf``, and ``potrs`` solves with the
+factor.  Both routines are resolved once from scipy's LAPACK and called
+directly (:func:`_capacitance_cholesky`, :func:`_cholesky_solve`).
+:class:`SigmaContext` and the fit engine's single-point scorer
+(``estimators._CapacitancePoint``) both factor through it.  These are the
 routines scipy's Cholesky helpers wrap, called without the helpers'
 per-call input checks; a factorization that is not finite or not positive
 definite raises :class:`NumericError` instead.
@@ -86,6 +89,14 @@ def _capacitance_cholesky(c: np.ndarray) -> np.ndarray:
     if not isfinite(f.trace()):
         raise NumericError("capacitance matrix is not finite")
     return f
+
+
+def _capacitance_factor(design: DesignSet, s: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of C = I + S G_w S, S = diag(s), built in place."""
+    c = s[:, None] * design.gram_weighted
+    c *= s
+    c.reshape(-1)[:: s.size + 1] += 1.0
+    return _capacitance_cholesky(c)
 
 
 def _cholesky_solve(f: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -207,16 +218,9 @@ class SigmaContext:
         ])
 
     @cached_property
-    def capacitance(self) -> np.ndarray:
-        s = self.scale
-        c = s[:, None] * self.design.gram_weighted * s[None, :]
-        c[np.diag_indices_from(c)] += 1.0
-        return c
-
-    @cached_property
     def capacitance_factor(self):
         """Lower Cholesky factor of the capacitance matrix (one jitter retry)."""
-        return _capacitance_cholesky(self.capacitance)
+        return _capacitance_factor(self.design, self.scale)
 
     def cap_solve(self, b: np.ndarray) -> np.ndarray:
         return _cholesky_solve(self.capacitance_factor, b)

@@ -43,11 +43,27 @@ __all__ = [
     "compare_estimators",
     "oracle_gap_study",
     "ure_concentration_study",
+    "check_estimators",
     "ebmle_stress_scenario",
     "risk_csv",
 ]
 
 ALL_ESTIMATORS = ("wls", "ebmle", "ure", "oracle")
+# oracle_gap_study counts a replicate whose URE loss exceeds the oracle loss
+# by more than this fraction of the oracle risk.
+EXCEED_FRAC = 0.1
+
+
+def check_estimators(estimators) -> tuple:
+    """``estimators`` as a tuple; ValueError on an unknown or repeated name."""
+    estimators = tuple(estimators)
+    unknown = set(estimators) - set(ALL_ESTIMATORS)
+    if unknown or len(set(estimators)) < len(estimators):
+        raise ValueError(
+            f"estimators must be distinct names from {', '.join(ALL_ESTIMATORS)}; "
+            f"got {', '.join(estimators)}"
+        )
+    return estimators
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +347,7 @@ def compare_estimators(
     """
     if N < 1:
         raise ValueError("N must be positive")
-    estimators = tuple(estimators)
-    unknown = set(estimators) - set(ALL_ESTIMATORS)
-    if unknown or len(set(estimators)) < len(estimators):
-        raise ValueError(
-            f"estimators must be distinct names from {', '.join(ALL_ESTIMATORS)}; "
-            f"got {', '.join(estimators)}"
-        )
+    estimators = check_estimators(estimators)
     records = _gather(spec, N, estimators, tau, n_jobs)
     failures = [r["__error__"] for r in records if "__error__" in r]
     if len(failures) > 0.01 * N:
@@ -400,14 +410,13 @@ def oracle_gap_study(
     N: int,
     tau: float = 0.05,
     n_jobs: int = 1,
-    exceed_frac: float = 0.1,
 ) -> GapStudyResult:
     """Oracle-gap ladder across increasing table sizes.
 
     For each (r, c) the scenario template is re-dimensioned and the mean
     oracle gaps of URE and EBMLE are estimated, together with the empirical
     probability that the URE loss exceeds the oracle loss by more than
-    ``exceed_frac`` times the oracle risk.
+    ``EXCEED_FRAC`` times the oracle risk.
     """
     tables = []
     p_list, p_se_list = [], []
@@ -416,7 +425,7 @@ def oracle_gap_study(
         rt = compare_estimators(
             spec, N, estimators=ALL_ESTIMATORS, tau=tau, n_jobs=n_jobs
         )
-        eps = exceed_frac * rt.row("oracle").mean_loss
+        eps = EXCEED_FRAC * rt.row("oracle").mean_loss
         exceed = rt.losses["ure"] >= rt.losses["oracle"] + eps
         p = float(exceed.mean())
         p_se = float(sqrt(max(p * (1 - p), 1e-12) / exceed.size))
@@ -462,8 +471,11 @@ def ure_concentration_study(
     ``lt_grid`` is a list of distinct (lambda_tilde_a, lambda_tilde_b)
     pairs (a repeated pair raises ValueError); the exact (0, 0) pair
     denotes the unshrunken corner, where URE - loss is
-    sigma^2 tr(QM)/(rc) minus the loss of the raw data vector.
+    sigma^2 tr(QM)/(rc) minus the loss of the raw data vector.  ``N``
+    must be positive.
     """
+    if N < 1:
+        raise ValueError("N must be positive")
     pairs = [tuple(p) for p in lt_grid]
     repeated = [p for i, p in enumerate(pairs) if p in pairs[:i]]
     if repeated:

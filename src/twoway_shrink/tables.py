@@ -452,19 +452,29 @@ def imbalance_ratio(table: CellTable) -> float:
 #   agg:  row,col,count,mean
 # ---------------------------------------------------------------------------
 
-def read_raw_csv(path):
-    """Read raw-schema CSV into a list of (row, col, value) records."""
-    records = []
+def _csv_rows(path, schema: str, header: tuple):
+    """The non-blank data rows of a CSV under ``header``, of its length each."""
+    expected = ",".join(header)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["row", "col", "value"]:
-            raise ValueError("raw schema requires header 'row,col,value'")
-        for line in reader:
-            if not line:
-                continue
-            row, col, value = line
-            records.append((row.strip(), col.strip(), float(value)))
+        first = next(reader, None)
+        if first is None or [h.strip().lower() for h in first] != list(header):
+            raise ValueError(f"{schema} schema requires header '{expected}'")
+        for line in filter(None, reader):  # a blank line reads as []
+            if len(line) != len(header):
+                raise ValueError(
+                    f"line {reader.line_num}: {len(line)} fields where the header "
+                    f"'{expected}' has {len(header)}"
+                )
+            yield line
+
+
+def read_raw_csv(path):
+    """Read raw-schema CSV into a list of (row, col, value) records."""
+    records = [
+        (row.strip(), col.strip(), float(value))
+        for row, col, value in _csv_rows(path, "raw", ("row", "col", "value"))
+    ]
     if not records:
         raise ValueError(f"no data rows in {path}")
     return records
@@ -473,30 +483,21 @@ def read_raw_csv(path):
 def read_agg_csv(path, sigma2: float) -> CellTable:
     """Read aggregated-schema CSV (row,col,count,mean) into a CellTable."""
     row_ix, col_ix = {}, {}
-    entries = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["row", "col", "count", "mean"]
-        if header is None or [h.strip().lower() for h in header] != expected:
-            raise ValueError("agg schema requires header 'row,col,count,mean'")
-        for line in reader:
-            if not line:
-                continue
-            row, col, count, mean = line
-            i = row_ix.setdefault(row.strip(), len(row_ix))
-            j = col_ix.setdefault(col.strip(), len(col_ix))
-            entries.append((i, j, int(count), float(mean)))
+    entries = {}
+    for row, col, count, mean in _csv_rows(path, "agg", ("row", "col", "count", "mean")):
+        row, col = row.strip(), col.strip()
+        cell = (row_ix.setdefault(row, len(row_ix)), col_ix.setdefault(col, len(col_ix)))
+        if cell in entries:
+            raise ValueError(
+                f"duplicate cell (row {row!r}, col {col!r}) in aggregated input"
+            )
+        entries[cell] = (int(count), float(mean))
     if not entries:
         raise ValueError(f"no data rows in {path}")
     r, c = len(row_ix), len(col_ix)
     counts = np.zeros((r, c), dtype=np.int64)
     means = np.full((r, c), np.nan)
-    seen = set()
-    for i, j, k, m in entries:
-        if (i, j) in seen:
-            raise ValueError(f"duplicate cell ({i}, {j}) in aggregated input")
-        seen.add((i, j))
+    for (i, j), (k, m) in entries.items():
         counts[i, j] = k
         if k > 0:
             means[i, j] = m

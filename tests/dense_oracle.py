@@ -277,13 +277,18 @@ def weighted_grid_min(wp, tau=0.05, points=33):
 # -- the capacitance path in batch form --------------------------------------
 
 class CapacitanceBundle:
-    """Explicit capacitance inverses and traces for a batch of lambda_tilde pairs."""
+    """Explicit capacitance inverses and traces for a batch of lambda_tilde pairs.
+
+    It has the engine's solver interface (``solve``, ``tu``, ``dot``,
+    ``quad``, ``logdet``, ``tr_red``), so ``FitEngine._score`` scores it.
+    """
 
     def __init__(self, engine, lt_pairs):
         d = engine.design
         q = d.q
         g = len(lt_pairs)
         self.lt = lt_pairs
+        self.zqz = engine.qloss.effects_gram
         self.S = np.empty((g, q))
         self.Cinv = np.empty((g, q, q))
         self.logdet = np.empty(g)
@@ -300,44 +305,28 @@ class CapacitanceBundle:
             self.S[i] = s
             self.Cinv[i] = inv
             self.logdet[i] = 2.0 * float(np.sum(np.log(np.diag(cf[0]))))
-            b = s[:, None] * engine.qloss.effects_gram * s[None, :]
+            b = s[:, None] * self.zqz * s[None, :]
             self.tr_red[i] = float(np.sum(inv * b))
+
+    def solve(self, t, zqz=None):
+        """(S t, C^{-1} S t, u) per point, u = S C^{-1} S t."""
+        p = self.S * t[None, :]
+        w = np.einsum("gij,gj->gi", self.Cinv, p)
+        return p, w, self.S * w
+
+    def tu(self, sol_s, sol_t):
+        return np.einsum("gi,gi->g", sol_s[0], sol_t[1])
+
+    def dot(self, sol, v):
+        return sol[2] @ v
+
+    def quad(self, sol1, sol2):
+        return np.einsum("gi,ij,gj->g", sol1[2], self.zqz, sol2[2])
 
 
 def evaluate_bundle(engine, bundle, pieces, method, mu_fixed=None):
     """Objective, mu and clamp flags per bundle point, scored by the engine."""
-
-    def solve(t_vec):
-        p = bundle.S * t_vec[None, :]
-        return p, np.einsum("gij,gj->gi", bundle.Cinv, p)
-
-    if method == "EBMLE":
-        p_y, cw_y = solve(pieces["t_y"])
-        p_1, cw_1 = solve(engine.t_1)
-        terms = {
-            "tu_yy": np.einsum("gi,gi->g", p_y, cw_y),
-            "tu_1y": np.einsum("gi,gi->g", p_1, cw_y),
-            "tu_11": np.einsum("gi,gi->g", p_1, cw_1),
-        }
-    else:
-        u_y = bundle.S * solve(pieces["t_y"])[1]
-        u_1 = bundle.S * solve(engine.t_1)[1]
-        zqz = engine.qloss.effects_gram
-        terms = {
-            "uy_zq_y": u_y @ pieces["zq_y"],
-            "uy_zq_1": u_y @ engine.zq_1,
-            "u1_zq_y": u_1 @ pieces["zq_y"],
-            "u1_zq_1": u_1 @ engine.zq_1,
-            "uy_B_uy": np.einsum("gi,ij,gj->g", u_y, zqz, u_y),
-            "uy_B_u1": np.einsum("gi,ij,gj->g", u_y, zqz, u_1),
-            "u1_B_u1": np.einsum("gi,ij,gj->g", u_1, zqz, u_1),
-        }
-        if method == "ORACLE":
-            terms["uy_zq_eta"] = u_y @ pieces["zq_eta"]
-            terms["u1_zq_eta"] = u_1 @ pieces["zq_eta"]
-    return engine._score(
-        terms, bundle.logdet, bundle.tr_red, pieces, method, mu_fixed
-    )
+    return engine._score(bundle, pieces, method, mu_fixed)
 
 
 # -- a derivative-based local search -----------------------------------------

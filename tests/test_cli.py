@@ -183,6 +183,25 @@ class TestFitCommand:
         assert reloaded == raw
 
 
+class TestCsvErrors:
+    @pytest.mark.parametrize("schema, text, message", [
+        ("agg", "row,col,count,mean\na,x,1,0.5\na,y,1\n",
+         "error: line 3: 3 fields where the header 'row,col,count,mean' has 4\n"),
+        ("raw", "row,col,value\na,x,0.5,1\n",
+         "error: line 2: 4 fields where the header 'row,col,value' has 3\n"),
+        ("agg", "row,col,count,mean\na,x,1,0.5\na,y,1,0.1\nb,x,1,0.2\na,x,2,0.3\n",
+         "error: duplicate cell (row 'a', col 'x') in aggregated input\n"),
+    ])
+    def test_fit_exit_2_names_what_was_written(self, tmp_path, capsys, schema, text,
+                                                message):
+        path = write(tmp_path / "bad.csv", text)
+        code = main(["fit", "--input", path, "--schema", schema, "--sigma2", "1.0"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == message
+
+
 class TestDiagnoseCommand:
     def test_complete_lambda1_one(self, complete_agg_csv, capsys):
         code = main([
@@ -356,6 +375,27 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert "more than once" in err
+
+    def test_concentration_no_replicates_exit_2(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, extra="lt_grid=0,0;0.5,0.5\nn_reps=0\n")
+        code = main([
+            "simulate", "--study", "concentration", "--config", cfg, "--seed", "1",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: N must be positive\n"
+
+    @pytest.mark.parametrize("names", ["wls,foo", "wls,ure,wls"])
+    def test_concentration_bad_estimator_names_exit_2(self, tmp_path, names, capsys):
+        cfg = self._config(tmp_path, extra="lt_grid=0,0;0.5,0.5\n", estimators=names)
+        code = main([
+            "simulate", "--study", "concentration", "--config", cfg, "--seed", "1",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "wls, ebmle, ure, oracle" in err
 
     @pytest.mark.parametrize("names", ["wls,ure", "wls,foo", "wls,ebmle,ure,oracle,ure"])
     def test_oracle_gap_rejects_other_estimators(self, tmp_path, names, capsys):

@@ -592,7 +592,7 @@ class TestAbsorbedGrid:
                 assert err[edge].max() <= 1e-11, name
             pieces = engine._data_pieces(table.y_observed, eta_obs)
             for method in ("URE", "EBMLE", "ORACLE"):
-                obj, mu, _ = engine._evaluate_grid(pieces, method)
+                obj, mu, _ = engine._score(grid, pieces, method)
                 obj_ref, mu_ref, _ = evaluate_bundle(engine, ref, pieces, method)
                 err = _rel_err(obj, obj_ref)
                 assert err[~edge].max() <= 1e-10, (qmode, method)

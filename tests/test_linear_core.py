@@ -36,7 +36,8 @@ def trace_sigma_inv_msq(ctx, Q=None):
     else:
         qmode, qloss = "qmatrix", QLoss(d, "qmatrix", Q)
         tr_qm = float(d.m_diag @ np.diag(Q))
-    ure = ure_value(ctx, np.zeros(d.n_obs), 0.0, sigma2=1.0, qmode=qmode, qloss=qloss)
+    ctx = SigmaContext(d, ctx.hp, sigma2=1.0)
+    ure = ure_value(ctx, np.zeros(d.n_obs), 0.0, qmode=qmode, qloss=qloss)
     return 0.5 * (tr_qm - ure * d.r * d.c)
 
 

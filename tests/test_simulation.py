@@ -244,6 +244,11 @@ class TestStudies:
         with pytest.raises(ValueError, match=r"\(0\.5, 0\.5\) more than once"):
             ure_concentration_study(spec, grid, N=3)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_concentration_rejects_no_replicates(self, n):
+        with pytest.raises(ValueError, match="N must be positive"):
+            ure_concentration_study(small_spec(r=4, c=4, seed=16), [(0.5, 0.5)], N=n)
+
     def test_concentration_matches_batch_oracle_bitwise(self):
         # The study scores through FitEngine.objective_at; replaying it
         # with the tests' batch capacitance oracle gives the same bits.
