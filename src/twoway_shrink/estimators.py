@@ -19,7 +19,9 @@ over the bounded square lambda_tilde = (1+lambda)^{-1/2} in [0,1]^2 by a
 closed form and clamped to its interval at every candidate.  Candidates
 come in a fixed order (the best grid point, the WLS limit, Nelder-Mead's
 result, extra candidates); one replaces the best only when its objective
-is finite and strictly lower.
+is finite and strictly lower.  Nelder-Mead is :func:`minimize`, an
+in-package copy of scipy's bounded variant that the tests check against
+scipy bit for bit; importing this module loads no ``scipy.optimize``.
 
 The lambda_tilde = (0, 0) corner of the search box denotes the unshrunken
 estimator eta_hat = y, whose risk estimate is exactly sigma^2 tr(QM)/(rc);
@@ -72,9 +74,9 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite, isinf, log, pi
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linear_core import (
     LAMBDA_TILDE_EPS,
@@ -117,6 +119,7 @@ __all__ = [
 GRID_POINTS = 33
 NM_MAX_FEVALS = 500
 NM_FATOL = 1e-10
+NM_XATOL = 1e-9
 GRID_TIE_TOL = 1e-12
 # A fit warns when the single-point scorer's value of its pick and the
 # exact re-evaluation differ by more than this, relative to max(1, |exact|).
@@ -332,6 +335,99 @@ def _first_order_terms(
         "scale_a": abs(tr_a),
         "scale_b": abs(tr_b),
     }
+
+
+# ---------------------------------------------------------------------------
+# Refinement: bounded Nelder-Mead on the lambda_tilde square
+# ---------------------------------------------------------------------------
+
+class NelderMeadResult(NamedTuple):
+    """The best vertex ``x`` and the number of evaluations ``nfev``."""
+
+    x: np.ndarray
+    nfev: int
+
+
+class _FevalCap(Exception):
+    """Raised in place of an evaluation beyond ``NM_MAX_FEVALS``."""
+
+
+def _clip01(v: float) -> float:
+    """``v`` clipped to [0, 1] as numpy clips: NaN stays NaN, -0.0 becomes 0.0."""
+    return v if v != v else min(v if v > 0.0 else 0.0, 1.0)
+
+
+def minimize(fun, x0) -> NelderMeadResult:
+    """Minimize ``fun`` over [0, 1]^2 by Nelder-Mead (Nelder and Mead, 1965).
+
+    Step for step the arithmetic of scipy 1.17's bounded variant,
+    ``minimize(method="Nelder-Mead", bounds=[(0, 1)] * 2)`` with options
+    ``maxfev``, ``fatol`` and ``xatol`` set to ``NM_MAX_FEVALS``,
+    ``NM_FATOL`` and ``NM_XATOL``, in Python floats on 2-tuples; the tests
+    check it against scipy bit for bit.  Every vertex and trial point is
+    clipped to the box, and the simplex is kept in a stable order by value,
+    NaN last.  No evaluation is made beyond the cap: the step stops where
+    it is and the simplex is sorted once more.  ``fun`` receives a 2-tuple;
+    ``x`` is the best vertex.
+    """
+    nfev = 0
+
+    def f(p):
+        nonlocal nfev
+        if nfev >= NM_MAX_FEVALS:
+            raise _FevalCap
+        nfev += 1
+        return float(fun(p))
+
+    def start(u):
+        """A coordinate of x0 stepped by 5% (0 to 0.00025), reflected below 1."""
+        u = (1 + 0.05) * u if u != 0 else 0.00025
+        return _clip01(2.0 - u if u > 1.0 else u)
+
+    def along(s, t):
+        """s xbar - t w, clipped, for w the worst vertex."""
+        return tuple(_clip01(s * a - t * w) for a, w in zip(xbar, sim[2]))
+
+    def ordered():
+        idx = sorted(range(3), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
+        return [sim[i] for i in idx], [fsim[i] for i in idx]
+
+    a, b = (_clip01(float(v)) for v in x0)
+    sim = [(a, b), (start(a), b), (a, start(b))]
+    fsim = [f(p) if nfev < NM_MAX_FEVALS else np.inf for p in sim]
+    sim, fsim = ordered()
+    while nfev < NM_MAX_FEVALS:
+        if all(abs(fsim[0] - g) <= NM_FATOL for g in fsim[1:]) and all(
+            abs(v - u) <= NM_XATOL for p in sim[1:] for v, u in zip(p, sim[0])
+        ):
+            break
+        xbar = tuple((u + v) / 2 for u, v in zip(sim[0], sim[1]))
+        try:
+            xr = along(2, 1)  # reflection
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = along(3, 2)  # expansion
+                fxe = f(xe)
+                sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[1]:
+                sim[2], fsim[2] = xr, fxr
+            else:
+                # Contraction outside (1.5 xbar - 0.5 w) or inside
+                # (0.5 xbar + 0.5 w), else a shrink towards the best vertex.
+                outside = fxr < fsim[2]
+                xc = along(1.5, 0.5) if outside else along(0.5, -0.5)
+                fxc = f(xc)
+                if fxc <= fxr if outside else fxc < fsim[2]:
+                    sim[2], fsim[2] = xc, fxc
+                else:
+                    for j in (1, 2):
+                        sim[j] = tuple(_clip01(u + 0.5 * (v - u))
+                                       for v, u in zip(sim[j], sim[0]))
+                        fsim[j] = f(sim[j])
+        except _FevalCap:
+            pass
+        sim, fsim = ordered()
+    return NelderMeadResult(x=np.array(sim[0]), nfev=nfev)
 
 
 # ---------------------------------------------------------------------------
@@ -781,16 +877,10 @@ class FitEngine:
         consider(self._point(tuple(self._wls_pair), pieces, method))
 
         def nm_objective(lt):
-            return self._score_point(np.clip(lt, 0.0, 1.0), pieces, method)[0]
+            return self._score_point(lt, pieces, method)[0]
 
-        nm = minimize(
-            nm_objective,
-            x0=np.asarray(best["lt"], dtype=float),
-            method="Nelder-Mead",
-            bounds=[(0.0, 1.0), (0.0, 1.0)],
-            options={"maxfev": NM_MAX_FEVALS, "fatol": NM_FATOL, "xatol": 1e-9},
-        )
-        consider(self._point(tuple(np.clip(nm.x, 0.0, 1.0)), pieces, method))
+        nm = minimize(nm_objective, x0=np.asarray(best["lt"], dtype=float))
+        consider(self._point(tuple(nm.x), pieces, method))
 
         cand_points = []
         for cand in extra_candidates or ():

