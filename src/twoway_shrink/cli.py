@@ -76,11 +76,6 @@ def write_report(report: dict, out) -> str:
     return text
 
 
-def load_report(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:

@@ -37,15 +37,19 @@ reaches a fit.  Every other candidate (the near-boundary one, the
 Nelder-Mead points, extra candidates) is scored one point at a time
 (``FitEngine._score_point``, public as :meth:`FitEngine.objective_at`)
 by a :class:`_CapacitancePoint`: one (r+c)-order capacitance Cholesky
-factorization and explicit inverse through LAPACK directly.  The grid and
-the point answer the same solver interface, and ``FitEngine._score`` is
-the one statement of the three criteria over either.  The batch form of
+factorization and explicit inverse through LAPACK directly.  A candidate
+it cannot factor (C is not positive definite in floating point, as at the
+WLS limit with counts in the thousands) scores +inf and is skipped with
+one warning and ``diagnostics["skipped_candidates"]``.  The grid and the
+point answer the same solver interface, and ``FitEngine._score`` is the
+one statement of the three criteria over either.  The batch form of
 the point, many points through explicit inverses at once, lives in the
 tests as the oracle the grid and the scorer are checked against.  The
 returned fit is re-evaluated through :func:`ure_value` or
 :func:`marginal_loglik`; ``diagnostics["score_gap"]`` is the relative gap
 between that value and the scorer's, and a gap above ``SCORE_GAP_WARN``
-is logged as a warning on the ``twoway_shrink`` logger.
+on the returned fit is logged as a warning on the ``twoway_shrink``
+logger.
 
 Everything after the pick works in the (r+c)-dimensional effect space,
 as every estimate in the family is additive: the completion to all r*c
@@ -305,28 +309,26 @@ def _first_order_terms(
     m = d.m_diag
     xi = y - mu
     v = sigma_solve(ctx, xi)
-    za_v = np.bincount(d.row_index, weights=v, minlength=d.r)
-    zb_v = np.bincount(d.col_index, weights=v, minlength=d.c)
+    zv = d.effects_rmatvec(v)
     g, s = d.gram_weighted, ctx.scale
     hg = s[:, None] * ctx.cap_solve(s[:, None] * g)
     one = np.ones(d.n_obs)
     if method == "EBMLE":
         diag = np.diag(g) - np.einsum("ij,ji->i", g, hg)
-        w, za_w, zb_w = v, za_v, zb_v
+        w, zw = v, zv
         scale_mu = float(np.sum(sigma_solve(ctx, one)))
     else:
         p = np.eye(d.q) - hg
         b = qloss.effects_gram
         diag = np.einsum("ij,ij->j", p, b @ p)
         w = sigma_solve(ctx, m * qloss.apply(m * v))
-        za_w = np.bincount(d.row_index, weights=w, minlength=d.r)
-        zb_w = np.bincount(d.col_index, weights=w, minlength=d.c)
+        zw = d.effects_rmatvec(w)
         g1 = shrink_apply(ctx, one)
         scale_mu = float(g1 @ qloss.apply(g1))
     tr_a, tr_b = float(np.sum(diag[: d.r])), float(np.sum(diag[d.r :]))
     res_mu = float(np.sum(w))
-    res_a = tr_a - float(za_v @ za_w) / s2
-    res_b = tr_b - float(zb_v @ zb_w) / s2
+    res_a = tr_a - float(zv[: d.r] @ zw[: d.r]) / s2
+    res_b = tr_b - float(zv[d.r :] @ zw[d.r :]) / s2
     return {
         "res_mu": res_mu,
         "res_a": res_a,
@@ -452,10 +454,11 @@ class _AbsorbedGrid:
 
     log|C| = sum log1p(lambda_A D_A) + sum log1p(lambda_B ev), and every
     per-point quantity lives in B's space.  Written in lambda, the grid's
-    lambda = 0 and lambda = 1e12 lines need no special case.  Arrays are
-    indexed [lambda_A, lambda_B, ...]; ``order`` maps the flattened square
-    onto the grid points ``lt``, whose ``logdet`` and ``tr_red`` are stored
-    flat.
+    lambda = 0 and lambda = 1e12 lines need no special case.  The points
+    ``lt`` are ``axis`` x ``axis`` in row-major (lambda_tilde_a,
+    lambda_tilde_b) order without the first, the (0, 0) corner that
+    :class:`FitEngine` scores apart.  Arrays are indexed [lambda_A,
+    lambda_B, ...]; ``logdet`` and ``tr_red`` are stored in ``lt`` order.
 
     The constructor builds the parts that depend on lambda alone, all that
     EBMLE reads.  The loss terms ``Wv`` and ``tr_red``, read by URE and
@@ -463,22 +466,18 @@ class _AbsorbedGrid:
     """
 
     __slots__ = (
-        "lt", "a", "b", "order", "h", "hX", "V", "f", "Wv", "logdet", "tr_red"
+        "lt", "a", "b", "transposed", "h", "hX", "V", "f", "Wv", "logdet", "tr_red"
     )
 
-    def __init__(self, design: DesignSet, lt_axis, lt_pairs):
+    def __init__(self, design: DesignSet, axis: np.ndarray):
         r, q = design.r, design.q
         rows, cols = np.arange(r), np.arange(r, q)
-        self.a, self.b = (rows, cols) if r >= design.c else (cols, rows)
+        self.transposed = r < design.c
+        self.a, self.b = (cols, rows) if self.transposed else (rows, cols)
         a, b = self.a, self.b
-        idx = {t: i for i, t in enumerate(lt_axis)}
-        ia = [idx[p[0]] for p in lt_pairs]
-        ib = [idx[p[1]] for p in lt_pairs]
-        if r < design.c:
-            ia, ib = ib, ia
-        self.lt = lt_pairs
-        self.order = np.ravel_multi_index((ia, ib), (len(lt_axis), len(lt_axis)))
-        lam = np.array([lam_from_tilde(float(t)) for t in lt_axis])
+        square = np.meshgrid(axis, axis, indexing="ij")
+        self.lt = np.stack(square, axis=-1).reshape(-1, 2)[1:]
+        lam = np.array([lam_from_tilde(float(t)) for t in axis])
         g = design.gram_weighted
         d_a = np.diag(g)[a]
         x = g[np.ix_(a, b)]
@@ -510,7 +509,8 @@ class _AbsorbedGrid:
         self.tr_red = self._flat(tr_red)
 
     def _flat(self, square: np.ndarray) -> np.ndarray:
-        return square.reshape(-1)[self.order]
+        """Values in the order of ``lt``, from a [lambda_A, lambda_B] square."""
+        return (square.T if self.transposed else square).reshape(-1)[1:]
 
     def _coords(self, v: np.ndarray) -> np.ndarray:
         """V^T (v_B - (hX)^T v_A) per lambda_A, for v of shape (q,) or (g, q)."""
@@ -633,11 +633,7 @@ class FitEngine:
         self.one = np.ones(self.n)
         # Location-profile piece for the constant one-vector.
         self.t_1 = d.effects_rmatvec(self.k)
-        lt_axis = np.linspace(0.0, 1.0, GRID_POINTS)
-        pairs = np.array([(a, b) for a in lt_axis for b in lt_axis])
-        corner = (pairs[:, 0] == 0.0) & (pairs[:, 1] == 0.0)
-        self._grid_bundle = _AbsorbedGrid(d, lt_axis, pairs[~corner])
-        self._wls_pair = np.array([LAMBDA_TILDE_EPS, LAMBDA_TILDE_EPS])
+        self._grid_bundle = _AbsorbedGrid(d, np.linspace(0.0, 1.0, GRID_POINTS))
         self._mid = 0.5 * (self.bounds[0] + self.bounds[1])
         self._eye = np.eye(d.q)
 
@@ -705,7 +701,9 @@ class FitEngine:
         minimizes it (the risk estimate, the realized loss or the negative
         marginal log-likelihood).  mu is profiled and clamped to the
         quantile interval, or used as given when ``mu`` is supplied.  The
-        exact (0, 0) pair is the unshrunken corner.
+        exact (0, 0) pair is the unshrunken corner.  Raises
+        :class:`~twoway_shrink.linear_core.NumericError` where the
+        capacitance matrix cannot be factored.
         """
         method = self._check_method(method, true_eta_obs)
         eta = None if true_eta_obs is None else np.asarray(true_eta_obs, dtype=float)
@@ -809,11 +807,6 @@ class FitEngine:
 
     # -- main fit loop -------------------------------------------------------
 
-    def _point(self, lt: tuple, pieces: dict, method: str, mu_fixed=None) -> dict:
-        """A candidate: lambda_tilde ``lt`` with its objective, mu and clamp flag."""
-        obj, mu, clamped = self._score_point(lt, pieces, method, mu_fixed)
-        return {"lt": lt, "obj": obj, "mu": mu, "clamped": clamped}
-
     def _grid_pick(self, pieces: dict, method: str) -> tuple:
         """(candidate, ties): the best grid point, the corner included.
 
@@ -861,66 +854,86 @@ class FitEngine:
         y = np.asarray(y, dtype=float)
         eta = None if true_eta_obs is None else np.asarray(true_eta_obs, dtype=float)
         pieces = self._data_pieces(y, eta, loss=method != "EBMLE")
+        skipped = []
+
+        def point(lt, mu_fixed=None):
+            """A candidate at ``lt``; None when its capacitance cannot be factored."""
+            try:
+                obj, mu, clamped = self._score_point(lt, pieces, method, mu_fixed)
+            except NumericError:
+                skipped.append(lt)
+                return None
+            return {"lt": lt, "obj": obj, "mu": mu, "clamped": clamped}
 
         # Candidates in a fixed order: the grid pick, the WLS limit (outside
         # the grid's tie-break, so exact ties keep the stronger shrinkage),
         # Nelder-Mead from the best so far, then each extra candidate with
         # its mu and with mu profiled.  A candidate replaces the best only
-        # when its objective is finite and strictly lower.
+        # when its objective is finite and strictly lower; one that cannot
+        # be factored scores +inf.
         best, grid_ties = self._grid_pick(pieces, method)
 
-        def consider(point):
+        def consider(p):
             nonlocal best
-            if np.isfinite(point["obj"]) and point["obj"] < best["obj"]:
-                best = point
+            if p is not None and np.isfinite(p["obj"]) and p["obj"] < best["obj"]:
+                best = p
 
-        consider(self._point(tuple(self._wls_pair), pieces, method))
+        consider(point((LAMBDA_TILDE_EPS, LAMBDA_TILDE_EPS)))
 
         def nm_objective(lt):
-            return self._score_point(lt, pieces, method)[0]
+            p = point(lt)
+            return np.inf if p is None else p["obj"]
 
         nm = minimize(nm_objective, x0=np.asarray(best["lt"], dtype=float))
-        consider(self._point(tuple(nm.x), pieces, method))
+        consider(point(tuple(nm.x)))
 
         cand_points = []
         for cand in extra_candidates or ():
+            # lambda = inf maps to lambda_tilde 0, so (inf, inf) is the corner.
             lt_pair = (cand.lambda_tilde_a, cand.lambda_tilde_b)
-            if isinf(cand.lambda_a) and isinf(cand.lambda_b):
-                lt_pair = (0.0, 0.0)
             mu_c = float(np.clip(cand.mu, *self.bounds))
-            point = self._point(lt_pair, pieces, method, mu_c)
-            point["clamped"] = mu_c != cand.mu
-            cand_points.append(point)
-            consider(point)
-            consider(self._point(lt_pair, pieces, method))
+            p = point(lt_pair, mu_c)
+            if p is not None:
+                p["clamped"] = mu_c != cand.mu
+                cand_points.append(p)
+            consider(p)
+            consider(point(lt_pair))
 
         fit = self._build_fit(best, y, eta, method, grid_ties)
         if method == "ORACLE":
             # The expanded objective works from explicit capacitance inverses
             # and can undershoot near lambda = inf, so the pick is checked
             # against each extra candidate by the exact realized loss.
-            for point in cand_points:
-                alt = self._build_fit(point, y, eta, method, grid_ties)
+            for p in cand_points:
+                alt = self._build_fit(p, y, eta, method, grid_ties)
                 if alt.objective < fit.objective:
-                    fit = alt
+                    fit, best = alt, p
+        if skipped:
+            fit.diagnostics["skipped_candidates"] = len(skipped)
+            _log.warning(
+                "%s fit: %d candidate(s) skipped, their capacitance matrix could "
+                "not be factored; the first at lambda_tilde (%r, %r)",
+                method, len(skipped), *map(float, skipped[0]),
+            )
+        score_gap = fit.diagnostics["score_gap"]
+        if score_gap > SCORE_GAP_WARN:
+            scored = -best["obj"] if method == "EBMLE" else best["obj"]
+            _log.warning(
+                "%s fit at lambda_tilde (%.6g, %.6g): the scorer valued the pick "
+                "at %.17g, its exact re-evaluation is %.17g (relative gap %.3g)",
+                method, *best["lt"], scored, fit.objective, score_gap,
+            )
         return fit
 
     def _build_fit(self, best, y, eta, method, grid_ties) -> ShrinkageFit:
         d = self.design
         lt_a, lt_b = best["lt"]
-        at_corner = lt_a == 0.0 and lt_b == 0.0
-        if at_corner:
-            hp = HyperParams(mu=best["mu"], lambda_a=np.inf, lambda_b=np.inf)
-            eta_obs = y.copy()
-        else:
-            hp = HyperParams(
-                mu=best["mu"],
-                lambda_a=lam_from_tilde(lt_a),
-                lambda_b=lam_from_tilde(lt_b),
-            )
+        # lambda_tilde (0, 0) is the unshrunken corner, lambda = inf on both
+        # factors, where bayes_estimate returns y.
+        lam = [np.inf] * 2 if lt_a == lt_b == 0.0 else map(lam_from_tilde, best["lt"])
+        hp = HyperParams(best["mu"], *lam)
         ctx = SigmaContext(d, hp, sigma2=self.sigma2)
-        if not at_corner:
-            eta_obs = bayes_estimate(ctx, y, hp.mu)
+        eta_obs = bayes_estimate(ctx, y, hp.mu)
         eta_complete = complete_means(d, eta_obs)
         if method == "URE":
             objective = ure_value(ctx, y, hp.mu, qloss=self.qloss)
@@ -931,12 +944,6 @@ class FitEngine:
             objective = float(delta @ self.qloss.apply(delta)) / self.rc
         scored = -best["obj"] if method == "EBMLE" else best["obj"]
         score_gap = abs(scored - objective) / max(1.0, abs(objective))
-        if score_gap > SCORE_GAP_WARN:
-            _log.warning(
-                "%s fit at lambda_tilde (%.6g, %.6g): the scorer valued the pick "
-                "at %.17g, its exact re-evaluation is %.17g (relative gap %.3g)",
-                method, lt_a, lt_b, scored, objective, score_gap,
-            )
         diagnostics = {
             "grid_ties": grid_ties,
             "lambda_tilde": (lt_a, lt_b),
@@ -1034,14 +1041,13 @@ def estimating_eq_residuals(fit: ShrinkageFit, table: CellTable):
 class WeightedProblem:
     """Homoscedastic reformulation of a fully observed weighted-loss problem.
 
-    Scaling by M^{-1/2} turns the count-weighted loss into a plain
-    sum-of-squares loss for y_tilde ~ N(eta_tilde, sigma^2 I); the
-    shrinkage matrix of the transformed Bayes rule is symmetric.
+    Scaling by M^{-1/2}, the counts' square roots ``sqrt_k``, turns the
+    count-weighted loss into a plain sum-of-squares loss for
+    y_tilde = sqrt_k y ~ N(eta_tilde, sigma^2 I); the shrinkage matrix of
+    the transformed Bayes rule is symmetric.
     """
 
     table: CellTable
-    y_tilde: np.ndarray
-    one_tilde: np.ndarray
     sqrt_k: np.ndarray
 
     def shrinkage_matrix(self, lambda_a: float, lambda_b: float) -> np.ndarray:
@@ -1081,10 +1087,4 @@ def weighted_transform(table: CellTable) -> WeightedProblem:
     """
     if not table.is_complete:
         raise ValueError("weighted transform requires a fully observed table")
-    sqrt_k = np.sqrt(table.k_observed.astype(float))
-    return WeightedProblem(
-        table=table,
-        y_tilde=sqrt_k * table.y_observed,
-        one_tilde=sqrt_k.copy(),
-        sqrt_k=sqrt_k,
-    )
+    return WeightedProblem(table=table, sqrt_k=np.sqrt(table.k_observed.astype(float)))

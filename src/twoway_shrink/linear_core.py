@@ -18,15 +18,15 @@ This is the library's only path, and it forms no n x n matrix of its
 own.  The tests keep a dense oracle that forms Sigma explicitly and check
 this path against it.
 
-LAPACK: :func:`_capacitance_factor` is the one builder of C; it forms C
-in place and factors it by ``potrf``, and ``potrs`` solves with the
-factor.  Both routines are resolved once from scipy's LAPACK and called
-directly (:func:`_capacitance_cholesky`, :func:`_cholesky_solve`).
-:class:`SigmaContext` and the fit engine's single-point scorer
-(``estimators._CapacitancePoint``) both factor through it.  These are the
-routines scipy's Cholesky helpers wrap, called without the helpers'
-per-call input checks; a factorization that is not finite or not positive
-definite raises :class:`NumericError` instead.
+LAPACK: this is the package's only module that imports scipy.  Every
+Cholesky factorization is :func:`_cholesky` (``potrf``) and every solve
+with its factor :func:`_cholesky_solve` (``potrs``), called directly
+without scipy's per-call input checks: the capacitance matrix of
+:func:`_capacitance_factor` and the augmented effects grams of
+``DesignSet.effects_solve``.  A matrix that is not positive definite or
+not finite raises :class:`NumericError`; nothing is retried.
+``risk_metrics.lambda1_q`` solves its pencil by
+:func:`_pencil_top_eigenvalue`.
 
 Threads: the refinement stage of a fit (Nelder-Mead and the final
 evaluation) makes hundreds of these calls at order r+c, where OpenBLAS
@@ -46,11 +46,13 @@ from contextlib import ContextDecorator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import isfinite
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg as sla
 
-from .tables import DesignSet, HyperParams
+if TYPE_CHECKING:
+    from .tables import DesignSet, HyperParams
 
 __all__ = [
     "SigmaContext",
@@ -74,20 +76,18 @@ class NumericError(RuntimeError):
 _potrf, _potrs = sla.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
-def _capacitance_cholesky(c: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a capacitance matrix, by LAPACK ``potrf``.
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric matrix, by LAPACK ``potrf``.
 
-    Retries once with 1e-12 added to the diagonal, then raises
-    :class:`NumericError`; a factor with a non-finite diagonal (from a
-    non-finite ``c``) raises at once.
+    Only the lower triangle of the result is the factor.  Raises
+    :class:`NumericError` when ``a`` is not positive definite or the factor
+    is not finite (from a non-finite ``a``).
     """
-    f, info = _potrf(c, lower=True, clean=False)
-    if info > 0:
-        f, info = _potrf(c + 1e-12 * np.eye(c.shape[0]), lower=True, clean=False)
+    f, info = _potrf(a, lower=True, clean=False)
     if info != 0:
-        raise NumericError("capacitance factorization failed")
+        raise NumericError(f"Cholesky factorization failed (potrf info {info})")
     if not isfinite(f.trace()):
-        raise NumericError("capacitance matrix is not finite")
+        raise NumericError("Cholesky factorization of a non-finite matrix")
     return f
 
 
@@ -96,15 +96,21 @@ def _capacitance_factor(design: DesignSet, s: np.ndarray) -> np.ndarray:
     c = s[:, None] * design.gram_weighted
     c *= s
     c.reshape(-1)[:: s.size + 1] += 1.0
-    return _capacitance_cholesky(c)
+    return _cholesky(c)
 
 
 def _cholesky_solve(f: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (f f^T) x = b for a lower factor f from :func:`_capacitance_cholesky`."""
+    """Solve (f f^T) x = b for a lower factor f from :func:`_cholesky`."""
     x, info = _potrs(f, b, lower=True)
     if info != 0:
         raise NumericError(f"potrs rejected argument {-info}")
     return x
+
+
+def _pencil_top_eigenvalue(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest eigenvalue of the symmetric-definite pencil (a, b)."""
+    k = a.shape[0] - 1
+    return float(sla.eigh(a, b, eigvals_only=True, subset_by_index=(k, k))[0])
 
 
 @cache
@@ -219,7 +225,7 @@ class SigmaContext:
 
     @cached_property
     def capacitance_factor(self):
-        """Lower Cholesky factor of the capacitance matrix (one jitter retry)."""
+        """Lower Cholesky factor of the capacitance matrix."""
         return _capacitance_factor(self.design, self.scale)
 
     def cap_solve(self, b: np.ndarray) -> np.ndarray:
@@ -235,9 +241,13 @@ class SigmaContext:
         return float(2.0 * np.sum(np.log(np.diag(f))))
 
 
-def _check_len(v: np.ndarray, n: int):
-    if v.shape[0] != n:
-        raise ValueError(f"vector length {v.shape[0]} does not match |E| = {n}")
+def _observed_vector(ctx: SigmaContext, x, name: str) -> np.ndarray:
+    """``x`` as a float vector with one entry per observed cell."""
+    x = np.asarray(x, dtype=float)
+    n = ctx.design.n_obs
+    if x.shape != (n,):
+        raise ValueError(f"{name} expects a vector of length |E| = {n}, not {x.shape}")
+    return x
 
 
 def sigma_solve(ctx: SigmaContext, v: np.ndarray) -> np.ndarray:
@@ -246,11 +256,8 @@ def sigma_solve(ctx: SigmaContext, v: np.ndarray) -> np.ndarray:
     Evaluated as M^{-1} v - M^{-1} Z Lam C^{-1} Lam^T Z^T M^{-1} v, one
     capacitance solve per call.
     """
-    v = np.asarray(v, dtype=float)
+    v = _observed_vector(ctx, v, "sigma_solve")
     d = ctx.design
-    _check_len(v, d.n_obs)
-    if v.ndim != 1:
-        raise ValueError("sigma_solve expects a vector")
     kinv = d.k_obs.astype(float)
     minv_v = kinv * v
     s = ctx.scale
@@ -266,11 +273,8 @@ def shrink_apply(ctx: SigmaContext, x: np.ndarray) -> np.ndarray:
     cost is O(|E| + (r+c)^2) per call after factorization; no matrix-matrix
     product is formed.
     """
-    x = np.asarray(x, dtype=float)
+    x = _observed_vector(ctx, x, "shrink_apply")
     d = ctx.design
-    _check_len(x, d.n_obs)
-    if x.ndim != 1:
-        raise ValueError("shrink_apply expects a vector")
     t = d.effects_rmatvec(d.k_obs * x)
     s = ctx.scale
     w = ctx.cap_solve(s * t)

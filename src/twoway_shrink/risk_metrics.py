@@ -17,9 +17,8 @@ from functools import cached_property
 from math import log
 
 import numpy as np
-import scipy.linalg as sla
 
-from .linear_core import SigmaContext, shrink_apply
+from .linear_core import SigmaContext, _pencil_top_eigenvalue, shrink_apply
 from .tables import (
     CellTable,
     DesignSet,
@@ -177,8 +176,7 @@ def lambda1_q(design: DesignSet) -> float:
     keep = np.r_[0:r, r + 1:r + c]  # intercept, rows 1..r-1, columns 1..c-1
     g, gc = (_bordered(gram, r)[np.ix_(keep, keep)]
              for gram in (design.gram_plain, complete))
-    k = r + c - 2
-    return float(sla.eigh(gc, g, eigvals_only=True, subset_by_index=(k, k))[0])
+    return _pencil_top_eigenvalue(gc, g)
 
 
 def _bordered(gram: np.ndarray, r: int) -> np.ndarray:
@@ -242,7 +240,7 @@ def balanced_decoupling_check(
     b_hat = y.mean(axis=0) - m_hat
 
     design = build_design(table)
-    ctx = SigmaContext(design, hp, mode="fast")
+    ctx = SigmaContext(design, hp)
     eta_hat = table.y_observed - shrink_apply(ctx, table.y_observed - m_hat)
     lhs = loss_ss(eta_hat, eta.ravel())
 

@@ -24,7 +24,8 @@ from functools import cached_property
 from math import isfinite
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+
+from .linear_core import _cholesky, _cholesky_solve
 
 __all__ = [
     "CellTable",
@@ -309,7 +310,7 @@ class DesignSet:
         whose Cholesky factor is kept per gram.
         """
         factor = self._weighted_factor if weighted else self._plain_factor
-        return cho_solve((factor, True), rhs)
+        return _cholesky_solve(factor, rhs)
 
     @cached_property
     def _plain_factor(self) -> np.ndarray:
@@ -340,7 +341,7 @@ class DesignSet:
 def _augmented_cholesky(design: DesignSet, gram: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of gram + v v^T, v = (1_r, -1_c)."""
     v = np.concatenate([np.ones(design.r), -np.ones(design.c)])
-    return cholesky(gram + np.outer(v, v), lower=True)
+    return _cholesky(gram + np.outer(v, v))
 
 
 def _effects_gram(design: DesignSet, w: np.ndarray) -> np.ndarray:

@@ -234,10 +234,16 @@ def first_order_terms_dense(d, qloss, s2, hp, y, mu, method):
 
 # -- the count-weighted loss through the homoscedastic transform -------------
 
+def _y_tilde(wp):
+    """The transformed data sqrt(K) y; sqrt(K) is the transformed one-vector."""
+    return wp.sqrt_k * wp.table.y_observed
+
+
 def weighted_bayes_estimate(wp, mu, lambda_a, lambda_b):
     """Transformed-scale estimate and its original-scale counterpart."""
     a = wp.shrinkage_matrix(lambda_a, lambda_b)
-    eta_t = wp.y_tilde - a @ (wp.y_tilde - mu * wp.one_tilde)
+    y_t = _y_tilde(wp)
+    eta_t = y_t - a @ (y_t - mu * wp.sqrt_k)
     return eta_t, eta_t / wp.sqrt_k
 
 
@@ -248,8 +254,8 @@ def weighted_ure(wp, mu, lambda_a, lambda_b):
 
 def _weighted_ure(wp, a, mu):
     s2 = wp.table.sigma2
-    n = wp.y_tilde.size
-    resid = a @ (wp.y_tilde - mu * wp.one_tilde)
+    n = wp.sqrt_k.size
+    resid = a @ (_y_tilde(wp) - mu * wp.sqrt_k)
     rc = wp.table.r * wp.table.c
     return (s2 * n - 2.0 * s2 * float(np.trace(a)) + float(resid @ resid)) / rc
 
@@ -268,7 +274,7 @@ def weighted_grid_min(wp, tau=0.05, points=33):
     for a_t in axis:
         for b_t in axis:
             a = wp.shrinkage_matrix(lam_from_tilde(a_t), lam_from_tilde(b_t))
-            ay, aw = a @ wp.y_tilde, a @ wp.one_tilde
+            ay, aw = a @ _y_tilde(wp), a @ wp.sqrt_k
             mu = float(np.clip(float(ay @ aw) / float(aw @ aw), lo, hi))
             best = min(best, _weighted_ure(wp, a, mu))
     return best

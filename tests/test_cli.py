@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from twoway_shrink import SigmaContext, HyperParams, build_design, load_table, ure_value
-from twoway_shrink.cli import main, load_report
+from twoway_shrink.cli import main
+
+
+def load_report(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def write(path, text):
@@ -498,3 +503,27 @@ class TestNumericFailureExit:
             "--method", "ure", "--sigma2", "1.0",
         ])
         assert code == 3
+
+
+class TestUnfactorableCandidate:
+    """With counts in the thousands the WLS-limit candidate's capacitance
+    matrix is not positive definite in float64; the fit skips it and the
+    CLI writes its report."""
+
+    @pytest.mark.parametrize("method", ["ure", "ml"])
+    def test_fit_exit_0(self, tmp_path, method):
+        rng = np.random.default_rng(7)
+        counts = rng.integers(1, 2000, (20, 20))
+        means = rng.normal(0, 1, (20, 20))
+        lines = ["row,col,count,mean"] + [
+            f"r{i},c{j},{counts[i, j]},{float(means[i, j])!r}"
+            for i in range(20) for j in range(20)
+        ]
+        path = write(tmp_path / "large.csv", "\n".join(lines) + "\n")
+        out = tmp_path / "report.json"
+        code = main(["fit", "--input", path, "--schema", "agg", "--sigma2", "1.0",
+                     "--method", method, "--out", str(out)])
+        assert code == 0
+        report = load_report(out)
+        assert np.isfinite(report["objective"])
+        assert np.asarray(report["eta_complete"]).shape == (20, 20)

@@ -817,8 +817,8 @@ class TestWeightedTransform:
     def test_identity_when_unit_counts(self, rng):
         table, _ = make_random_table(rng, 3, 4, k_max=1)
         wp = weighted_transform(table)
-        np.testing.assert_array_equal(wp.y_tilde, table.y_observed)
-        np.testing.assert_array_equal(wp.one_tilde, np.ones(12))
+        np.testing.assert_array_equal(wp.sqrt_k * table.y_observed, table.y_observed)
+        np.testing.assert_array_equal(wp.sqrt_k, np.ones(12))
 
     def test_loss_correspondence(self, rng):
         from twoway_shrink import loss_weighted
@@ -1068,16 +1068,29 @@ class TestScoreGap:
     """A fit reports how far the scorer's value of its pick is from the
     exact re-evaluation, and warns when they disagree."""
 
-    def test_wls_limit_oracle_pick_warns(self, caplog):
+    def test_unreturned_wls_limit_pick_does_not_warn(self, caplog):
+        # On one replicate the ORACLE scorer's pick sits at the WLS limit with
+        # a relative gap of 9e-4, but the exact re-score returns an extra
+        # candidate whose gap is at rounding level: nothing is logged.
         from twoway_shrink.simulation import compare_estimators
 
         with caplog.at_level("WARNING", logger="twoway_shrink"):
             compare_estimators(ebmle_stress_scenario(seed=20), 10)
+        assert caplog.records == []
+
+    def test_returned_wls_limit_pick_warns(self, caplog):
+        rng = np.random.default_rng(1)
+        counts = rng.integers(1, 500, (30, 30))
+        table = CellTable(counts, rng.normal(0, 1, (30, 30)), 1.0)
+        with caplog.at_level("WARNING", logger="twoway_shrink"):
+            fit = fit_ml(table)
+        assert fit.diagnostics["lambda_tilde"] == (1e-6, 1e-6)
+        assert fit.diagnostics["score_gap"] > 0.03
         [record] = caplog.records
         message = record.getMessage()
         assert record.name == "twoway_shrink"
-        assert message.startswith("ORACLE fit at lambda_tilde")
-        assert "relative gap 0.000914" in message
+        assert message.startswith("EBMLE fit at lambda_tilde (1e-06, 1e-06)")
+        assert "relative gap 0.0399" in message
 
     def test_normal_fits_do_not_warn(self, rng, caplog):
         table, _ = make_random_table(rng, 8, 6, k_max=20, n_missing=6)
@@ -1086,3 +1099,54 @@ class TestScoreGap:
         assert caplog.records == []
         for fit in fits:
             assert 0.0 <= fit.diagnostics["score_gap"] <= 1e-12, fit.method
+
+
+class TestUnfactorableCandidates:
+    """A refinement candidate whose capacitance matrix C = I + S G_w S is not
+    positive definite in float64 scores +inf: the fit skips it with one
+    warning and returns the best of the rest."""
+
+    @staticmethod
+    def large_count_table():
+        # Counts up to 2000 put C at the WLS limit (lambda ~ 1e12) beyond
+        # float64's reach; the likelihood's grid pick is interior.
+        rng = np.random.default_rng(7)
+        counts = rng.integers(1, 2000, (20, 20))
+        return CellTable(counts, rng.normal(0, 1, (20, 20)), 1.0)
+
+    def test_wls_limit_is_skipped(self, caplog):
+        table = self.large_count_table()
+        with caplog.at_level("WARNING", logger="twoway_shrink"):
+            fits = [fit_ure(table), fit_ml(table)]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{method} fit: 1 candidate(s) skipped, their capacitance matrix could "
+            "not be factored; the first at lambda_tilde (1e-06, 1e-06)"
+            for method in ("URE", "EBMLE")
+        ]
+        for fit in fits:
+            assert fit.diagnostics["skipped_candidates"] == 1
+            assert np.isfinite(fit.objective)
+        lt = np.array(fits[1].diagnostics["lambda_tilde"])
+        assert np.all((lt > 0.9) & (lt < 1.0)), lt
+
+    def test_oracle_skips_unfactorable_extra_candidates(self):
+        table = self.large_count_table()
+        lam = lam_from_tilde(1e-6)
+        eta = table.y_observed + 0.01
+        fit = oracle_fit(table, true_eta=eta,
+                         extra_candidates=[HyperParams(0.1, lam, lam)])
+        # The WLS limit, then the extra candidate with its mu and profiled.
+        assert fit.diagnostics["skipped_candidates"] == 3
+        assert np.isfinite(fit.objective)
+
+    def test_single_point_scorer_still_raises(self):
+        from twoway_shrink.linear_core import NumericError
+
+        table = self.large_count_table()
+        with pytest.raises(NumericError):
+            FitEngine(table).objective_at((1e-6, 1e-6), table.y_observed, "EBMLE")
+
+    def test_no_key_when_nothing_is_skipped(self, rng):
+        table, _ = make_random_table(rng, 8, 6, k_max=20, n_missing=6)
+        for fit in (fit_ure(table), fit_ml(table)):
+            assert "skipped_candidates" not in fit.diagnostics

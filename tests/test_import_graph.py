@@ -1,0 +1,70 @@
+"""The package's import graph, read from its source.
+
+``linear_core`` is the one module that imports scipy, so every LAPACK
+call of the package goes through it.  It imports nothing from the package
+at run time (the ``tables`` types it annotates with are imported only
+under ``if TYPE_CHECKING:``), so ``tables`` can factor its grams through
+it without an import cycle.
+"""
+
+import ast
+from pathlib import Path
+
+import twoway_shrink
+
+MODULES = sorted(Path(twoway_shrink.__file__).parent.glob("*.py"))
+
+
+def _is_type_checking(test) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def imports(path: Path) -> list:
+    """(module, guarded) for every import in a file, nested ones included.
+
+    The module is written with its leading dots (``.tables``); ``guarded``
+    is True under ``if TYPE_CHECKING:``.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    guarded = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and _is_type_checking(block.test)
+        for stmt in block.body
+        for node in ast.walk(stmt)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, id(node) in guarded) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append(("." * node.level + (node.module or ""), id(node) in guarded))
+    return found
+
+
+def test_the_modules_are_found():
+    names = {path.name for path in MODULES}
+    assert {"linear_core.py", "tables.py", "estimators.py", "cli.py"} <= names
+
+
+def test_only_linear_core_imports_scipy():
+    importers = {
+        path.name
+        for path in MODULES
+        for module, _ in imports(path)
+        if module == "scipy" or module.startswith("scipy.")
+    }
+    assert importers == {"linear_core.py"}
+
+
+def test_linear_core_imports_nothing_from_the_package_at_run_time():
+    (path,) = [p for p in MODULES if p.name == "linear_core.py"]
+    internal = [
+        module
+        for module, guarded in imports(path)
+        if module.startswith((".", "twoway_shrink")) and not guarded
+    ]
+    assert internal == []
+    assert (".tables", True) in imports(path)
