@@ -18,15 +18,20 @@ This is the library's only path, and it forms no n x n matrix of its
 own.  The tests keep a dense oracle that forms Sigma explicitly and check
 this path against it.
 
-LAPACK: this is the package's only module that imports scipy.  Every
-Cholesky factorization is :func:`_cholesky` (``potrf``) and every solve
-with its factor :func:`_cholesky_solve` (``potrs``), called directly
-without scipy's per-call input checks: the capacitance matrix of
+LAPACK: every LAPACK call of the package goes through this module, and
+no scipy Python module is imported.  scipy's compiled f2py wrappers,
+the extension ``scipy/linalg/_flapack``, are loaded on their own by
+:func:`_load_flapack`, under the name ``scipy.linalg._flapack``; they are
+the very function objects ``scipy.linalg.lapack`` hands out, so a later
+``import scipy.linalg`` shares them.  Every Cholesky factorization is
+:func:`_cholesky` (``dpotrf``) and every solve with its factor
+:func:`_cholesky_solve` (``dpotrs``): the capacitance matrix of
 :func:`_capacitance_factor` and the augmented effects grams of
-``DesignSet.effects_solve``.  A matrix that is not positive definite or
-not finite raises :class:`NumericError`; nothing is retried.
-``risk_metrics.lambda1_q`` solves its pencil by
-:func:`_pencil_top_eigenvalue`.
+``DesignSet.effects_solve``.  ``risk_metrics.lambda1_q`` solves its
+pencil by :func:`_pencil_top_eigenvalue` (``dsygvx``), with the arguments
+``scipy.linalg.eigh`` passes for one eigenvalue.  A matrix that is not
+positive definite or not finite raises :class:`NumericError`; nothing is
+retried.
 
 Threads: the refinement stage of a fit (Nelder-Mead and the final
 evaluation) makes hundreds of these calls at order r+c, where OpenBLAS
@@ -41,15 +46,18 @@ the same bits on one thread as on several.
 from __future__ import annotations
 
 import ctypes
+import importlib.util
+import sys
 import threading
 from contextlib import ContextDecorator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
 from math import isfinite
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
 
 if TYPE_CHECKING:
     from .tables import DesignSet, HyperParams
@@ -73,7 +81,35 @@ class NumericError(RuntimeError):
     """A factorization or solve failed beyond recovery."""
 
 
-_potrf, _potrs = sla.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, without running scipy's package.
+
+    scipy's folder is found by ``find_spec``, which imports nothing; the
+    extension ``linalg/_flapack`` in it is loaded under its own name and
+    registered in ``sys.modules``, so an ``import scipy.linalg`` before
+    or after this one shares the module.  Raises ImportError naming the
+    folder searched when the extension is not there.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("scipy is not installed; its LAPACK wrappers are needed")
+    folder = Path(scipy.submodule_search_locations[0]) / "linalg"
+    paths = [folder / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK wrappers (_flapack) not found in {folder}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+_potrf, _potrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -108,9 +144,22 @@ def _cholesky_solve(f: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pencil_top_eigenvalue(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetric-definite pencil (a, b)."""
-    k = a.shape[0] - 1
-    return float(sla.eigh(a, b, eigvals_only=True, subset_by_index=(k, k))[0])
+    """Largest eigenvalue of the symmetric-definite pencil (a, b), by ``dsygvx``.
+
+    The call of ``scipy.linalg.eigh(a, b, eigvals_only=True,
+    subset_by_index=(n-1, n-1))``, without its input checks.  Raises
+    :class:`NumericError` when LAPACK reports a failure (``b`` not
+    positive definite, a non-finite entry, no convergence) or does not
+    return one finite eigenvalue.
+    """
+    n = a.shape[0]
+    lwork = int(_flapack.dsygvx_lwork(n, uplo="L")[0])
+    w, _, m, _, info = _flapack.dsygvx(a, b, itype=1, jobz="N", range="I",
+                                       uplo="L", il=n, iu=n, lwork=lwork)
+    if info != 0 or m != 1 or not isfinite(w[0]):
+        raise NumericError(f"pencil eigensolve failed (sygvx info {info}, "
+                           f"{m} eigenvalues)")
+    return float(w[0])
 
 
 @cache
@@ -121,10 +170,8 @@ def _scipy_openblas_threads():
     against; None when that LAPACK is not OpenBLAS.
     """
     try:
-        from scipy.linalg import _flapack
-
         lib = ctypes.CDLL(_flapack.__file__)
-    except (ImportError, OSError, AttributeError):
+    except OSError:
         return None
     for prefix in ("scipy_openblas", "openblas"):
         try:

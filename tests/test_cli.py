@@ -504,6 +504,31 @@ class TestNumericFailureExit:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("command", [
+        ["fit", "--method", "ml", "--sigma2", "1.0"],
+        ["diagnose", "--sigma2", "1.0"],
+    ])
+    def test_exit_3_when_the_pencil_eigensolve_fails(self, missing_agg_csv, command,
+                                                     monkeypatch, capsys):
+        from twoway_shrink import linear_core
+
+        real = linear_core._flapack
+
+        class FailingSygvx:
+            __file__ = real.__file__
+            dsygvx_lwork = real.dsygvx_lwork
+
+            @staticmethod
+            def dsygvx(a, b, **kw):
+                w, z, m, ifail, _ = real.dsygvx(a, b, **kw)
+                return w, z, m, ifail, a.shape[0] + 1
+
+        monkeypatch.setattr(linear_core, "_flapack", FailingSygvx)
+        code = main([command[0], "--input", missing_agg_csv, "--schema", "agg",
+                     *command[1:]])
+        assert code == 3
+        assert "sygvx info" in capsys.readouterr().err
+
 
 class TestUnfactorableCandidate:
     """With counts in the thousands the WLS-limit candidate's capacitance

@@ -1,10 +1,11 @@
 """The package's import graph, read from its source.
 
-``linear_core`` is the one module that imports scipy, so every LAPACK
-call of the package goes through it.  It imports nothing from the package
-at run time (the ``tables`` types it annotates with are imported only
-under ``if TYPE_CHECKING:``), so ``tables`` can factor its grams through
-it without an import cycle.
+No module imports scipy: ``linear_core`` loads scipy's compiled LAPACK
+wrappers (``_flapack``) without scipy's Python package, and it is the one
+module that names them, so every LAPACK call of the package goes through
+it.  It imports nothing from the package at run time (the ``tables``
+types it annotates with are imported only under ``if TYPE_CHECKING:``),
+so ``tables`` can factor its grams through it without an import cycle.
 """
 
 import ast
@@ -49,14 +50,20 @@ def test_the_modules_are_found():
     assert {"linear_core.py", "tables.py", "estimators.py", "cli.py"} <= names
 
 
-def test_only_linear_core_imports_scipy():
+def test_no_module_imports_scipy():
     importers = {
         path.name
         for path in MODULES
         for module, _ in imports(path)
         if module == "scipy" or module.startswith("scipy.")
     }
-    assert importers == {"linear_core.py"}
+    assert importers == set()
+
+
+def test_only_linear_core_names_the_lapack_wrappers():
+    namers = {path.name for path in MODULES
+              if "_flapack" in path.read_text(encoding="utf-8")}
+    assert namers == {"linear_core.py"}
 
 
 def test_linear_core_imports_nothing_from_the_package_at_run_time():

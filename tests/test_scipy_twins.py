@@ -1,11 +1,13 @@
-"""The in-package Nelder-Mead and component labelling against scipy.
+"""The in-package Nelder-Mead, component labelling and LAPACK calls against scipy.
 
 ``estimators.minimize`` and ``tables._component_labels`` replace
 ``scipy.optimize.minimize(method="Nelder-Mead")`` and
-``scipy.sparse.csgraph.connected_components`` so that importing the CLI
-loads neither scipy subpackage.  Each must give exactly what scipy gives:
-the same x bit for bit and the same evaluation count, the same fits, the
-same component count and labels.  scipy is imported here only.
+``scipy.sparse.csgraph.connected_components``, and ``linear_core`` calls
+scipy's compiled LAPACK wrappers without ``scipy.linalg``, so that
+importing the CLI runs no scipy Python module.  Each must give exactly
+what scipy gives: the same x bit for bit and the same evaluation count,
+the same fits, the same component count and labels, the same factors,
+solutions and eigenvalues.  scipy is imported here only.
 """
 
 import os
@@ -16,11 +18,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize as scipy_minimize
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from twoway_shrink import FitEngine, estimators
+from twoway_shrink import FitEngine, build_design, estimators, risk_metrics
+from twoway_shrink.linear_core import (
+    _capacitance_factor,
+    _cholesky,
+    _cholesky_solve,
+    _pencil_top_eigenvalue,
+)
 from twoway_shrink.tables import _component_labels
 from conftest import make_random_table
 
@@ -172,17 +182,112 @@ class TestComponentLabels:
         self._check(counts[::-1] if flip else counts)
 
 
-def test_cli_import_and_fit_load_neither_optimize_nor_sparse():
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "import twoway_shrink.cli\n"
-        "from twoway_shrink import CellTable, fit_ure\n"
-        "rng = np.random.default_rng(0)\n"
-        "fit_ure(CellTable(np.ones((5, 4), int), rng.normal(size=(5, 4)), 1.0))\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith(('scipy.optimize', 'scipy.sparse'))))\n"
-    )
+def _random_spd(rng, n):
+    x = rng.normal(size=(n, n + 2))
+    return x @ x.T + 1e-3 * np.eye(n)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def _capacitance(design, s):
+    """C = I + S G_w S, built as ``_capacitance_factor`` builds it."""
+    c = s[:, None] * design.gram_weighted
+    c *= s
+    c.reshape(-1)[:: s.size + 1] += 1.0
+    return c
+
+
+class TestLapackCalls:
+    """``_cholesky``, ``_cholesky_solve`` and ``_pencil_top_eigenvalue``
+    give scipy's bits: ``dpotrf``, ``dpotrs`` and ``eigh``."""
+
+    def test_cholesky_matches_dpotrf(self):
+        rng = np.random.default_rng(31)
+        for n in list(range(1, 61)) * 2:
+            a = _random_spd(rng, n)
+            _same_bits(_cholesky(a), dpotrf(a, lower=True, clean=False)[0])
+
+    def test_capacitance_factor_matches_dpotrf(self):
+        rng = np.random.default_rng(32)
+        asymmetric = 0
+        for i in range(60):
+            r, c = (int(k) for k in rng.integers(2, 30, 2))
+            table, _ = make_random_table(rng, r, c, k_max=50,
+                                         n_missing=(r * c) // 4 if i % 2 else 0)
+            design = build_design(table)
+            la, lb = np.exp(rng.uniform(-6, 6, 2))
+            s = np.concatenate([np.full(r, np.sqrt(la)), np.full(c, np.sqrt(lb))])
+            cap = _capacitance(design, s)
+            asymmetric += not np.array_equal(cap, cap.T)
+            ref, info = dpotrf(cap, lower=True, clean=False)
+            assert info == 0
+            _same_bits(_capacitance_factor(design, s), ref)
+        assert asymmetric > 0  # the last-bit asymmetry is exercised
+
+    def test_cholesky_solve_matches_dpotrs(self):
+        rng = np.random.default_rng(33)
+        for n in range(1, 61):
+            f = _cholesky(_random_spd(rng, n))
+            for b in (rng.normal(size=n), rng.normal(size=(n, 1)),
+                      rng.normal(size=(n, 7)), np.eye(n)):
+                _same_bits(_cholesky_solve(f, b), dpotrs(f, b, lower=True)[0])
+
+    @staticmethod
+    def _eigh_top(a, b):
+        n = a.shape[0]
+        return scipy.linalg.eigh(a, b, eigvals_only=True,
+                                 subset_by_index=(n - 1, n - 1))[0]
+
+    def test_pencil_matches_eigh_on_random_pencils(self):
+        rng = np.random.default_rng(34)
+        for i in range(150):
+            n = int(rng.integers(2, 61))
+            x = rng.normal(size=(n, n))
+            a = x @ x.T if i % 2 else x + x.T
+            b = _random_spd(rng, n)
+            _same_bits(_pencil_top_eigenvalue(a, b), self._eigh_top(a, b))
+
+    def test_lambda1_q_matches_eigh(self, monkeypatch):
+        pencils = []
+
+        def spy(a, b):
+            pencils.append((a.copy(), b.copy()))
+            return _pencil_top_eigenvalue(a, b)
+
+        monkeypatch.setattr(risk_metrics, "_pencil_top_eigenvalue", spy)
+        rng = np.random.default_rng(35)
+        for _ in range(40):
+            r, c = (int(k) for k in rng.integers(2, 25, 2))
+            n_missing = int(rng.integers(1, max(2, (r - 1) * (c - 1) // 2)))
+            table, _ = make_random_table(rng, r, c, k_max=9, n_missing=n_missing)
+            value = risk_metrics.lambda1_q(build_design(table))
+            a, b = pencils[-1]
+            _same_bits(value, self._eigh_top(a, b))
+        assert len(pencils) == 40
+
+    @pytest.mark.parametrize("scipy_first", [False, True])
+    def test_one_set_of_wrappers(self, scipy_first):
+        imports = ["import twoway_shrink.linear_core as lc",
+                   "import scipy.linalg.lapack as lapack"]
+        if scipy_first:
+            imports.reverse()
+        code = "\n".join(imports + [
+            "import scipy.linalg",
+            "assert lc._potrf is lapack.dpotrf is scipy.linalg.lapack.dpotrf",
+            "assert lc._potrs is lapack.dpotrs",
+            "assert lc._flapack.dsygvx is lapack.dsygvx",
+            "print('ok')",
+        ])
+        assert _run_child(code) == "ok"
+
+
+def _run_child(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports the package from
+    ``src``; return its stripped standard output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -190,4 +295,24 @@ def test_cli_import_and_fit_load_neither_optimize_nor_sparse():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_and_fits_load_only_the_lapack_extension():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import twoway_shrink.cli\n"
+        "from twoway_shrink import CellTable, build_design, fit_ml, fit_ure\n"
+        "from twoway_shrink.risk_metrics import lambda1_q\n"
+        "rng = np.random.default_rng(0)\n"
+        "counts = rng.integers(1, 5, (6, 5))\n"
+        "counts[0, 0] = counts[2, 3] = counts[5, 1] = 0\n"
+        "means = np.where(counts > 0, rng.normal(size=(6, 5)), np.nan)\n"
+        "table = CellTable(counts, means, 1.0)\n"
+        "fit_ure(table)\n"
+        "fit_ml(table)\n"
+        "assert lambda1_q(build_design(table)) > 1.0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    assert _run_child(code) == "['scipy.linalg._flapack']"
