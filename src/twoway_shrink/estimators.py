@@ -18,8 +18,8 @@ over the bounded square lambda_tilde = (1+lambda)^{-1/2} in [0,1]^2 by a
 33 x 33 grid followed by Nelder-Mead refinement, with mu profiled in
 closed form and clamped to its interval at every candidate.  Candidates
 come in a fixed order (the best grid point, the WLS limit, Nelder-Mead's
-result, extra candidates); one replaces the best only when its objective
-is finite and strictly lower.  Nelder-Mead is :func:`minimize`, an
+result); one replaces the best only when its objective is finite and
+strictly lower.  Nelder-Mead is :func:`minimize`, an
 in-package copy of scipy's bounded variant that the tests check against
 scipy bit for bit; importing this module loads no ``scipy.optimize``.
 
@@ -33,8 +33,8 @@ Z^T M^{-1} Z is diagonal, so it is eliminated in closed form and each
 engine eigendecomposes one min(r, c)-order Schur complement per grid value
 of that factor's lambda (:class:`_AbsorbedGrid`).  Only which grid point
 wins (and, where refinement does not improve on it, its profiled mu)
-reaches a fit.  Every other candidate (the near-boundary one, the
-Nelder-Mead points, extra candidates) is scored one point at a time
+reaches a fit.  Every other candidate (the near-boundary one and the
+Nelder-Mead points) is scored one point at a time
 (``FitEngine._score_point``, public as :meth:`FitEngine.objective_at`)
 by a :class:`_CapacitancePoint`: one (r+c)-order capacitance Cholesky
 factorization and explicit inverse through LAPACK directly.  A candidate
@@ -618,7 +618,6 @@ class FitEngine:
     builds neither the completion map nor the dense n x n ``Q``.
     """
 
-    @_single_threaded_lapack
     def __init__(self, table: CellTable, tau: float = 0.05, qmode: str = "auto"):
         self.design = build_design(table)
         self.tau = float(tau)
@@ -664,22 +663,19 @@ class FitEngine:
         """Data terms of the criteria; ``loss=False`` leaves out the Q ones."""
         d = self.design
         p = {
-            "y": y,
             "t_y": d.effects_rmatvec(self.k * y),
             "yKy": float(y @ (self.k * y)),
             "yK1": float(y @ self.k),
             "K11": float(np.sum(self.k)),
         }
         if loss:
-            p["q_y"] = self.qloss.apply(y)
-            p["zq_y"] = d.effects_rmatvec(p["q_y"])
-            p["yy"] = float(y @ p["q_y"])
+            q_y = self.qloss.apply(y)
+            p["zq_y"] = d.effects_rmatvec(q_y)
+            p["yy"] = float(y @ q_y)
             p["y1"] = float(self.q_1 @ y)
             p["one1"] = float(self.q_1 @ self.one)
         if eta is not None:
             q_eta = self.qloss.apply(eta)
-            p["eta"] = eta
-            p["q_eta"] = q_eta
             p["zq_eta"] = d.effects_rmatvec(q_eta)
             p["ee"] = float(eta @ q_eta)
             p["e1"] = float(self.q_1 @ eta)
@@ -848,7 +844,6 @@ class FitEngine:
         y: np.ndarray,
         method: str,
         true_eta_obs: np.ndarray | None = None,
-        extra_candidates=None,
     ) -> ShrinkageFit:
         method = self._check_method(method, true_eta_obs)
         y = np.asarray(y, dtype=float)
@@ -856,58 +851,32 @@ class FitEngine:
         pieces = self._data_pieces(y, eta, loss=method != "EBMLE")
         skipped = []
 
-        def point(lt, mu_fixed=None):
-            """A candidate at ``lt``; None when its capacitance cannot be factored."""
+        def point(lt):
+            """A candidate at ``lt``; +inf when its capacitance cannot be factored."""
             try:
-                obj, mu, clamped = self._score_point(lt, pieces, method, mu_fixed)
+                obj, mu, clamped = self._score_point(lt, pieces, method)
             except NumericError:
                 skipped.append(lt)
-                return None
+                return {"lt": lt, "obj": np.inf}
             return {"lt": lt, "obj": obj, "mu": mu, "clamped": clamped}
 
         # Candidates in a fixed order: the grid pick, the WLS limit (outside
         # the grid's tie-break, so exact ties keep the stronger shrinkage),
-        # Nelder-Mead from the best so far, then each extra candidate with
-        # its mu and with mu profiled.  A candidate replaces the best only
-        # when its objective is finite and strictly lower; one that cannot
-        # be factored scores +inf.
+        # then Nelder-Mead from the best so far.  A candidate replaces the
+        # best only when its objective is finite and strictly lower; one
+        # that cannot be factored scores +inf.
         best, grid_ties = self._grid_pick(pieces, method)
 
         def consider(p):
             nonlocal best
-            if p is not None and np.isfinite(p["obj"]) and p["obj"] < best["obj"]:
+            if np.isfinite(p["obj"]) and p["obj"] < best["obj"]:
                 best = p
 
         consider(point((LAMBDA_TILDE_EPS, LAMBDA_TILDE_EPS)))
-
-        def nm_objective(lt):
-            p = point(lt)
-            return np.inf if p is None else p["obj"]
-
-        nm = minimize(nm_objective, x0=np.asarray(best["lt"], dtype=float))
+        nm = minimize(lambda lt: point(lt)["obj"], np.asarray(best["lt"], dtype=float))
         consider(point(tuple(nm.x)))
 
-        cand_points = []
-        for cand in extra_candidates or ():
-            # lambda = inf maps to lambda_tilde 0, so (inf, inf) is the corner.
-            lt_pair = (cand.lambda_tilde_a, cand.lambda_tilde_b)
-            mu_c = float(np.clip(cand.mu, *self.bounds))
-            p = point(lt_pair, mu_c)
-            if p is not None:
-                p["clamped"] = mu_c != cand.mu
-                cand_points.append(p)
-            consider(p)
-            consider(point(lt_pair))
-
         fit = self._build_fit(best, y, eta, method, grid_ties)
-        if method == "ORACLE":
-            # The expanded objective works from explicit capacitance inverses
-            # and can undershoot near lambda = inf, so the pick is checked
-            # against each extra candidate by the exact realized loss.
-            for p in cand_points:
-                alt = self._build_fit(p, y, eta, method, grid_ties)
-                if alt.objective < fit.objective:
-                    fit, best = alt, p
         if skipped:
             fit.diagnostics["skipped_candidates"] = len(skipped)
             _log.warning(
@@ -997,19 +966,17 @@ def oracle_fit(
     tau: float = 0.05,
     qmode: str = "auto",
     true_eta: np.ndarray | None = None,
-    extra_candidates=None,
 ) -> ShrinkageFit:
     """Minimize the realized loss given the true observed-cell means.
 
-    Not a legal estimator -- a simulation benchmark.  ``extra_candidates``
-    may carry hyper-parameters returned by other fits; including them makes
-    the per-realization dominance of the oracle hold by construction.
+    Not a legal estimator -- a simulation benchmark.  A study records as the
+    oracle's loss the smallest among the family members it fits on a
+    replicate (:func:`~twoway_shrink.simulation.compare_estimators`).
     """
     if true_eta is None:
         raise ValueError("oracle_fit requires true_eta")
     return FitEngine(table, tau=tau, qmode=qmode).fit(
-        table.y_observed, "ORACLE", true_eta_obs=true_eta,
-        extra_candidates=extra_candidates,
+        table.y_observed, "ORACLE", true_eta_obs=true_eta
     )
 
 

@@ -36,8 +36,8 @@ retried.
 Threads: the refinement stage of a fit (Nelder-Mead and the final
 evaluation) makes hundreds of these calls at order r+c, where OpenBLAS
 threading costs more than it gains.  ``_single_threaded_lapack`` runs
-scipy's OpenBLAS on one thread for the length of a fit, an engine build or
-a study chunk, and restores the previous count afterwards.  numpy's BLAS
+scipy's OpenBLAS on one thread in ``FitEngine.fit`` and ``objective_at``,
+where nearly all of them run, and restores the previous count.  numpy's BLAS
 is left alone: its thread count changes the rounding of dense products,
 and with it fitted values.  Factorizations and solves of this size give
 the same bits on one thread as on several.

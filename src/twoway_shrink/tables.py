@@ -465,8 +465,20 @@ def imbalance_ratio(table: CellTable) -> float:
 #   agg:  row,col,count,mean
 # ---------------------------------------------------------------------------
 
+def _nonnegative_int(text: str) -> int:
+    if (k := int(text)) < 0:
+        raise ValueError(f"counts must be nonnegative, got {k}")
+    return k
+
+
+def _finite_float(text: str) -> float:
+    if not isfinite(v := float(text)):
+        raise ValueError(f"values must be finite, got {text.strip()!r}")
+    return v
+
+
 def _csv_rows(path, schema: str, header: tuple, types: tuple):
-    """The non-blank data rows of a CSV under ``header``, each field converted.
+    """(line number, fields) of each non-blank data row of a CSV under ``header``.
 
     ``types`` holds one converter per column; a field it rejects is named
     by its line and column.
@@ -491,14 +503,14 @@ def _csv_rows(path, schema: str, header: tuple, types: tuple):
                     raise ValueError(
                         f"line {reader.line_num}: column {name!r}: {exc}"
                     ) from None
-            yield tuple(fields)
+            yield reader.line_num, tuple(fields)
 
 
 def read_raw_csv(path):
     """Read raw-schema CSV into a list of (row, col, value) records."""
-    records = list(
-        _csv_rows(path, "raw", ("row", "col", "value"), (str.strip, str.strip, float))
-    )
+    types = (str.strip, str.strip, _finite_float)
+    rows = _csv_rows(path, "raw", ("row", "col", "value"), types)
+    records = [fields for _, fields in rows]
     if not records:
         raise ValueError(f"no data rows in {path}")
     return records
@@ -508,9 +520,13 @@ def read_agg_csv(path, sigma2: float) -> CellTable:
     """Read aggregated-schema CSV (row,col,count,mean) into a CellTable."""
     row_ix, col_ix = {}, {}
     entries = {}
-    for row, col, count, mean in _csv_rows(
-        path, "agg", ("row", "col", "count", "mean"), (str.strip, str.strip, int, float)
+    for line, (row, col, count, mean) in _csv_rows(
+        path, "agg", ("row", "col", "count", "mean"),
+        (str.strip, str.strip, _nonnegative_int, float),
     ):
+        if count > 0 and not isfinite(mean):
+            raise ValueError(f"line {line}: column 'mean': means of observed cells "
+                             f"must be finite, got {mean!r}")
         cell = (row_ix.setdefault(row, len(row_ix)), col_ix.setdefault(col, len(col_ix)))
         if cell in entries:
             raise ValueError(

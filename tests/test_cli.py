@@ -201,6 +201,13 @@ class TestCsvErrors:
          "'1.5'\n"),
         ("raw", "row,col,value\na,x,0.5\na,y,abc\n",
          "error: line 3: column 'value': could not convert string to float: 'abc'\n"),
+        ("agg", "row,col,count,mean\na,x,1,0.5\na,y,1,nan\n",
+         "error: line 3: column 'mean': means of observed cells must be finite, "
+         "got nan\n"),
+        ("agg", "row,col,count,mean\na,x,1,0.5\na,y,-1,0.1\n",
+         "error: line 3: column 'count': counts must be nonnegative, got -1\n"),
+        ("raw", "row,col,value\na,x,0.5\na,y, inf\n",
+         "error: line 3: column 'value': values must be finite, got 'inf'\n"),
     ])
     def test_fit_exit_2_names_what_was_written(self, tmp_path, capsys, schema, text,
                                                 message):

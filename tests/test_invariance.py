@@ -12,8 +12,9 @@ from eta_hat = y - M Sigma^{-1} (y - mu 1) and the criteria as written
 (metamorphic testing: Chen et al., ACM Computing Surveys 51 (2018),
 article 4).  Objectives are compared relative to max(1, |objective|).
 
-A fit is also checked against its own search: it may not end worse, in
-its exact criterion, than the grid point it started from.
+Fits are checked under permutation and transposition too, and against
+their own search: a fit may not end worse, in its exact criterion, than
+the grid point it started from.
 """
 
 from functools import cache
@@ -213,6 +214,39 @@ def test_fit_is_invariant_under_permutation_near_the_wls_limit():
     d_lt, d_obj = _fit_gaps(pairs)
     assert d_lt <= 1e-6
     assert d_obj <= RTOL
+
+
+@cache
+def _transposed_fits(method):
+    """(fit, fit on the transposed table) for every design."""
+    fit = {"URE": fit_ure, "EBMLE": fit_ml}[method]
+    return [(fit(table), fit(_transposed(table, eta)[0])) for table, eta, *_ in DESIGNS]
+
+
+# (method, design) whose fit on the table or on its transpose lands at the
+# WLS limit.
+TRANSPOSED_AT_THE_WLS_LIMIT = {("URE", 4), ("URE", 6)}
+
+
+def _transposition_cases():
+    for method in ("URE", "EBMLE"):
+        for i in range(len(DESIGNS)):
+            at_limit = (method, i) in TRANSPOSED_AT_THE_WLS_LIMIT
+            marks = pytest.mark.xfail(strict=True, reason=WLS_LIMIT_XFAIL) if at_limit else ()
+            yield pytest.param(method, i, marks=marks, id=f"{method}-{i}")
+
+
+@pytest.mark.parametrize("method, i", _transposition_cases())
+def test_fit_is_invariant_under_transposition(method, i):
+    # lambda_tilde is pinned only as far as Nelder-Mead's stopping rule
+    # pins it on a flat optimum, so eta_complete shares its tolerance.
+    fit, fit_t = _transposed_fits(method)[i]
+    table = DESIGNS[i][0]
+    swapped = fit_t.diagnostics["lambda_tilde"][::-1]
+    assert np.max(np.abs(np.subtract(fit.diagnostics["lambda_tilde"], swapped))) <= 1e-6
+    assert abs(fit_t.objective - fit.objective) <= RTOL * max(1.0, abs(fit.objective))
+    eta_t = fit.eta_complete.reshape(table.r, table.c).T.ravel()
+    assert np.max(np.abs(fit_t.eta_complete - eta_t)) <= 1e-6
 
 
 @pytest.mark.xfail(strict=True, reason=WLS_LIMIT_XFAIL)

@@ -120,8 +120,7 @@ class TestNelderMead:
             engine = FitEngine(table, qmode=qmode)
             y = table.y_observed
             out = [engine.fit(y, method) for method in ("URE", "EBMLE")]
-            out.append(engine.fit(y, "ORACLE", true_eta_obs=eta_obs,
-                                  extra_candidates=[f.hp for f in out]))
+            out.append(engine.fit(y, "ORACLE", true_eta_obs=eta_obs))
             return out
 
         for i in range(20):
