@@ -276,7 +276,7 @@ def cmd_simulate(args) -> int:
         for tok in cfg.get("lt_grid", "0,0;0.25,0.25;0.5,0.5;1,1").split(";"):
             a, b = tok.split(",")
             grid.append((float(a), float(b)))
-        result = ure_concentration_study(spec, grid, n_reps, tau=tau)
+        result = ure_concentration_study(spec, grid, n_reps)
         text = result.to_csv(out=args.out)
     else:
         raise ValueError(f"unknown study {args.study!r}")

@@ -42,9 +42,11 @@ it cannot factor (C is not positive definite in floating point, as at the
 WLS limit with counts in the thousands) scores +inf and is skipped with
 one warning and ``diagnostics["skipped_candidates"]``.  The grid and the
 point answer the same solver interface, and ``FitEngine._score`` is the
-one statement of the three criteria over either.  The batch form of
-the point, many points through explicit inverses at once, lives in the
-tests as the oracle the grid and the scorer are checked against.  The
+one statement of the three criteria over either, with mu always
+profiled: it serves the search, and fixed hyper-parameters are evaluated
+by :func:`ure_value`, :func:`marginal_loglik` and :func:`bayes_estimate`.
+The batch form of the point, many points through explicit inverses at
+once, lives in the tests as the oracle of the grid and the scorer.  The
 returned fit is re-evaluated through :func:`ure_value` or
 :func:`marginal_loglik`; ``diagnostics["score_gap"]`` is the relative gap
 between that value and the scorer's, and a gap above ``SCORE_GAP_WARN``
@@ -179,7 +181,11 @@ def wls_fit(design: DesignSet, y: np.ndarray) -> np.ndarray:
 
 
 def wls_fit_full(table: CellTable, tau: float = 0.05) -> ShrinkageFit:
-    """WLS baseline packaged as a :class:`ShrinkageFit`."""
+    """WLS baseline packaged as a :class:`ShrinkageFit`.
+
+    Its lambda = (inf, inf) means the WLS limit, but the evaluators read it
+    as the unshrunken corner: :func:`bayes_estimate` at ``hp`` returns y.
+    """
     design = build_design(table)
     y = table.y_observed
     eta_obs = wls_fit(design, y)
@@ -198,6 +204,14 @@ def wls_fit_full(table: CellTable, tau: float = 0.05) -> ShrinkageFit:
         qmode=loss_mode(design),
         diagnostics={},
     )
+
+
+def hp_from_tilde(mu: float, lt_pair) -> HyperParams:
+    """HyperParams at ``mu`` and a lambda_tilde pair; (0, 0) is (inf, inf)."""
+    lt_a, lt_b = lt_pair
+    if lt_a == lt_b == 0.0:
+        return HyperParams(mu, np.inf, np.inf)
+    return HyperParams(mu, lam_from_tilde(lt_a), lam_from_tilde(lt_b))
 
 
 def bayes_estimate(ctx: SigmaContext, y: np.ndarray, mu: float) -> np.ndarray:
@@ -689,15 +703,14 @@ class FitEngine:
         y: np.ndarray,
         method: str,
         true_eta_obs: np.ndarray | None = None,
-        mu: float | None = None,
     ) -> tuple:
         """Criterion of ``method`` at one lambda_tilde pair for data ``y``.
 
         Returns (objective, mu, clamped) with the objective as :meth:`fit`
         minimizes it (the risk estimate, the realized loss or the negative
-        marginal log-likelihood).  mu is profiled and clamped to the
-        quantile interval, or used as given when ``mu`` is supplied.  The
-        exact (0, 0) pair is the unshrunken corner.  Raises
+        marginal log-likelihood) and mu profiled and clamped to the
+        quantile interval, as the search scores its candidates.  The exact
+        (0, 0) pair is the unshrunken corner.  Raises
         :class:`~twoway_shrink.linear_core.NumericError` where the
         capacitance matrix cannot be factored.
         """
@@ -706,44 +719,38 @@ class FitEngine:
         pieces = self._data_pieces(
             np.asarray(y, dtype=float), eta, loss=method != "EBMLE"
         )
-        return self._score_point(lt_pair, pieces, method, mu)
+        return self._score_point(lt_pair, pieces, method)
 
-    def _score_point(self, lt_pair, pieces: dict, method: str, mu_fixed=None):
+    def _score_point(self, lt_pair, pieces: dict, method: str):
         """(objective, mu, clamped) at one lambda_tilde pair.
 
         Every refinement-stage evaluation comes here.  The exact (0, 0)
         pair is the unshrunken corner; any other pair is scored by
-        :meth:`_score` through a :class:`_CapacitancePoint`.  ``mu_fixed``
-        pins the location instead of profiling it.
+        :meth:`_score` through a :class:`_CapacitancePoint`.
         """
         lta, ltb = float(lt_pair[0]), float(lt_pair[1])
         if lta == 0.0 and ltb == 0.0:
-            mu = self._mid if mu_fixed is None else mu_fixed
-            return self._corner_value(pieces, method), mu, False
+            return self._corner_value(pieces, method), self._mid, False
         zqz = None if method == "EBMLE" else self.qloss.effects_gram
         point = _CapacitancePoint(
             self.design, (lta, ltb), self._eye, zqz, tr_red=method == "URE"
         )
-        obj, mu, clamped = self._score(point, pieces, method, mu_fixed)
+        obj, mu, clamped = self._score(point, pieces, method)
         return float(obj), float(mu), bool(clamped)
 
-    def _score(self, solver, pieces: dict, method: str, mu_fixed=None):
+    def _score(self, solver, pieces: dict, method: str):
         """Objective, mu and clamp flags at the points of ``solver``.
 
         The one statement of the three criteria, over the absorbed grid or
         one :class:`_CapacitancePoint`, with mu profiled in closed form and
-        clamped to the quantile interval (or pinned to ``mu_fixed``).  With
-        u = Lam C^{-1} Lam t, EBMLE reads t . u and log|C|; URE and ORACLE
-        read u's products with Z^T Q vectors and B = zqz, and URE
-        tr(C^{-1} Lam^T Z^T Q Z Lam).  Values are arrays over the grid's
-        points or scalars at one point.
+        clamped to the quantile interval.  With u = Lam C^{-1} Lam t, EBMLE
+        reads t . u and log|C|; URE and ORACLE read u's products with Z^T Q
+        vectors and B = zqz, and URE tr(C^{-1} Lam^T Z^T Q Z Lam).  Values
+        are arrays over the grid's points or scalars at one point.
         """
         s2 = self.sigma2
 
         def pick_mu(mu_raw, den):
-            if mu_fixed is not None:
-                mu = np.full_like(mu_raw, mu_fixed)
-                return mu, np.zeros(mu.shape, dtype=bool)
             mu_raw = np.where(den > 1e-300, mu_raw, self._mid)
             mu = np.clip(mu_raw, *self.bounds)
             return mu, mu != mu_raw
@@ -897,10 +904,7 @@ class FitEngine:
     def _build_fit(self, best, y, eta, method, grid_ties) -> ShrinkageFit:
         d = self.design
         lt_a, lt_b = best["lt"]
-        # lambda_tilde (0, 0) is the unshrunken corner, lambda = inf on both
-        # factors, where bayes_estimate returns y.
-        lam = [np.inf] * 2 if lt_a == lt_b == 0.0 else map(lam_from_tilde, best["lt"])
-        hp = HyperParams(best["mu"], *lam)
+        hp = hp_from_tilde(best["mu"], best["lt"])
         ctx = SigmaContext(d, hp, sigma2=self.sigma2)
         eta_obs = bayes_estimate(ctx, y, hp.mu)
         eta_complete = complete_means(d, eta_obs)

@@ -5,7 +5,8 @@ additive true means once per seed; replicates differ only in the noise,
 drawn from counter-based substreams keyed by (seed, replicate), so serial
 and parallel runs agree exactly.  Studies compare the WLS, EBMLE, URE and
 oracle estimators replicate by replicate with common random numbers and
-emit plot-ready CSV.
+emit plot-ready CSV.  The URE-concentration study fits nothing: it
+evaluates fixed hyper-parameters through the public evaluators.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from math import sqrt
 
 import numpy as np
 
-from .estimators import FitEngine, complete_means, wls_fit
-from .risk_metrics import loss_ss
-from .tables import CellTable, _component_labels
+from .estimators import (FitEngine, bayes_estimate, complete_means, hp_from_tilde,
+                         ure_value, wls_fit)
+from .linear_core import SigmaContext
+from .risk_metrics import QLoss, loss_ss
+from .tables import CellTable, _component_labels, build_design
 
 _log = logging.getLogger("twoway_shrink")
 
@@ -467,7 +470,6 @@ def ure_concentration_study(
     spec: ScenarioSpec,
     lt_grid,
     N: int,
-    tau: float = 0.05,
 ) -> ConcentrationResult:
     """Monte-Carlo E|URE - loss| at location zero over a hyper-parameter grid.
 
@@ -475,7 +477,8 @@ def ure_concentration_study(
     pairs (a repeated pair raises ValueError); the exact (0, 0) pair
     denotes the unshrunken corner, where URE - loss is
     sigma^2 tr(QM)/(rc) minus the loss of the raw data vector.  ``N``
-    must be positive.
+    must be positive.  Nothing is searched: URE is :func:`ure_value` and the
+    loss that of :func:`bayes_estimate`, each pair's capacitance factored once.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -484,34 +487,22 @@ def ure_concentration_study(
     if repeated:
         raise ValueError(f"lt_grid lists the pair {repeated[0]} more than once")
     table0, eta_complete = gen_scenario(spec, 0)
-    engine = FitEngine(table0, tau=tau, qmode="auto")
-    observed = table0.counts > 0
-    eta_obs = eta_complete.reshape(spec.r, spec.c)[observed]
-    diffs = {p: [] for p in pairs}
+    design = build_design(table0)
+    qloss = QLoss.of(design)
+    rc = spec.r * spec.c
+    contexts = [SigmaContext(design, hp_from_tilde(0.0, p), sigma2=spec.sigma2)
+                for p in pairs]
+    eta_obs = eta_complete[(table0.counts > 0).ravel()]
+    diffs = np.empty((len(pairs), N))
     for rep in range(N):
         y = gen_scenario(spec, rep)[0].y_observed
-        for p in pairs:
-            ure = engine.objective_at(p, y, "URE", mu=0.0)[0]
-            loss = engine.objective_at(p, y, "ORACLE", true_eta_obs=eta_obs, mu=0.0)[0]
-            diffs[p].append(ure - loss)
-    mean_abs, se_abs, mean_diff, se_diff = [], [], [], []
-    for p in pairs:
-        d = np.array(diffs[p])
-        m, se = _mean_se(np.abs(d))
-        mean_abs.append(m)
-        se_abs.append(se)
-        m, se = _mean_se(d)
-        mean_diff.append(m)
-        se_diff.append(se)
-    return ConcentrationResult(
-        scenario=spec.label(),
-        size=spec.size,
-        lt_grid=tuple(pairs),
-        mean_abs=tuple(mean_abs),
-        se_abs=tuple(se_abs),
-        mean_diff=tuple(mean_diff),
-        se_diff=tuple(se_diff),
-    )
+        for k, ctx in enumerate(contexts):
+            delta = bayes_estimate(ctx, y, 0.0) - eta_obs
+            diffs[k, rep] = ure_value(ctx, y, 0.0, qloss=qloss) - qloss.quad(delta) / rc
+    mean_abs, se_abs = zip(*(_mean_se(np.abs(d)) for d in diffs))
+    mean_diff, se_diff = zip(*(_mean_se(d) for d in diffs))
+    return ConcentrationResult(spec.label(), spec.size, tuple(pairs),
+                               mean_abs, se_abs, mean_diff, se_diff)
 
 
 def ebmle_stress_scenario(seed: int = 11) -> ScenarioSpec:

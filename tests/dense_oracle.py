@@ -330,9 +330,9 @@ class CapacitanceBundle:
         return np.einsum("gi,ij,gj->g", sol1[2], self.zqz, sol2[2])
 
 
-def evaluate_bundle(engine, bundle, pieces, method, mu_fixed=None):
+def evaluate_bundle(engine, bundle, pieces, method):
     """Objective, mu and clamp flags per bundle point, scored by the engine."""
-    return engine._score(bundle, pieces, method, mu_fixed)
+    return engine._score(bundle, pieces, method)
 
 
 # -- a derivative-based local search -----------------------------------------

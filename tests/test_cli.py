@@ -189,6 +189,14 @@ class TestFitCommand:
 
 
 class TestCsvErrors:
+    def test_estimate_sigma2_needs_raw_input(self, complete_agg_csv, capsys):
+        code = main(["fit", "--input", complete_agg_csv, "--schema", "agg",
+                     "--estimate-sigma2"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: --estimate-sigma2 needs replicate-level (raw) input\n"
+
     @pytest.mark.parametrize("schema, text, message", [
         ("agg", "row,col,count,mean\na,x,1,0.5\na,y,1\n",
          "error: line 3: 3 fields where the header 'row,col,count,mean' has 4\n"),
@@ -360,6 +368,26 @@ class TestSimulateCommand:
         lines = out1.read_text().splitlines()
         assert lines[0] == "scenario,estimator,size,mean_loss,se,gap"
         assert len(lines) == 3
+
+    def test_config_comment_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        plain = self._config(tmp_path)
+        commented = tmp_path / "commented.txt"
+        lines = open(plain, encoding="utf-8").read().splitlines()
+        commented.write_text("# a comment\n\n" + "\n  # indented\n".join(lines) + "\n")
+        outs = []
+        for cfg in (plain, str(commented)):
+            code = main(["simulate", "--study", "compare", "--config", cfg, "--seed", "7"])
+            assert code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_config_line_without_equals_exit_2(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, extra="n_reps 6\n")
+        code = main(["simulate", "--study", "compare", "--config", cfg, "--seed", "7"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad config line (want key=value): 'n_reps 6'\n"
 
     def test_concentration_study(self, tmp_path, capsys):
         cfg = self._config(tmp_path, extra="lt_grid=0,0;0.5,0.5\n")

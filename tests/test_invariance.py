@@ -17,8 +17,11 @@ their own search: a fit may not end worse, in its exact criterion, than
 the grid point it started from.
 """
 
+import json
+import tempfile
 from functools import cache
 from math import log
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from twoway_shrink import (
     fit_ure,
     marginal_loglik,
 )
+from twoway_shrink.cli import main
 from twoway_shrink.linear_core import lam_from_tilde
 from conftest import make_random_table
 
@@ -50,11 +54,11 @@ WLS_LIMIT_XFAIL = (
 
 
 def _designs():
-    """10 random tables with their true means, r < c, r > c and r = c;
+    """20 random tables with their true means, r < c, r > c and r = c;
     every other one has a fifth of its cells missing."""
     rng = np.random.default_rng(2024)
     out = []
-    for i in range(10):
+    for i in range(20):
         r, c = (int(k) for k in rng.integers(3, 12, 2))
         n_missing = (r * c) // 5 if i % 2 else 0
         table, eta = make_random_table(rng, r, c, k_max=10, n_missing=n_missing)
@@ -198,7 +202,7 @@ def _fit_gaps(pairs):
 def test_fit_is_invariant_under_permutation(method):
     pairs = [(a, b) for a, b in _permuted_fits(method)
              if not (_near_the_wls_limit(a) or _near_the_wls_limit(b))]
-    assert len(pairs) >= 8
+    assert len(pairs) >= 16
     d_lt, d_obj = _fit_gaps(pairs)
     assert d_lt <= 1e-6
     assert d_obj <= RTOL
@@ -225,7 +229,7 @@ def _transposed_fits(method):
 
 # (method, design) whose fit on the table or on its transpose lands at the
 # WLS limit.
-TRANSPOSED_AT_THE_WLS_LIMIT = {("URE", 4), ("URE", 6)}
+TRANSPOSED_AT_THE_WLS_LIMIT = {("URE", 4), ("URE", 6), ("URE", 18)}
 
 
 def _transposition_cases():
@@ -265,3 +269,82 @@ def test_likelihood_fit_is_no_worse_than_its_grid_pick():
     ctx = SigmaContext(engine.design, hp, sigma2=table.sigma2)
     grid_loglik = marginal_loglik(ctx, table.y_observed, hp.mu)
     assert fit.objective >= grid_loglik - RTOL * abs(grid_loglik)
+
+
+# -- the CLI -----------------------------------------------------------------
+
+def _agg_lines(table, row_name=lambda i: f"r{i}", col_name=lambda j: f"c{j}"):
+    """One agg-schema line per observed cell, in row-major order."""
+    return tuple(
+        f"{row_name(i)},{col_name(j)},{table.counts[i, j]},{float(table.means[i, j])!r}"
+        for i, j in zip(*np.nonzero(table.counts))
+    )
+
+
+@cache
+def _cli_report(lines: tuple, sigma2: float, method: str) -> str:
+    """The report text of CLI ``fit`` on an agg CSV made of ``lines``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, out = Path(tmp) / "table.csv", Path(tmp) / "report.json"
+        csv.write_text("\n".join(("row,col,count,mean",) + lines) + "\n",
+                       encoding="utf-8")
+        code = main(["fit", "--input", str(csv), "--schema", "agg", "--sigma2",
+                     repr(sigma2), "--method", method, "--out", str(out)])
+        assert code == 0
+        return out.read_text(encoding="utf-8")
+
+
+def _natural_eta(report: dict) -> np.ndarray:
+    """The report's eta_complete with rows and columns in r<i> / c<j> order."""
+    eta = np.asarray(report["eta_complete"])
+    rows = [int(label[1:]) for label in report["row_labels"]]
+    cols = [int(label[1:]) for label in report["col_labels"]]
+    out = np.empty_like(eta)
+    out[np.ix_(rows, cols)] = eta
+    return out
+
+
+@pytest.mark.parametrize("method", ["ure", "ml", "wls"])
+def test_cli_report_is_invariant_under_renamed_labels(method):
+    # New names in the same order give the same table, so the same bytes
+    # but for the labels and the input's checksum.
+    for table, *_ in DESIGNS:
+        plain = json.loads(_cli_report(_agg_lines(table), table.sigma2, method))
+        renamed = json.loads(_cli_report(
+            _agg_lines(table, lambda i: f"row {i:02d}", lambda j: f"col-{j}.b"),
+            table.sigma2, method))
+        renamed["row_labels"] = [f"r{int(x[4:])}" for x in renamed["row_labels"]]
+        renamed["col_labels"] = [f"c{int(x[4:-2])}" for x in renamed["col_labels"]]
+        for report in (plain, renamed):
+            del report["provenance"]["input_sha256"]
+        assert renamed == plain
+
+
+# (method, design) whose fit of the permuted CSV, or of the CSV in cell
+# order, lands at the WLS limit on one factor or on both.
+PERMUTED_CSV_AT_THE_WLS_LIMIT = {("ure", 2), ("ure", 4)}
+
+
+def _permuted_csv_cases():
+    for method in ("ure", "ml"):
+        for i in range(len(DESIGNS)):
+            at_limit = (method, i) in PERMUTED_CSV_AT_THE_WLS_LIMIT
+            marks = pytest.mark.xfail(strict=True, reason=WLS_LIMIT_XFAIL) if at_limit else ()
+            yield pytest.param(method, i, marks=marks, id=f"{method}-{i}")
+
+
+@pytest.mark.parametrize("method, i", _permuted_csv_cases())
+def test_cli_fit_is_invariant_under_permuted_csv_rows(method, i):
+    # Listing the cells in another order permutes the table's rows and
+    # columns (labels are numbered in order of first appearance).
+    table = DESIGNS[i][0]
+    lines = _agg_lines(table)
+    shuffled = tuple(lines[k] for k in np.random.default_rng(i).permutation(len(lines)))
+    plain = json.loads(_cli_report(lines, table.sigma2, method))
+    permuted = json.loads(_cli_report(shuffled, table.sigma2, method))
+    hp = [plain["hp"][k] for k in ("mu", "lambda_tilde_a", "lambda_tilde_b")]
+    hp_p = [permuted["hp"][k] for k in ("mu", "lambda_tilde_a", "lambda_tilde_b")]
+    assert np.max(np.abs(np.subtract(hp_p, hp))) <= 1e-6
+    obj = plain["objective"]
+    assert abs(permuted["objective"] - obj) <= RTOL * max(1.0, abs(obj))
+    assert np.max(np.abs(_natural_eta(permuted) - _natural_eta(plain))) <= 1e-6

@@ -278,6 +278,11 @@ class TestLogLik:
 
 
 class TestContextMechanics:
+    @pytest.mark.parametrize("lt", [-1e-12, 1.0 + 1e-12, np.nan])
+    def test_lambda_tilde_outside_the_unit_interval(self, lt):
+        with pytest.raises(ValueError, match=r"lambda_tilde must lie in \[0, 1\]"):
+            lam_from_tilde(lt)
+
     def test_fast_is_the_only_mode(self, rng):
         table, _ = make_random_table(rng, 3, 3)
         d = build_design(table)

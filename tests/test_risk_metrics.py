@@ -56,6 +56,19 @@ class TestLosses:
         assert loss_weighted(a, b, table) == pytest.approx(direct)
 
 
+    @pytest.mark.parametrize("a, b", [
+        (np.zeros(3), np.zeros(4)), (np.zeros((2, 2)), np.zeros((2, 2))),
+    ])
+    def test_ss_rejects_mismatched_shapes(self, a, b):
+        with pytest.raises(ValueError, match="loss_ss expects two vectors of equal length"):
+            loss_ss(a, b)
+
+    def test_weighted_rejects_mismatched_shapes(self, rng):
+        table, _ = make_random_table(rng, 3, 3, k_max=4)
+        with pytest.raises(ValueError, match="weighted loss expects observed-cell vectors"):
+            loss_weighted(np.zeros(9), np.zeros(8), table)
+
+
 class TestQMatrix:
     def test_complete_design_projector(self, rng):
         table, _ = make_random_table(rng, 4, 3, k_max=4)
@@ -272,6 +285,20 @@ class TestBalancedDecoupling:
         if table.k_observed.min() == table.k_observed.max():
             pytest.skip("draw happened to be balanced")
         with pytest.raises(ValueError):
+            balanced_decoupling_check(table, HyperParams(0.0, 1.0, 1.0), eta)
+
+    def test_rejects_an_incomplete_table(self):
+        counts = np.array([[2, 2, 0], [2, 2, 2], [2, 2, 2]])
+        means = np.where(counts > 0, 1.0, np.nan)
+        table = CellTable(counts, means, 1.0)
+        with pytest.raises(ValueError, match="decoupling check requires a complete table"):
+            balanced_decoupling_check(table, HyperParams(0.0, 1.0, 1.0), np.zeros(9))
+
+    def test_rejects_non_additive_truth(self, rng):
+        table, eta = self._balanced_table(rng)
+        eta = eta.copy()
+        eta[0] += 0.5
+        with pytest.raises(ValueError, match="true means must be additive"):
             balanced_decoupling_check(table, HyperParams(0.0, 1.0, 1.0), eta)
 
 

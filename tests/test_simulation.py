@@ -18,9 +18,12 @@ from twoway_shrink import (
     oracle_gap_study,
     ure_concentration_study,
 )
-from twoway_shrink.estimators import FitEngine
+from twoway_shrink.estimators import bayes_estimate, hp_from_tilde, ure_value
+from twoway_shrink.linear_core import SigmaContext
+from twoway_shrink.risk_metrics import QLoss
 from twoway_shrink.simulation import ebmle_stress_scenario, risk_csv
-from dense_oracle import CapacitanceBundle, evaluate_bundle
+from twoway_shrink.tables import build_design
+from dense_oracle import dense_design, dense_solve, dense_ure
 
 
 def small_spec(**kw):
@@ -236,9 +239,9 @@ class TestStudies:
         from twoway_shrink import simulation
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a fit ran before the grid was checked")
+            raise AssertionError("a replicate was drawn before the grid was checked")
 
-        monkeypatch.setattr(simulation, "FitEngine", refuse)
+        monkeypatch.setattr(simulation, "gen_scenario", refuse)
         spec = small_spec(r=4, c=4, seed=16)
         grid = [(0.5, 0.5), (0.2, 0.2), (0.5, 0.5)]
         with pytest.raises(ValueError, match=r"\(0\.5, 0\.5\) more than once"):
@@ -249,33 +252,58 @@ class TestStudies:
         with pytest.raises(ValueError, match="N must be positive"):
             ure_concentration_study(small_spec(r=4, c=4, seed=16), [(0.5, 0.5)], N=n)
 
-    def test_concentration_matches_batch_oracle_bitwise(self):
-        # The study scores through FitEngine.objective_at; replaying it
-        # with the tests' batch capacitance oracle gives the same bits.
+    def test_concentration_builds_no_fit_engine(self, monkeypatch):
+        # The study evaluates fixed hyper-parameters; it searches nothing.
+        from twoway_shrink import simulation
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the concentration study built a FitEngine")
+
+        monkeypatch.setattr(simulation, "FitEngine", refuse)
+        spec = small_spec(r=5, c=4, missing_frac=0.2, seed=16)
+        res = ure_concentration_study(spec, [(0.0, 0.0), (0.5, 0.5)], N=3)
+        assert all(np.isfinite(res.mean_abs))
+
+    def test_concentration_matches_public_evaluators_bitwise(self):
+        # Replaying the study through SigmaContext, ure_value and
+        # bayes_estimate gives the same bits; the dense oracle agrees at the
+        # corner and wherever both lambda_tilde are at least 0.05.
         spec = small_spec(r=7, c=4, count_law=TwoPoint(1, 20, 0.3),
                           missing_frac=0.2, seed=31)
         grid = [(0.0, 0.0), (1e-6, 1e-6), (0.0, 0.4), (0.6, 0.0), (0.3, 0.7),
-                (1.0, 1.0)]
+                (0.05, 0.9), (1.0, 1.0)]
         n = 5
         res = ure_concentration_study(spec, grid, N=n)
 
         table0, eta = gen_scenario(spec, 0)
-        engine = FitEngine(table0)
+        design = build_design(table0)
+        qloss = QLoss.of(design)
+        rc = design.r * design.c
         eta_obs = eta[(table0.counts > 0).ravel()]
-        bundles = {p: CapacitanceBundle(engine, np.array([p])) for p in grid[1:]}
+        dd = dense_design(design)
+        t = dd.Zc @ np.linalg.pinv(dd.Z, rcond=1e-10)
+        q_dense = t.T @ t
+        m = design.m_diag
         diffs = {p: [] for p in grid}
         for rep in range(n):
-            pieces = engine._data_pieces(gen_scenario(spec, rep)[0].y_observed, eta_obs)
+            y = gen_scenario(spec, rep)[0].y_observed
             for p in grid:
-                if p == (0.0, 0.0):
-                    ure = engine._corner_value(pieces, "URE")
-                    loss = engine._corner_value(pieces, "ORACLE")
-                else:
-                    ure, loss = (
-                        float(evaluate_bundle(engine, bundles[p], pieces, m, 0.0)[0][0])
-                        for m in ("URE", "ORACLE")
-                    )
+                ctx = SigmaContext(design, hp_from_tilde(0.0, p), sigma2=spec.sigma2)
+                ure = ure_value(ctx, y, 0.0, qloss=qloss)
+                delta = bayes_estimate(ctx, y, 0.0) - eta_obs
+                loss = qloss.quad(delta) / rc
                 diffs[p].append(ure - loss)
+                if p == (0.0, 0.0):
+                    ure_ref = spec.sigma2 * float(m @ np.diag(q_dense)) / rc
+                    eta_ref = y
+                elif min(p) >= 0.05:
+                    ure_ref = dense_ure(ctx, y, 0.0, Q=q_dense)
+                    eta_ref = y - m * dense_solve(ctx, y)
+                else:
+                    continue
+                loss_ref = float((eta_ref - eta_obs) @ q_dense @ (eta_ref - eta_obs)) / rc
+                assert ure == pytest.approx(ure_ref, rel=1e-9, abs=0), (rep, p)
+                assert loss == pytest.approx(loss_ref, rel=1e-9, abs=0), (rep, p)
         d = [np.array(diffs[p]) for p in grid]
         assert res.mean_abs == tuple(float(np.abs(x).mean()) for x in d)
         assert res.mean_diff == tuple(float(x.mean()) for x in d)
@@ -326,6 +354,23 @@ class TestGenerationLimits:
         spec = small_spec(r=4, c=4, missing_frac=0.8, seed=1)
         with pytest.raises(RuntimeError):
             gen_scenario(spec)
+
+    def test_anti_effect_counts_need_row_effects(self):
+        law = TwoPoint(anti_effect=True)
+        with pytest.raises(ValueError, match="anti_effect counts need the row effects"):
+            law.draw(np.random.default_rng(0), 4, 3)
+
+    def test_count_law_that_draws_zeros(self):
+        spec = small_spec(r=4, c=4, count_law=UniformCounts(0, 1), seed=2)
+        with pytest.raises(ValueError, match="count law produced empty cells; "
+                                             "use missing_frac instead"):
+            gen_scenario(spec)
+
+    def test_risk_table_row_of_an_unknown_estimator(self):
+        rt = compare_estimators(small_spec(r=3, c=3, seed=19), 2, estimators=("wls",))
+        assert rt.row("wls").estimator == "wls"
+        with pytest.raises(KeyError, match="ure"):
+            rt.row("ure")
 
     def test_failure_rate_abort(self, monkeypatch):
         from twoway_shrink import simulation as sim

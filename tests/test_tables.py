@@ -11,8 +11,10 @@ from twoway_shrink import (
     imbalance_ratio,
     ingest_observations,
     is_connected,
+    load_table,
     quantile_bounds,
     read_agg_csv,
+    read_raw_csv,
 )
 from conftest import make_random_table
 from dense_oracle import dense_design
@@ -95,6 +97,80 @@ class TestCellTable:
         table = CellTable(np.ones((2, 2), int), np.ones((2, 2)), 1.0)
         with pytest.raises(ValueError):
             table.counts[0, 0] = 5
+
+
+class TestCellTableChecks:
+    @pytest.mark.parametrize("counts, means", [
+        (np.ones(4, int), np.ones(4)),
+        (np.ones((2, 3), int), np.ones((3, 2))),
+    ])
+    def test_rejects_non_2d_or_unequal_shapes(self, counts, means):
+        with pytest.raises(ValueError, match="2-d arrays of equal shape"):
+            CellTable(counts, means, 1.0)
+
+    def test_integral_float_counts_are_converted(self):
+        table = CellTable(np.array([[1.0, 2.0], [3.0, 1.0]]), np.ones((2, 2)), 1.0)
+        assert table.counts.dtype == np.int64
+        assert table.counts.tolist() == [[1, 2], [3, 1]]
+
+    @pytest.mark.parametrize("bad", [1.5, np.inf])
+    def test_other_float_counts_are_rejected(self, bad):
+        counts = np.array([[1.0, bad], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="counts must be finite integers"):
+            CellTable(counts, np.ones((2, 2)), 1.0)
+
+    def test_rejects_negative_counts(self):
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            CellTable(np.array([[1, -1], [1, 1]]), np.ones((2, 2)), 1.0)
+
+    def test_rejects_non_finite_observed_mean(self):
+        means = np.array([[1.0, np.inf], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="means of observed cells must be finite"):
+            CellTable(np.ones((2, 2), int), means, 1.0)
+
+    @pytest.mark.parametrize("labels", [
+        {"row_labels": ("a",)}, {"col_labels": ("x", "y", "z")},
+    ])
+    def test_rejects_label_lengths_that_do_not_match(self, labels):
+        with pytest.raises(ValueError, match="label lengths must match table dimensions"):
+            CellTable(np.ones((2, 2), int), np.ones((2, 2)), 1.0, **labels)
+
+    def test_no_sigma2_and_no_replicated_cell(self):
+        records = [("a", "x", 1.0), ("a", "y", 2.0), ("b", "x", 3.0), ("b", "y", 4.0)]
+        with pytest.raises(ValueError, match="sigma2 not given and no replicated cells"):
+            ingest_observations(records)
+
+
+class TestCsvChecks:
+    @pytest.mark.parametrize("schema, header", [
+        ("raw", "row,col,value"), ("agg", "row,col,count,mean"),
+    ])
+    def test_wrong_header(self, tmp_path, schema, header):
+        path = tmp_path / "bad.csv"
+        path.write_text("row,column,value,n\na,x,1.0,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{schema} schema requires header '{header}'"):
+            load_table(path, schema, sigma2=1.0)
+
+    @pytest.mark.parametrize("read, header", [
+        (read_raw_csv, "row,col,value"),
+        (lambda path: read_agg_csv(path, 1.0), "row,col,count,mean"),
+    ])
+    def test_header_and_no_data_rows(self, tmp_path, read, header):
+        path = tmp_path / "empty.csv"
+        path.write_text(header + "\n\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="no data rows in .*empty.csv"):
+            read(path)
+
+    def test_agg_schema_needs_sigma2(self, tmp_path):
+        path = tmp_path / "agg.csv"
+        path.write_text("row,col,count,mean\na,x,1,0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="aggregated schema carries no replicates; "
+                                             "sigma2 required"):
+            load_table(path, "agg")
+
+    def test_unknown_schema(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown schema 'json'"):
+            load_table(tmp_path / "table.json", "json", sigma2=1.0)
 
 
 class TestHyperParams:
