@@ -32,7 +32,6 @@ from .linear_core import (
 from .risk_metrics import (
     QLoss,
     a2_statistic,
-    balanced_decoupling_check,
     lambda1_q,
     loss_mode,
     loss_ss,
@@ -45,11 +44,9 @@ from .estimators import (
     WeightedProblem,
     bayes_estimate,
     complete_means,
-    estimating_eq_residuals,
     fit_ml,
     fit_ure,
     marginal_loglik,
-    oracle_fit,
     ure_value,
     weighted_transform,
     wls_fit,

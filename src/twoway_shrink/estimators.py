@@ -5,13 +5,17 @@ The family indexed by (mu, lambda_a, lambda_b) is
     eta_hat(mu, la, lb) = y - M Sigma^{-1} (y - mu 1),
 
 with mu restricted to a data-driven quantile interval and the relative
-variance components nonnegative.  Hyper-parameters are chosen by one of
+variance components nonnegative.  :meth:`FitEngine.fit` chooses the
+hyper-parameters by one of three criteria:
 
-* ``fit_ure``  -- minimize an unbiased estimate of the (possibly
-  missing-cell) quadratic risk;
-* ``fit_ml``   -- maximize the marginal likelihood (empirical BLUP);
-* ``oracle_fit`` -- minimize the realized loss given the true means
-  (simulation benchmark only).
+* ``"URE"``    -- minimize an unbiased estimate of the (possibly
+  missing-cell) quadratic risk (:func:`fit_ure`);
+* ``"EBMLE"``  -- maximize the marginal likelihood, the empirical BLUP
+  (:func:`fit_ml`);
+* ``"ORACLE"`` -- minimize the realized loss given the true observed-cell
+  means; not an estimator but the studies' benchmark, which records the
+  smallest loss among the family members it fits on a replicate
+  (:func:`~twoway_shrink.simulation.compare_estimators`).
 
 All three share one optimizer contract: the scale parameters are searched
 over the bounded square lambda_tilde = (1+lambda)^{-1/2} in [0,1]^2 by a
@@ -115,8 +119,6 @@ __all__ = [
     "marginal_loglik",
     "fit_ure",
     "fit_ml",
-    "oracle_fit",
-    "estimating_eq_residuals",
     "weighted_transform",
     "WeightedProblem",
     "FitEngine",
@@ -963,45 +965,6 @@ def fit_ml(table: CellTable, tau: float = 0.05) -> ShrinkageFit:
     is realized by the box constraint of the search.
     """
     return FitEngine(table, tau=tau, qmode="auto").fit(table.y_observed, "EBMLE")
-
-
-def oracle_fit(
-    table: CellTable,
-    tau: float = 0.05,
-    qmode: str = "auto",
-    true_eta: np.ndarray | None = None,
-) -> ShrinkageFit:
-    """Minimize the realized loss given the true observed-cell means.
-
-    Not a legal estimator -- a simulation benchmark.  A study records as the
-    oracle's loss the smallest among the family members it fits on a
-    replicate (:func:`~twoway_shrink.simulation.compare_estimators`).
-    """
-    if true_eta is None:
-        raise ValueError("oracle_fit requires true_eta")
-    return FitEngine(table, tau=tau, qmode=qmode).fit(
-        table.y_observed, "ORACLE", true_eta_obs=true_eta
-    )
-
-
-def estimating_eq_residuals(fit: ShrinkageFit, table: CellTable):
-    """Left-hand sides of the estimating equations at the fitted parameters.
-
-    Returns raw (res_mu, res_a, res_b) for the equations matching the fit
-    criterion (marginal likelihood or risk estimate).  At an interior
-    optimum all three vanish up to optimizer tolerance; at a boundary
-    lambda = 0 the corresponding residual is nonnegative (KKT direction).
-    NaNs are returned for fits pinned at the unshrunken corner.
-    """
-    if fit.method not in ("URE", "EBMLE"):
-        raise ValueError("residuals are defined for URE and EBMLE fits only")
-    if not (isfinite(fit.hp.lambda_a) and isfinite(fit.hp.lambda_b)):
-        return (float("nan"),) * 3
-    design = build_design(table)
-    qloss = QLoss.of(design, fit.qmode) if fit.method == "URE" else None
-    ctx = SigmaContext(design, fit.hp, sigma2=table.sigma2)
-    fo = _first_order_terms(ctx, qloss, table.y_observed, fit.hp.mu, fit.method)
-    return fo["res_mu"], fo["res_a"], fo["res_b"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ with the PSD matrix ``Q = (Zc Z^+)^T (Zc Z^+)``.  This module is the one
 place that decides a fit's loss (:func:`loss_mode`) and builds it
 (:class:`QLoss`); only the completed loss forms ``Q`` (the one place the
 dense design is formed), and its top eigenvalue comes without it, from
-the (r+c+1)-order grams.  It also exposes the design-regularity diagnostic
-and the balanced-design decoupling check.
+the (r+c+1)-order grams.  It also exposes the design-regularity diagnostic.
 """
 
 from __future__ import annotations
@@ -18,14 +17,8 @@ from math import log
 
 import numpy as np
 
-from .linear_core import SigmaContext, _pencil_top_eigenvalue, shrink_apply
-from .tables import (
-    CellTable,
-    DesignSet,
-    HyperParams,
-    build_design,
-    imbalance_ratio,
-)
+from .linear_core import _pencil_top_eigenvalue
+from .tables import CellTable, DesignSet, build_design, imbalance_ratio
 
 __all__ = [
     "QLoss",
@@ -35,7 +28,6 @@ __all__ = [
     "q_matrix",
     "lambda1_q",
     "a2_statistic",
-    "balanced_decoupling_check",
 ]
 
 
@@ -198,59 +190,3 @@ def a2_statistic(table: CellTable, *, lambda1: float | None = None) -> float:
     rc = table.r * table.c
     nu = imbalance_ratio(table)
     return float(rc ** (-1.0 / 8.0) * log(rc) ** 2 * nu * lambda1)
-
-
-def balanced_decoupling_check(
-    table: CellTable, hp: HyperParams, true_eta: np.ndarray
-) -> float:
-    """Discrepancy of the balanced-design loss decomposition.
-
-    On a complete balanced table (all counts equal) the shrinkage estimator
-    located at the grand mean decouples: its loss splits exactly into a
-    grand-mean term plus independently shrunk row- and column-effect terms,
-
-        ||eta_hat - eta||^2 / rc
-            = (m_hat - m)^2
-              + (1/r) sum_i (c_a a_hat_i - a_i)^2
-              + (1/c) sum_j (c_b b_hat_j - b_j)^2,
-
-    with c_a = la*c*K0 / (la*c*K0 + 1) and c_b = lb*r*K0 / (lb*r*K0 + 1).
-    The left side is evaluated through the generic covariance machinery,
-    the right side through these closed forms; the absolute difference is
-    returned.  ``true_eta`` must be an additive rc-vector of cell means.
-    """
-    if not table.is_complete:
-        raise ValueError("decoupling check requires a complete table")
-    k = table.k_observed
-    if k.min() != k.max():
-        raise ValueError("decoupling check requires a balanced table (equal counts)")
-    k0 = float(k[0])
-    r, c = table.r, table.c
-    eta = np.asarray(true_eta, dtype=float).reshape(r, c)
-    m = eta.mean()
-    a = eta.mean(axis=1) - m
-    b = eta.mean(axis=0) - m
-    recon = m + a[:, None] + b[None, :]
-    if np.max(np.abs(eta - recon)) > 1e-8 * max(1.0, np.max(np.abs(eta))):
-        raise ValueError("true means must be additive (no interaction)")
-
-    y = table.means
-    m_hat = y.mean()
-    a_hat = y.mean(axis=1) - m_hat
-    b_hat = y.mean(axis=0) - m_hat
-
-    design = build_design(table)
-    ctx = SigmaContext(design, hp)
-    eta_hat = table.y_observed - shrink_apply(ctx, table.y_observed - m_hat)
-    lhs = loss_ss(eta_hat, eta.ravel())
-
-    la, lb = ctx.lam_a, ctx.lam_b
-    c_a = la * c * k0 / (la * c * k0 + 1.0)
-    c_b = lb * r * k0 / (lb * r * k0 + 1.0)
-    rhs = (
-        (m_hat - m) ** 2
-        + np.sum((c_a * a_hat - a) ** 2) / r
-        + np.sum((c_b * b_hat - b) ** 2) / c
-    )
-    return float(abs(lhs - rhs))
-

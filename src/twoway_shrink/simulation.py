@@ -168,6 +168,12 @@ class ScenarioSpec:
     seed: int = 0
     name: str = ""
 
+    def __post_init__(self):
+        if not 0.0 <= self.missing_frac < 1.0:  # False for NaN
+            raise ValueError(
+                f"missing_frac must lie in [0, 1), got {self.missing_frac!r}"
+            )
+
     def label(self) -> str:
         return self.name or f"{self.r}x{self.c}-seed{self.seed}"
 

@@ -7,7 +7,10 @@ matrix, explicitly: O(n^3) work and O(n^2) memory, for small test
 problems only.  So do the cross-checks of the completed-loss machinery
 (``lambda1_q_from_grams``, ``ure_variance_zero_mu``,
 ``quad_form_moments``) and ``first_order_terms_dense``, the column-solve
-form of the estimating equations.  ``profile_mu_ure`` and
+form of the estimating equations; ``estimating_eq_at`` evaluates the
+library's own form at fixed hyper-parameters.  ``balanced_decoupling_check``
+compares the loss of a fit on a balanced table with its closed-form
+decomposition.  ``profile_mu_ure`` and
 ``profile_mu_gls`` are the location profiles as regressions of observed
 vectors, the oracles of the engine's closed-form mu.  The batch capacitance
 path (``CapacitanceBundle``, ``evaluate_bundle``) scores many
@@ -33,8 +36,8 @@ from twoway_shrink.linear_core import (
     shrink_apply,
     sigma_solve,
 )
-from twoway_shrink.risk_metrics import QLoss
-from twoway_shrink.tables import HyperParams, quantile_bounds
+from twoway_shrink.risk_metrics import QLoss, loss_ss
+from twoway_shrink.tables import HyperParams, build_design, quantile_bounds
 
 
 def dense_design(d):
@@ -191,7 +194,7 @@ def ure_variance_zero_mu(design, hp, eta_obs, sigma2, qloss):
     return var / rc**2
 
 
-# -- the estimating equations in column-solve form ---------------------------
+# -- the estimating equations ------------------------------------------------
 
 def first_order_terms_dense(d, qloss, s2, hp, y, mu, method):
     """``_first_order_terms`` with Sigma^{-1} Za and Sigma^{-1} Zb solved
@@ -230,6 +233,73 @@ def first_order_terms_dense(d, qloss, s2, hp, y, mu, method):
         "scale_a": abs(tr_a),
         "scale_b": abs(tr_b),
     }
+
+
+def estimating_eq_at(table, hp, method, qmode="auto"):
+    """(res_mu, res_a, res_b) of ``_first_order_terms`` at fixed ``hp``.
+
+    These are the terms a URE or EBMLE fit reports in
+    ``diagnostics["estimating_eq"]``, at any finite lambdas.
+    """
+    design = build_design(table)
+    qloss = QLoss.of(design, qmode) if method == "URE" else None
+    ctx = SigmaContext(design, hp, sigma2=table.sigma2)
+    fo = _first_order_terms(ctx, qloss, table.y_observed, hp.mu, method)
+    return fo["res_mu"], fo["res_a"], fo["res_b"]
+
+
+# -- the balanced-design loss decomposition ----------------------------------
+
+def balanced_decoupling_check(table, hp, true_eta):
+    """Discrepancy of the balanced-design loss decomposition.
+
+    On a complete balanced table (all counts equal) the shrinkage estimator
+    located at the grand mean decouples: its loss splits exactly into a
+    grand-mean term plus independently shrunk row- and column-effect terms,
+
+        ||eta_hat - eta||^2 / rc
+            = (m_hat - m)^2
+              + (1/r) sum_i (c_a a_hat_i - a_i)^2
+              + (1/c) sum_j (c_b b_hat_j - b_j)^2,
+
+    with c_a = la*c*K0 / (la*c*K0 + 1) and c_b = lb*r*K0 / (lb*r*K0 + 1).
+    The left side is evaluated through the library's covariance machinery,
+    the right side through these closed forms; the absolute difference is
+    returned.  ``true_eta`` must be an additive rc-vector of cell means.
+    """
+    if not table.is_complete:
+        raise ValueError("decoupling check requires a complete table")
+    k = table.k_observed
+    if k.min() != k.max():
+        raise ValueError("decoupling check requires a balanced table (equal counts)")
+    k0 = float(k[0])
+    r, c = table.r, table.c
+    eta = np.asarray(true_eta, dtype=float).reshape(r, c)
+    m = eta.mean()
+    a = eta.mean(axis=1) - m
+    b = eta.mean(axis=0) - m
+    recon = m + a[:, None] + b[None, :]
+    if np.max(np.abs(eta - recon)) > 1e-8 * max(1.0, np.max(np.abs(eta))):
+        raise ValueError("true means must be additive (no interaction)")
+
+    y = table.means
+    m_hat = y.mean()
+    a_hat = y.mean(axis=1) - m_hat
+    b_hat = y.mean(axis=0) - m_hat
+
+    ctx = SigmaContext(build_design(table), hp)
+    eta_hat = table.y_observed - shrink_apply(ctx, table.y_observed - m_hat)
+    lhs = loss_ss(eta_hat, eta.ravel())
+
+    la, lb = ctx.lam_a, ctx.lam_b
+    c_a = la * c * k0 / (la * c * k0 + 1.0)
+    c_b = lb * r * k0 / (lb * r * k0 + 1.0)
+    rhs = (
+        (m_hat - m) ** 2
+        + np.sum((c_a * a_hat - a) ** 2) / r
+        + np.sum((c_b * b_hat - b) ** 2) / c
+    )
+    return float(abs(lhs - rhs))
 
 
 # -- the count-weighted loss through the homoscedastic transform -------------

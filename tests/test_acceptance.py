@@ -11,18 +11,14 @@ import pytest
 from twoway_shrink import (
     CellTable,
     HyperParams,
-    ShrinkageFit,
     SigmaContext,
-    balanced_decoupling_check,
     build_design,
-    estimating_eq_residuals,
     fit_ml,
     fit_ure,
     lambda1_q,
     loss_ss,
     marginal_loglik,
     q_matrix,
-    quantile_bounds,
     sigma_solve,
     ure_value,
 )
@@ -38,6 +34,7 @@ from twoway_shrink.simulation import (
     risk_csv,
 )
 from conftest import make_random_table
+from dense_oracle import balanced_decoupling_check, estimating_eq_at
 from dense_oracle import (
     dense_design,
     dense_solve,
@@ -196,7 +193,7 @@ def test_criterion_4_estimating_equations():
     for method, fitter in (("ure", fit_ure), ("ml", fit_ml)):
         fit = fitter(table)
         assert not fit.mu_clamped and np.isfinite(fit.hp.lambda_a)
-        res = estimating_eq_residuals(fit, table)
+        res = fit.diagnostics["estimating_eq"]
         scales = fit.diagnostics["residual_scales"]
         ok = ok and abs(res[1]) <= 1e-4 * scales[1]
         ok = ok and abs(res[2]) <= 1e-4 * scales[2]
@@ -208,13 +205,7 @@ def test_criterion_4_estimating_equations():
             hp = HyperParams(
                 0.2, float(rng.uniform(0.4, 2.5)), float(rng.uniform(0.4, 2.5))
             )
-            fit = ShrinkageFit(
-                method=method, hp=hp, eta_obs=y_obs, eta_complete=np.zeros(rc),
-                objective=0.0, mu_clamped=False, tau=0.05,
-                bounds=quantile_bounds(table, 0.05), qmode="identity",
-                diagnostics={},
-            )
-            res = estimating_eq_residuals(fit, table)
+            res = estimating_eq_at(table, hp, method, qmode="identity")
             h = 1e-5 * (1.0 + hp.lambda_a)
             up = SigmaContext(d, HyperParams(hp.mu, hp.lambda_a + h, hp.lambda_b),
                               mode="fast", sigma2=1.0)

@@ -355,6 +355,15 @@ class TestSimulateCommand:
         path.write_text(cfg)
         return str(path)
 
+    @pytest.mark.parametrize("frac", ["-0.3", "nan", "1.0"])
+    def test_missing_frac_outside_the_unit_interval(self, tmp_path, capsys, frac):
+        cfg = self._config(tmp_path, extra=f"missing_frac={frac}\n")
+        code = main(["simulate", "--study", "compare", "--config", cfg])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: missing_frac must lie in [0, 1), got {float(frac)!r}\n"
+
     def test_compare_deterministic(self, tmp_path):
         cfg = self._config(tmp_path)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

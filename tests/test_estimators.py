@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,18 +7,15 @@ from twoway_shrink import (
     FitEngine,
     HyperParams,
     QLoss,
-    ShrinkageFit,
     SigmaContext,
     a2_statistic,
     bayes_estimate,
     build_design,
     complete_means,
-    estimating_eq_residuals,
     fit_ml,
     fit_ure,
     loss_ss,
     marginal_loglik,
-    oracle_fit,
     q_matrix,
     quantile_bounds,
     ure_value,
@@ -42,6 +37,7 @@ from dense_oracle import (
     CapacitanceBundle,
     dense_sigma,
     dense_ure,
+    estimating_eq_at,
     evaluate_bundle,
     lbfgs_polish,
     profile_mu_gls,
@@ -453,7 +449,7 @@ class TestEstimatingEquations:
             table, fit = self._interior_fit(method=method)
             assert np.isfinite(fit.hp.lambda_a) and fit.hp.lambda_a > 0
             assert not fit.mu_clamped
-            res = estimating_eq_residuals(fit, table)
+            res = fit.diagnostics["estimating_eq"]
             scales = fit.diagnostics["residual_scales"]
             assert abs(res[1]) <= 1e-4 * scales[1]
             assert abs(res[2]) <= 1e-4 * scales[2]
@@ -466,7 +462,7 @@ class TestEstimatingEquations:
         fit = fit_ure(table)
         if fit.hp.lambda_a > 0 and fit.hp.lambda_b > 0:
             pytest.skip("draw did not hit the boundary")
-        res = estimating_eq_residuals(fit, table)
+        res = fit.diagnostics["estimating_eq"]
         scales = fit.diagnostics["residual_scales"]
         if fit.hp.lambda_a == 0.0:
             assert res[1] >= -1e-4 * scales[1]
@@ -483,13 +479,7 @@ class TestEstimatingEquations:
             hp = HyperParams(
                 0.1, float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0))
             )
-            fit = ShrinkageFit(
-                method="URE", hp=hp, eta_obs=y, eta_complete=np.zeros(rc),
-                objective=0.0, mu_clamped=False, tau=0.05,
-                bounds=quantile_bounds(table, 0.05), qmode="identity",
-                diagnostics={},
-            )
-            res = estimating_eq_residuals(fit, table)
+            res = estimating_eq_at(table, hp, "URE", qmode="identity")
             h = 1e-5 * (1.0 + hp.lambda_a)
             up = HyperParams(hp.mu, hp.lambda_a + h, hp.lambda_b)
             dn = HyperParams(hp.mu, hp.lambda_a - h, hp.lambda_b)
@@ -505,13 +495,7 @@ class TestEstimatingEquations:
         table, _ = make_random_table(rng, 5, 5, k_max=3)
         y = table.y_observed
         hp = HyperParams(0.0, 1.1, 0.6)
-        fit = ShrinkageFit(
-            method="EBMLE", hp=hp, eta_obs=y, eta_complete=np.zeros(25),
-            objective=0.0, mu_clamped=False, tau=0.05,
-            bounds=quantile_bounds(table, 0.05), qmode="identity",
-            diagnostics={},
-        )
-        res = estimating_eq_residuals(fit, table)
+        res = estimating_eq_at(table, hp, "EBMLE")
         h = 1e-6 * (1.0 + hp.lambda_a)
         up = HyperParams(hp.mu, hp.lambda_a + h, hp.lambda_b)
         dn = HyperParams(hp.mu, hp.lambda_a - h, hp.lambda_b)
@@ -536,25 +520,25 @@ class TestEstimatingEquations:
         ]
         for table, fit in fits:
             expected = fit.diagnostics["estimating_eq"]
-            assert estimating_eq_residuals(fit, table) == expected
+            assert estimating_eq_at(table, fit.hp, fit.method, fit.qmode) == expected
 
     def test_a_wls_fit_has_no_residuals(self, rng):
         table, _ = make_random_table(rng, 4, 3, k_max=4)
-        with pytest.raises(ValueError, match="defined for URE and EBMLE fits only"):
-            estimating_eq_residuals(wls_fit_full(table), table)
+        assert "estimating_eq" not in wls_fit_full(table).diagnostics
 
-    def test_a_corner_fit_has_nan_residuals(self, rng):
-        table, _ = make_random_table(rng, 4, 3, k_max=4)
+    def test_a_corner_fit_has_no_residuals(self, rng):
+        # non-additive means and little noise: URE keeps y, the corner
+        table = CellTable(np.full((4, 3), 2), rng.normal(0, 3, (4, 3)), 0.01)
         fit = fit_ure(table)
-        corner = replace(fit, hp=HyperParams(fit.hp.mu, np.inf, np.inf))
-        assert np.all(np.isnan(estimating_eq_residuals(corner, table)))
+        assert fit.diagnostics["lambda_tilde"] == (0.0, 0.0)
+        assert "estimating_eq" not in fit.diagnostics
 
 
 class TestOracle:
     def test_zero_noise_interpolation(self, rng):
         table, eta = make_random_table(rng, 4, 5, noise=False)
         eta_obs = table.y_observed
-        fit = oracle_fit(table, true_eta=eta_obs)
+        fit = FitEngine(table).fit(eta_obs, "ORACLE", true_eta_obs=eta_obs)
         assert fit.objective <= 1e-6
 
     def test_definitional_dominance(self):
@@ -566,7 +550,7 @@ class TestOracle:
         table, eta = make_random_table(rng, 4, 4, k_max=3)
         d = build_design(table)
         eta_obs = eta.reshape(4, 4)[table.counts > 0]
-        orc = oracle_fit(table, true_eta=eta_obs)
+        orc = FitEngine(table).fit(table.y_observed, "ORACLE", true_eta_obs=eta_obs)
         lo, hi = quantile_bounds(table, 0.05)
         for _ in range(100):
             hp = HyperParams(
@@ -580,8 +564,8 @@ class TestOracle:
 
     def test_requires_truth(self, rng):
         table, _ = make_random_table(rng, 3, 3)
-        with pytest.raises(ValueError):
-            oracle_fit(table)
+        with pytest.raises(ValueError, match="oracle fit requires the true"):
+            FitEngine(table).fit(table.y_observed, "ORACLE")
 
 
 class TestThreadPinning:
@@ -989,11 +973,10 @@ class TestFitValidation:
         FitEngine,
         fit_ure,
         fit_ml,
-        lambda t: oracle_fit(t, true_eta=np.zeros(t.n_observed)),
         wls_fit_full,
         a2_statistic,
-    ], ids=["build_design", "FitEngine", "fit_ure", "fit_ml", "oracle_fit",
-            "wls_fit_full", "a2_statistic"])
+    ], ids=["build_design", "FitEngine", "fit_ure", "fit_ml", "wls_fit_full",
+            "a2_statistic"])
     def test_disconnected_table_names_every_component(self, entry):
         with pytest.raises(DisconnectedDesignError) as exc:
             entry(_three_component_table())
@@ -1175,7 +1158,7 @@ class TestUnfactorableCandidates:
     def test_oracle_skips_the_unfactorable_wls_limit(self):
         table = self.large_count_table()
         eta = table.y_observed + 0.01
-        fit = oracle_fit(table, true_eta=eta)
+        fit = FitEngine(table).fit(table.y_observed, "ORACLE", true_eta_obs=eta)
         assert fit.diagnostics["skipped_candidates"] == 1
         assert np.isfinite(fit.objective)
 

@@ -6,6 +6,8 @@ module that names them, so every LAPACK call of the package goes through
 it.  It imports nothing from the package at run time (the ``tables``
 types it annotates with are imported only under ``if TYPE_CHECKING:``),
 so ``tables`` can factor its grams through it without an import cycle.
+``risk_metrics`` builds losses and diagnostics, not fits: the one thing it
+takes from ``linear_core`` is the pencil eigensolver behind lambda1(Q).
 """
 
 import ast
@@ -75,3 +77,18 @@ def test_linear_core_imports_nothing_from_the_package_at_run_time():
     ]
     assert internal == []
     assert (".tables", True) in imports(path)
+
+
+def test_risk_metrics_takes_only_the_pencil_eigensolver_from_linear_core():
+    (path,) = [p for p in MODULES if p.name == "risk_metrics.py"]
+    taken = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "linear_core":
+                taken |= {alias.name for alias in node.names}
+            elif any(alias.name == "linear_core" for alias in node.names):
+                taken.add("linear_core")  # the whole module
+        elif isinstance(node, ast.Import):
+            taken |= {alias.name for alias in node.names
+                      if alias.name.split(".")[-1] == "linear_core"}
+    assert taken == {"_pencil_top_eigenvalue"}

@@ -8,7 +8,6 @@ from twoway_shrink import (
     QLoss,
     SigmaContext,
     a2_statistic,
-    balanced_decoupling_check,
     build_design,
     lambda1_q,
     loss_mode,
@@ -18,7 +17,12 @@ from twoway_shrink import (
     ure_value,
 )
 from conftest import make_random_table
-from dense_oracle import lambda1_q_from_grams, quad_form_moments, ure_variance_zero_mu
+from dense_oracle import (
+    balanced_decoupling_check,
+    lambda1_q_from_grams,
+    quad_form_moments,
+    ure_variance_zero_mu,
+)
 
 
 class TestLosses:

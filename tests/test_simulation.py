@@ -355,6 +355,13 @@ class TestGenerationLimits:
         with pytest.raises(RuntimeError):
             gen_scenario(spec)
 
+    @pytest.mark.parametrize("frac", [-0.3, float("nan"), 1.0],
+                             ids=["negative", "nan", "one"])
+    def test_missing_frac_outside_the_unit_interval(self, frac):
+        with pytest.raises(ValueError, match=rf"missing_frac must lie in \[0, 1\), "
+                                             rf"got {frac!r}"):
+            small_spec(missing_frac=frac)
+
     def test_anti_effect_counts_need_row_effects(self):
         law = TwoPoint(anti_effect=True)
         with pytest.raises(ValueError, match="anti_effect counts need the row effects"):
