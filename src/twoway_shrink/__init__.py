@@ -11,7 +11,6 @@ from .tables import (
     DesignSet,
     DisconnectedDesignError,
     HyperParams,
-    aggregate_records,
     build_design,
     design_components,
     imbalance_ratio,
@@ -19,8 +18,6 @@ from .tables import (
     is_connected,
     load_table,
     quantile_bounds,
-    read_agg_csv,
-    read_raw_csv,
 )
 from .linear_core import (
     NumericError,

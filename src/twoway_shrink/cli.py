@@ -183,9 +183,16 @@ def cmd_diagnose(args) -> int:
 
 # -- simulate ----------------------------------------------------------------
 
+# Every key that _scenario_from_config or cmd_simulate reads; any other is
+# rejected, so a misspelt key cannot silently fall back to its default.
+CONFIG_KEYS = ("r", "c", "count_law", "missing_frac", "effect_a", "effect_b",
+               "mu_true", "sigma2", "name", "n_reps", "tau", "estimators",
+               "sizes", "lt_grid")
+
+
 def _parse_config(path) -> dict:
     cfg = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -193,7 +200,10 @@ def _parse_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line (want key=value): {line!r}")
             key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
+            if (key := key.strip()) not in CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}; known keys: "
+                                 f"{', '.join(CONFIG_KEYS)}")
+            cfg[key] = value.strip()
     return cfg
 
 

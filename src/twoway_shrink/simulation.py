@@ -17,7 +17,7 @@ import logging
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -173,6 +173,12 @@ class ScenarioSpec:
             raise ValueError(
                 f"missing_frac must lie in [0, 1), got {self.missing_frac!r}"
             )
+        if not (isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValueError(
+                f"sigma2 must be a positive finite number, got {self.sigma2!r}"
+            )
+        if not isfinite(self.mu_true):
+            raise ValueError(f"mu_true must be finite, got {self.mu_true!r}")
 
     def label(self) -> str:
         return self.name or f"{self.r}x{self.c}-seed{self.seed}"

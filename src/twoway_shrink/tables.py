@@ -7,6 +7,13 @@ and column index arrays, counts, and the effect-space grams and solves
 built from them), quantile bounds for the shrinkage location, and the
 design imbalance ratio.
 
+A table is read from one of two input kinds: raw (row, col, value)
+records, in memory (:func:`ingest_observations`) or as a raw CSV, or an
+aggregated CSV of (row, col, count, mean) cells (:func:`load_table` reads
+both CSV schemas).  Both reach :class:`CellTable` through one map from
+(row label, col label) to (count, mean), so labels keep their
+first-appearance order and the same cells give the same table bit for bit.
+
 Every cell mean is estimable exactly when the row-column incidence graph
 of the observed cells is connected.  :func:`build_design` is where that is
 decided: it raises :class:`DisconnectedDesignError` on a disconnected
@@ -32,15 +39,12 @@ __all__ = [
     "DesignSet",
     "HyperParams",
     "DisconnectedDesignError",
-    "aggregate_records",
     "ingest_observations",
     "build_design",
     "is_connected",
     "design_components",
     "quantile_bounds",
     "imbalance_ratio",
-    "read_raw_csv",
-    "read_agg_csv",
     "load_table",
 ]
 
@@ -186,67 +190,51 @@ class HyperParams:
         return float((1.0 + self.lambda_b) ** -0.5)
 
 
-def aggregate_records(records):
-    """Aggregate raw (row_label, col_label, value) records to cell statistics.
+def ingest_observations(records, sigma2: float | None = None) -> CellTable:
+    """Build a :class:`CellTable` from raw (row label, col label, value) records.
 
-    Returns ``(row_labels, col_labels, counts, means, pooled_var)`` where
-    labels follow first-appearance order, ``counts``/``means`` are dense
-    (r, c) arrays (means NaN for empty cells), and ``pooled_var`` is the
-    pooled within-cell variance estimate ``sum((n-1) s^2) / sum(n-1)``, or
-    None when no cell has two or more replicates.
+    Each cell holds the mean of its values.  When ``sigma2`` is omitted,
+    the pooled within-cell variance ``sum((n-1) s^2) / sum(n-1)`` is used
+    (and flagged via ``sigma2_source="pooled"``); this requires at least
+    one cell with two or more replicates.
     """
-    records = list(records)
-    if not records:
-        raise ValueError("no records to aggregate")
-    row_ix, col_ix = {}, {}
-    cells = {}
+    values = {}
     for row, col, value in records:
         value = float(value)
         if not isfinite(value):
             raise ValueError(f"non-finite value for cell ({row!r}, {col!r})")
-        i = row_ix.setdefault(row, len(row_ix))
-        j = col_ix.setdefault(col, len(col_ix))
-        cells.setdefault((i, j), []).append(value)
-    r, c = len(row_ix), len(col_ix)
-    counts = np.zeros((r, c), dtype=np.int64)
-    means = np.full((r, c), np.nan)
-    ss_within = 0.0
-    df_within = 0
-    for (i, j), values in cells.items():
-        v = np.asarray(values)
-        counts[i, j] = v.size
-        means[i, j] = v.mean()
-        if v.size > 1:
-            ss_within += float(np.sum((v - v.mean()) ** 2))
-            df_within += v.size - 1
-    pooled = ss_within / df_within if df_within > 0 else None
-    return tuple(row_ix), tuple(col_ix), counts, means, pooled
+        values.setdefault((row, col), []).append(value)
+    if not values:
+        raise ValueError("no records to aggregate")
+    cells, ss_within, df_within = {}, 0.0, 0
+    for cell, v in values.items():
+        v = np.asarray(v)
+        cells[cell] = (v.size, v.mean())
+        ss_within += float(np.sum((v - v.mean()) ** 2))
+        df_within += v.size - 1
+    if sigma2 is not None:
+        return _cell_table(cells, sigma2, "given")
+    if df_within == 0 or ss_within <= 0:
+        raise ValueError("sigma2 not given and no replicated cells to estimate it from")
+    return _cell_table(cells, ss_within / df_within, "pooled")
 
 
-def ingest_observations(records, sigma2: float | None = None) -> CellTable:
-    """Build a :class:`CellTable` from raw replicate-level records.
+def _cell_table(cells: dict, sigma2: float, source: str) -> CellTable:
+    """CellTable of an ordered map {(row label, col label): (count, mean)}.
 
-    When ``sigma2`` is omitted, the pooled within-cell variance is used
-    (and flagged via ``sigma2_source="pooled"``); this requires at least
-    one cell with two or more replicates.
+    Labels keep their first-appearance order in ``cells``; a count-0
+    cell gets a NaN mean.
     """
-    row_labels, col_labels, counts, means, pooled = aggregate_records(records)
-    if sigma2 is None:
-        if pooled is None or pooled <= 0:
-            raise ValueError(
-                "sigma2 not given and no replicated cells to estimate it from"
-            )
-        sigma2, source = pooled, "pooled"
-    else:
-        source = "given"
-    return CellTable(
-        counts,
-        means,
-        sigma2,
-        row_labels=row_labels,
-        col_labels=col_labels,
-        sigma2_source=source,
-    )
+    row_ix, col_ix = {}, {}
+    i, j = np.array([(row_ix.setdefault(row, len(row_ix)),
+                      col_ix.setdefault(col, len(col_ix))) for row, col in cells]).T
+    k, m = (np.array(a) for a in zip(*cells.values()))
+    counts = np.zeros((len(row_ix), len(col_ix)), dtype=np.int64)
+    means = np.full(counts.shape, np.nan)
+    counts[i, j] = k
+    means[i, j] = np.where(k > 0, m, np.nan)
+    return CellTable(counts, means, sigma2, row_labels=tuple(row_ix),
+                     col_labels=tuple(col_ix), sigma2_source=source)
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,8 +449,8 @@ def imbalance_ratio(table: CellTable) -> float:
 
 # ---------------------------------------------------------------------------
 # CSV ingestion.  Two schemas, both with a required header row:
-#   raw:  row,col,value   (one observation per line)
-#   agg:  row,col,count,mean
+#   raw:  row,col,value   (one observation per line; read by ingest_observations)
+#   agg:  row,col,count,mean   (one line per cell)
 # ---------------------------------------------------------------------------
 
 def _nonnegative_int(text: str) -> int:
@@ -481,14 +469,16 @@ def _csv_rows(path, schema: str, header: tuple, types: tuple):
     """(line number, fields) of each non-blank data row of a CSV under ``header``.
 
     ``types`` holds one converter per column; a field it rejects is named
-    by its line and column.
+    by its line and column.  A leading UTF-8 byte-order mark is skipped,
+    and a file without data rows is an error.
     """
     expected = ",".join(header)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None or [h.strip().lower() for h in first] != list(header):
             raise ValueError(f"{schema} schema requires header '{expected}'")
+        line = None
         for line in filter(None, reader):  # a blank line reads as []
             if len(line) != len(header):
                 raise ValueError(
@@ -504,22 +494,21 @@ def _csv_rows(path, schema: str, header: tuple, types: tuple):
                         f"line {reader.line_num}: column {name!r}: {exc}"
                     ) from None
             yield reader.line_num, tuple(fields)
+        if line is None:
+            raise ValueError(f"no data rows in {path}")
 
 
-def read_raw_csv(path):
-    """Read raw-schema CSV into a list of (row, col, value) records."""
-    types = (str.strip, str.strip, _finite_float)
-    rows = _csv_rows(path, "raw", ("row", "col", "value"), types)
-    records = [fields for _, fields in rows]
-    if not records:
-        raise ValueError(f"no data rows in {path}")
-    return records
-
-
-def read_agg_csv(path, sigma2: float) -> CellTable:
-    """Read aggregated-schema CSV (row,col,count,mean) into a CellTable."""
-    row_ix, col_ix = {}, {}
-    entries = {}
+def load_table(path, schema: str, sigma2: float | None = None) -> CellTable:
+    """Load a CellTable from CSV under the given schema ('raw' or 'agg')."""
+    if schema == "raw":
+        rows = _csv_rows(path, "raw", ("row", "col", "value"),
+                         (str.strip, str.strip, _finite_float))
+        return ingest_observations((fields for _, fields in rows), sigma2=sigma2)
+    if schema != "agg":
+        raise ValueError(f"unknown schema {schema!r}")
+    if sigma2 is None:
+        raise ValueError("aggregated schema carries no replicates; sigma2 required")
+    cells = {}
     for line, (row, col, count, mean) in _csv_rows(
         path, "agg", ("row", "col", "count", "mean"),
         (str.strip, str.strip, _nonnegative_int, float),
@@ -527,33 +516,9 @@ def read_agg_csv(path, sigma2: float) -> CellTable:
         if count > 0 and not isfinite(mean):
             raise ValueError(f"line {line}: column 'mean': means of observed cells "
                              f"must be finite, got {mean!r}")
-        cell = (row_ix.setdefault(row, len(row_ix)), col_ix.setdefault(col, len(col_ix)))
-        if cell in entries:
+        if (row, col) in cells:
             raise ValueError(
                 f"duplicate cell (row {row!r}, col {col!r}) in aggregated input"
             )
-        entries[cell] = (count, mean)
-    if not entries:
-        raise ValueError(f"no data rows in {path}")
-    r, c = len(row_ix), len(col_ix)
-    counts = np.zeros((r, c), dtype=np.int64)
-    means = np.full((r, c), np.nan)
-    for (i, j), (k, m) in entries.items():
-        counts[i, j] = k
-        if k > 0:
-            means[i, j] = m
-    return CellTable(
-        counts, means, sigma2,
-        row_labels=tuple(row_ix), col_labels=tuple(col_ix),
-    )
-
-
-def load_table(path, schema: str, sigma2: float | None = None) -> CellTable:
-    """Load a CellTable from CSV under the given schema ('raw' or 'agg')."""
-    if schema == "raw":
-        return ingest_observations(read_raw_csv(path), sigma2=sigma2)
-    if schema == "agg":
-        if sigma2 is None:
-            raise ValueError("aggregated schema carries no replicates; sigma2 required")
-        return read_agg_csv(path, sigma2)
-    raise ValueError(f"unknown schema {schema!r}")
+        cells[row, col] = (count, mean)
+    return _cell_table(cells, sigma2, "given")

@@ -227,6 +227,38 @@ class TestCsvErrors:
         assert err == message
 
 
+class TestReadersAgree:
+    def test_raw_and_agg_reports_match(self, tmp_path):
+        rng = np.random.default_rng(5)
+        cells = [(f"r{i}", f"c{j}") for i in (3, 0, 2, 1) for j in (1, 2, 0)
+                 if (i, j) not in ((0, 2), (1, 1))]
+        values = rng.normal(0.0, 2.0, len(cells)).tolist()
+        raw = write(tmp_path / "raw.csv", "row,col,value\n" + "".join(
+            f"{a},{b},{v!r}\n" for (a, b), v in zip(cells, values)))
+        agg = write(tmp_path / "agg.csv", "row,col,count,mean\n" + "".join(
+            f"{a},{b},1,{v!r}\n" for (a, b), v in zip(cells, values)))
+        texts = []
+        for path, schema in ((raw, "raw"), (agg, "agg")):
+            out = tmp_path / f"{schema}.json"
+            code = main(["fit", "--input", path, "--schema", schema, "--method", "ure",
+                         "--sigma2", "1.0", "--out", str(out)])
+            assert code == 0
+            sha = load_report(out)["provenance"]["input_sha256"]
+            texts.append(out.read_text().replace(sha, "<sha256>"))
+        assert texts[0] == texts[1]
+
+    def test_agg_csv_with_byte_order_mark(self, complete_agg_csv, tmp_path, capsys):
+        text = open(complete_agg_csv, encoding="utf-8").read()
+        marked = tmp_path / "marked.csv"
+        marked.write_text(text, encoding="utf-8-sig")
+        outs = []
+        for path in (complete_agg_csv, str(marked)):
+            code = main(["diagnose", "--input", path, "--schema", "agg", "--sigma2", "1.0"])
+            assert code == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+
+
 class TestDiagnoseCommand:
     def test_complete_lambda1_one(self, complete_agg_csv, capsys):
         code = main([
@@ -389,6 +421,50 @@ class TestSimulateCommand:
             assert code == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    def test_config_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        plain = self._config(tmp_path)
+        marked = tmp_path / "marked.txt"
+        marked.write_text(open(plain, encoding="utf-8").read(), encoding="utf-8-sig")
+        outs = []
+        for cfg in (plain, str(marked)):
+            code = main(["simulate", "--study", "compare", "--config", cfg, "--seed", "7"])
+            assert code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("line", ["n_rep=3", "missing_fraction=0.3", "seed=4"])
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys, line):
+        cfg = self._config(tmp_path, extra=line + "\n")
+        code = main(["simulate", "--study", "compare", "--config", cfg, "--seed", "7"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        key = line.partition("=")[0]
+        assert err.startswith(f"error: unknown config key {key!r}; known keys: r, c, ")
+
+    def test_every_known_config_key_is_accepted(self, tmp_path, capsys):
+        from twoway_shrink.cli import CONFIG_KEYS
+
+        cfg = self._config(tmp_path, extra=(
+            "missing_frac=0.1\nmu_true=0.5\ntau=0.1\nsizes=4x4\nlt_grid=0,0;1,1\n"
+        ))
+        keys = {line.partition("=")[0] for line in open(cfg, encoding="utf-8")}
+        assert keys == set(CONFIG_KEYS)
+        code = main(["simulate", "--study", "compare", "--config", cfg, "--seed", "7"])
+        assert code == 0
+
+    @pytest.mark.parametrize("line, message", [
+        ("sigma2=-1", "sigma2 must be a positive finite number, got -1.0"),
+        ("mu_true=nan", "mu_true must be finite, got nan"),
+    ])
+    def test_invalid_sigma2_or_mu_true_exit_2(self, tmp_path, capsys, line, message):
+        cfg = self._config(tmp_path, extra=line + "\n")
+        code = main(["simulate", "--study", "compare", "--config", cfg, "--seed", "7"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_config_line_without_equals_exit_2(self, tmp_path, capsys):
         cfg = self._config(tmp_path, extra="n_reps 6\n")

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -361,6 +362,20 @@ class TestGenerationLimits:
         with pytest.raises(ValueError, match=rf"missing_frac must lie in \[0, 1\), "
                                              rf"got {frac!r}"):
             small_spec(missing_frac=frac)
+
+    @pytest.mark.parametrize("sigma2", [-1.0, 0.0, float("nan"), float("inf")],
+                             ids=["negative", "zero", "nan", "inf"])
+    def test_sigma2_not_positive_finite(self, sigma2):
+        with pytest.raises(ValueError, match=re.escape(
+                f"sigma2 must be a positive finite number, got {sigma2!r}")):
+            small_spec(sigma2=sigma2)
+
+    @pytest.mark.parametrize("mu_true", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_mu_true_not_finite(self, mu_true):
+        with pytest.raises(ValueError, match=re.escape(
+                f"mu_true must be finite, got {mu_true!r}")):
+            small_spec(mu_true=mu_true)
 
     def test_anti_effect_counts_need_row_effects(self):
         law = TwoPoint(anti_effect=True)

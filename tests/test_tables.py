@@ -5,7 +5,6 @@ from twoway_shrink import (
     CellTable,
     DisconnectedDesignError,
     HyperParams,
-    aggregate_records,
     build_design,
     design_components,
     imbalance_ratio,
@@ -13,8 +12,6 @@ from twoway_shrink import (
     is_connected,
     load_table,
     quantile_bounds,
-    read_agg_csv,
-    read_raw_csv,
 )
 from conftest import make_random_table
 from dense_oracle import dense_design
@@ -22,15 +19,16 @@ from dense_oracle import dense_design
 
 class TestAggregation:
     def test_single_cell_mean(self):
-        # aggregation itself is fine with a 1x1 grid; table construction is not
-        rows, cols, counts, means, pooled = aggregate_records(
-            [("a", "x", 1.0), ("a", "x", 3.0)]
-        )
-        assert counts.tolist() == [[2]]
-        assert means[0, 0] == 2.0
-        assert pooled == pytest.approx(2.0)  # s^2 of {1,3}
+        # a 1x1 grid is no table, so the replicated cell is checked in a 2x2
         with pytest.raises(ValueError):
             ingest_observations([("a", "x", 1.0), ("a", "x", 3.0)])
+        table = ingest_observations(
+            [("a", "x", 1.0), ("a", "x", 3.0), ("a", "y", 0.0), ("b", "x", 0.0),
+             ("b", "y", 0.0)]
+        )
+        assert table.counts.tolist() == [[2, 1], [1, 1]]
+        assert table.means[0, 0] == 2.0
+        assert table.sigma2 == pytest.approx(2.0)  # s^2 of {1,3}
 
     def test_identity_aggregation(self):
         table = ingest_observations(
@@ -69,9 +67,9 @@ class TestAggregation:
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
-            aggregate_records([])
+            ingest_observations([])
         with pytest.raises(ValueError):
-            aggregate_records([("a", "x", np.nan)])
+            ingest_observations([("a", "x", np.nan)])
 
 
 class TestCellTable:
@@ -151,15 +149,14 @@ class TestCsvChecks:
         with pytest.raises(ValueError, match=f"{schema} schema requires header '{header}'"):
             load_table(path, schema, sigma2=1.0)
 
-    @pytest.mark.parametrize("read, header", [
-        (read_raw_csv, "row,col,value"),
-        (lambda path: read_agg_csv(path, 1.0), "row,col,count,mean"),
+    @pytest.mark.parametrize("schema, header", [
+        ("raw", "row,col,value"), ("agg", "row,col,count,mean"),
     ])
-    def test_header_and_no_data_rows(self, tmp_path, read, header):
+    def test_header_and_no_data_rows(self, tmp_path, schema, header):
         path = tmp_path / "empty.csv"
         path.write_text(header + "\n\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no data rows in .*empty.csv"):
-            read(path)
+            load_table(path, schema, sigma2=1.0)
 
     def test_agg_schema_needs_sigma2(self, tmp_path):
         path = tmp_path / "agg.csv"
@@ -171,6 +168,66 @@ class TestCsvChecks:
     def test_unknown_schema(self, tmp_path):
         with pytest.raises(ValueError, match="unknown schema 'json'"):
             load_table(tmp_path / "table.json", "json", sigma2=1.0)
+
+    @pytest.mark.parametrize("schema, text", [
+        ("raw", "row,col,value\na,x,1.0\na,x,2.5\na,y,0.5\nb,x,0.1\nb,y,0.2\n"),
+        ("agg", "row,col,count,mean\na,x,2,1.5\na,y,1,0.5\nb,x,1,0.1\nb,y,0,nan\n"
+                "c,y,1,2.0\n"),
+    ], ids=["raw", "agg"])
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, schema, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert_same_table(load_table(marked, schema, sigma2=1.0),
+                          load_table(plain, schema, sigma2=1.0))
+
+
+def assert_same_table(a, b):
+    """Equal counts, bit-equal means, labels, sigma2 and its source."""
+    assert a.counts.dtype == b.counts.dtype
+    assert np.array_equal(a.counts, b.counts)
+    assert a.means.tobytes() == b.means.tobytes()
+    assert (a.row_labels, a.col_labels) == (b.row_labels, b.col_labels)
+    assert (a.sigma2, a.sigma2_source) == (b.sigma2, b.sigma2_source)
+
+
+class TestReadersAgree:
+    """Raw records, raw CSV and aggregated CSV of the same cells load alike."""
+
+    @staticmethod
+    def _cells(rng):
+        """Shuffled (row, col) labels of a random connected 5x4 layout."""
+        table, _ = make_random_table(rng, 5, 4, n_missing=4)
+        rows, cols = np.nonzero(table.counts)
+        order = rng.permutation(rows.size)
+        return [(f"r{rows[t] * 3 % 5}", f"c{cols[t]}") for t in order]
+
+    def test_single_values_raw_and_agg_csv(self, tmp_path, rng):
+        for _ in range(10):
+            cells = self._cells(rng)
+            values = rng.normal(0.0, 10.0, len(cells))
+            raw, agg = tmp_path / "raw.csv", tmp_path / "agg.csv"
+            raw.write_text("row,col,value\n" + "".join(
+                f"{a},{b},{v!r}\n" for (a, b), v in zip(cells, values.tolist())))
+            agg.write_text("row,col,count,mean\n" + "".join(
+                f"{a},{b},1,{v!r}\n" for (a, b), v in zip(cells, values.tolist())))
+            assert_same_table(load_table(raw, "raw", sigma2=1.5),
+                              load_table(agg, "agg", sigma2=1.5))
+
+    def test_replicated_raw_csv_and_records(self, tmp_path, rng):
+        for _ in range(10):
+            cells = self._cells(rng)
+            records = [(a, b, float(v)) for a, b in cells
+                       for v in rng.normal(0.0, 3.0, rng.integers(1, 4))]
+            records = [records[t] for t in rng.permutation(len(records))]
+            records.append((*cells[0], 0.25))  # at least one replicated cell
+            path = tmp_path / "raw.csv"
+            path.write_text("row,col,value\n" + "".join(
+                f"{a},{b},{v!r}\n" for a, b, v in records))
+            table = load_table(path, "raw")
+            assert table.sigma2_source == "pooled"
+            assert_same_table(table, ingest_observations(records))
 
 
 class TestHyperParams:
@@ -198,12 +255,12 @@ class TestReadAggCsv:
         rest = ["a,y,1,0.5", "b,x,1,0.1", "b,y,1,0.2"]
         path = self._write(tmp_path, [first, *rest, "a,x,3,1.5"])
         with pytest.raises(ValueError, match="duplicate cell"):
-            read_agg_csv(path, 1.0)
+            load_table(path, "agg", sigma2=1.0)
 
     def test_listed_empty_cell_loads(self, tmp_path):
         lines = ["a,x,1,0.0", "a,y,1,0.5", "b,x,1,0.1", "b,y,0,nan", "c,x,2,1.0",
                  "c,y,1,2.0"]
-        table = read_agg_csv(self._write(tmp_path, lines), 1.0)
+        table = load_table(self._write(tmp_path, lines), "agg", sigma2=1.0)
         assert table.counts.tolist() == [[1, 1], [1, 0], [2, 1]]
 
 
