@@ -49,19 +49,22 @@ from .estimators import (
     wls_fit,
     wls_fit_full,
 )
-from .simulation import (
-    Constant,
-    NormalEffects,
-    PointMass,
-    RiskTable,
-    ScenarioSpec,
-    TwoGroup,
-    TwoPoint,
-    UniformCounts,
-    compare_estimators,
-    gen_scenario,
-    oracle_gap_study,
-    ure_concentration_study,
-)
+
+# The Monte-Carlo study names load ``simulation`` (and its process pool) on
+# first access, so a process that only fits never imports it (PEP 562).
+_SIMULATION_EXPORTS = frozenset((
+    "Constant", "NormalEffects", "PointMass", "RiskTable", "ScenarioSpec",
+    "TwoGroup", "TwoPoint", "UniformCounts", "compare_estimators", "gen_scenario",
+    "oracle_gap_study", "ure_concentration_study",
+))
+
+
+def __getattr__(name):
+    if name in _SIMULATION_EXPORTS:
+        from . import simulation
+
+        return getattr(simulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -19,21 +19,6 @@ from . import __version__
 from .estimators import FitEngine, wls_fit_full
 from .linear_core import NumericError
 from .risk_metrics import a2_statistic, lambda1_q, loss_mode
-from .simulation import (
-    ALL_ESTIMATORS,
-    Constant,
-    NormalEffects,
-    PointMass,
-    ScenarioSpec,
-    TwoGroup,
-    TwoPoint,
-    UniformCounts,
-    check_estimators,
-    compare_estimators,
-    oracle_gap_study,
-    risk_csv,
-    ure_concentration_study,
-)
 from .tables import (
     DisconnectedDesignError,
     build_design,
@@ -85,12 +70,13 @@ def _sha256(path) -> str:
 
 
 def _load(args):
-    sigma2 = None if args.estimate_sigma2 else args.sigma2
-    if sigma2 is None and not args.estimate_sigma2:
+    if args.sigma2 is not None and args.estimate_sigma2:
+        raise ValueError("give --sigma2 or --estimate-sigma2, not both")
+    if args.sigma2 is None and not args.estimate_sigma2:
         raise ValueError("either --sigma2 or --estimate-sigma2 is required")
     if args.estimate_sigma2 and args.schema != "raw":
         raise ValueError("--estimate-sigma2 needs replicate-level (raw) input")
-    return load_table(args.input, args.schema, sigma2=sigma2)
+    return load_table(args.input, args.schema, sigma2=args.sigma2)
 
 
 def _fit_report(args) -> dict:
@@ -222,6 +208,8 @@ def _law_args(spec: str, what: str, arities: dict):
 
 
 def _parse_count_law(spec: str):
+    from .simulation import Constant, TwoPoint, UniformCounts
+
     kind, args = _law_args(spec, "count law", {
         "constant": (0, 1), "uniform": (2,), "twopoint": (0, 2, 3),
         "twopoint-anti": (0, 2, 3),
@@ -235,6 +223,8 @@ def _parse_count_law(spec: str):
 
 
 def _parse_effect_law(spec: str):
+    from .simulation import NormalEffects, PointMass, TwoGroup
+
     kind, args = _law_args(spec, "effect law", {
         "normal": (0, 1), "pointmass": (0, 1), "twogroup": (0, 1, 2, 3),
     })
@@ -242,7 +232,9 @@ def _parse_effect_law(spec: str):
     return law[kind](*args)
 
 
-def _scenario_from_config(cfg: dict, seed: int) -> ScenarioSpec:
+def _scenario_from_config(cfg: dict, seed: int):
+    from .simulation import ScenarioSpec
+
     return ScenarioSpec(
         r=int(cfg.get("r", 10)),
         c=int(cfg.get("c", 10)),
@@ -258,6 +250,11 @@ def _scenario_from_config(cfg: dict, seed: int) -> ScenarioSpec:
 
 
 def cmd_simulate(args) -> int:
+    # simulation (and its process pool) is imported only here and in the
+    # config parsers, so that fit and diagnose load the fit modules alone.
+    from .simulation import (ALL_ESTIMATORS, check_estimators, compare_estimators,
+                             oracle_gap_study, risk_csv, ure_concentration_study)
+
     cfg = _parse_config(args.config)
     spec = _scenario_from_config(cfg, args.seed)
     n_reps = int(cfg.get("n_reps", 200))

@@ -361,10 +361,13 @@ def compare_estimators(
     1% of the replicates fail; fewer failed replicates are dropped, counted
     in ``n_failed`` and reported in one warning on the ``twoway_shrink``
     logger that names each distinct reason with its count.  Unknown or
-    repeated estimator names raise ValueError before any fit.
+    repeated estimator names, N < 1 and n_jobs < 1 raise ValueError before
+    any fit.
     """
     if N < 1:
         raise ValueError("N must be positive")
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be positive, got {n_jobs}")
     estimators = check_estimators(estimators)
     records = _gather(spec, N, estimators, tau, n_jobs)
     failures = [r["__error__"] for r in records if "__error__" in r]
@@ -434,8 +437,13 @@ def oracle_gap_study(
     For each (r, c) the scenario template is re-dimensioned and the mean
     oracle gaps of URE and EBMLE are estimated, together with the empirical
     probability that the URE loss exceeds the oracle loss by more than
-    ``EXCEED_FRAC`` times the oracle risk.
+    ``EXCEED_FRAC`` times the oracle risk.  A size listed twice raises
+    ValueError before any fit.
     """
+    sizes = tuple(tuple(s) for s in sizes)
+    repeated = [s for i, s in enumerate(sizes) if s in sizes[:i]]
+    if repeated:
+        raise ValueError(f"sizes lists {repeated[0][0]}x{repeated[0][1]} more than once")
     tables = []
     p_list, p_se_list = [], []
     for (r, c) in sizes:
@@ -451,7 +459,7 @@ def oracle_gap_study(
         p_list.append(p)
         p_se_list.append(p_se)
     return GapStudyResult(
-        sizes=tuple(tuple(s) for s in sizes),
+        sizes=sizes,
         tables=tuple(tables),
         p_exceed=tuple(p_list),
         p_exceed_se=tuple(p_se_list),

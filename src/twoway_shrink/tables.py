@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isfinite
+from math import floor, isfinite
 
 import numpy as np
 
@@ -432,13 +432,34 @@ def quantile_bounds(table: CellTable, tau: float):
     """Data-driven interval for the shrinkage location mu.
 
     Returns the tau/2 and 1-tau/2 quantiles of the observed cell averages,
-    using linear interpolation between order statistics (type 7).
+    using linear interpolation between order statistics (type 7).  This is
+    ``np.quantile(y, q, method="linear")`` step for step, so the bounds equal
+    it bit for bit, -0.0 included, without the ``numpy.ma`` import that
+    ``np.quantile`` adds to every CLI process.
     """
     if not (0 < tau <= 1):
         raise ValueError("tau must lie in (0, 1]")
-    y = table.y_observed
-    a, b = np.quantile(y, [tau / 2.0, 1.0 - tau / 2.0], method="linear")
-    return float(a), float(b)
+    y = table.y_observed.copy()
+    picks = [_type7_neighbours(y.size, q) for q in (tau / 2.0, 1.0 - tau / 2.0)]
+    # numpy partitions at exactly these indices; a sort could order -0.0
+    # and 0.0 differently.
+    y.partition(sorted({0, -1}.union(*((i, j) for i, j, _ in picks))))
+    return tuple(_lerp(float(y[i]), float(y[j]), g) for i, j, g in picks)
+
+
+def _type7_neighbours(n: int, q: float) -> tuple:
+    """numpy's (lower index, upper index, weight) for the q quantile of n values."""
+    v = (n - 1) * q
+    if v >= n - 1:  # the top value, interpolated with itself
+        return -1, -1, v + 1.0
+    i = floor(v)
+    return i, i + 1, v - i
+
+
+def _lerp(a: float, b: float, g: float) -> float:
+    """numpy's ``_lerp``: from the nearer end, so g = 1 gives b exactly."""
+    d = b - a
+    return b - d * (1.0 - g) if g >= 0.5 else a + d * g
 
 
 def imbalance_ratio(table: CellTable) -> float:

@@ -170,6 +170,20 @@ class TestFitCommand:
         assert code == 2
         assert "fully observed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("fit", ["--method", "ml"]),
+        ("diagnose", []),
+    ])
+    def test_sigma2_and_estimate_sigma2_together_exit_2(self, raw_csv, command,
+                                                        extra, capsys):
+        # The given --sigma2 used to be dropped for the pooled estimate.
+        code = main([command, "--input", raw_csv, "--sigma2", "5",
+                     "--estimate-sigma2", *extra])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: give --sigma2 or --estimate-sigma2, not both\n"
+
     def test_missing_sigma2_is_validation_error(self, complete_agg_csv):
         code = main([
             "fit", "--input", complete_agg_csv, "--schema", "agg",
@@ -556,6 +570,27 @@ class TestSimulateCommand:
         assert any("p_exceed_ure" in ln for ln in lines)
         assert any(",oracle,4x4," in ln for ln in lines)
         assert any(",ure,6x6," in ln for ln in lines)
+
+    @pytest.mark.parametrize("study, jobs", [
+        ("compare", "0"), ("compare", "-5"), ("oracle-gap", "0"),
+    ])
+    def test_jobs_below_one_exit_2(self, tmp_path, study, jobs, capsys):
+        cfg = self._config(tmp_path, extra="sizes=4x4\n",
+                           estimators="wls,ebmle,ure,oracle")
+        code = main(["simulate", "--study", study, "--config", cfg, "--jobs", jobs])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n_jobs must be positive, got {jobs}\n"
+
+    def test_oracle_gap_repeated_size_exit_2(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, extra="sizes=4x3, 4x3\n",
+                           estimators="wls,ebmle,ure,oracle")
+        code = main(["simulate", "--study", "oracle-gap", "--config", cfg])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: sizes lists 4x3 more than once\n"
 
     @pytest.mark.parametrize("names", ["wls,foo", "wls,ure,wls"])
     def test_bad_estimator_names_exit_2(self, tmp_path, names, capsys):

@@ -315,3 +315,35 @@ def test_cli_import_and_fits_load_only_the_lapack_extension():
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     assert _run_child(code) == "['scipy.linalg._flapack']"
+
+
+def test_cli_fit_and_diagnose_load_no_study_stack(tmp_path):
+    # fit and diagnose load the fit modules alone: not the Monte-Carlo
+    # studies, their process pool, or numpy.ma (which np.quantile imports).
+    # The package still exports the study names, loading them on first access.
+    rows = ["row,col,count,mean"] + [
+        f"r{i},c{j},{1 + i * j % 4},{(i - j) * 0.37 + i * j * 0.05}"
+        for i in range(5) for j in range(4) if (i + j) % 4
+    ]
+    (tmp_path / "missing.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "cfg.txt").write_text("r=4\nc=4\nn_reps=2\nestimators=wls,ure\n")
+    code = f"""
+import contextlib, io, sys
+from twoway_shrink.cli import main
+io_args = ["--input", {str(tmp_path / "missing.csv")!r}, "--schema", "agg",
+           "--sigma2", "1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["fit", *io_args, "--loss", "auto"]) == 0
+    assert main(["diagnose", *io_args]) == 0
+    loaded = [m for m in ("twoway_shrink.simulation", "concurrent.futures",
+                          "multiprocessing", "numpy.ma") if m in sys.modules]
+    assert main(["simulate", "--study", "compare",
+                 "--config", {str(tmp_path / "cfg.txt")!r}]) == 0
+import twoway_shrink
+from twoway_shrink import simulation
+names = sorted(twoway_shrink._SIMULATION_EXPORTS)
+assert len(names) == 12
+assert all(getattr(twoway_shrink, n) is getattr(simulation, n) for n in names)
+print(loaded)
+"""
+    assert _run_child(code) == "[]"

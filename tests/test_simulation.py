@@ -206,6 +206,21 @@ class TestCompareEstimators:
         with pytest.raises(ValueError, match="wls, ebmle, ure, oracle"):
             compare_estimators(small_spec(), 4, estimators=names)
 
+    @pytest.mark.parametrize("n_jobs", [0, -5])
+    def test_jobs_below_one_rejected_before_fitting(self, n_jobs, monkeypatch):
+        # They used to run serially, as if n_jobs were 1.
+        import twoway_shrink.simulation as sim
+
+        def no_fits(*args):
+            raise AssertionError("replicates were fitted")
+
+        monkeypatch.setattr(sim, "_gather", no_fits)
+        message = f"n_jobs must be positive, got {n_jobs}"
+        with pytest.raises(ValueError, match=message):
+            compare_estimators(small_spec(), 4, n_jobs=n_jobs)
+        with pytest.raises(ValueError, match=message):
+            oracle_gap_study([(4, 4)], small_spec(), 4, n_jobs=n_jobs)
+
 
 class TestStudies:
     def test_oracle_gap_smoke(self):
@@ -216,6 +231,17 @@ class TestStudies:
             assert rt.row("ure").gap >= -1e-12
         text = res.to_csv()
         assert "p_exceed_ure" in text
+
+    def test_oracle_gap_rejects_a_repeated_size(self, monkeypatch):
+        # A size listed twice would be fitted twice and written twice.
+        from twoway_shrink import simulation
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a size was fitted before the sizes were checked")
+
+        monkeypatch.setattr(simulation, "compare_estimators", refuse)
+        with pytest.raises(ValueError, match="sizes lists 4x3 more than once"):
+            oracle_gap_study([(4, 3), (5, 5), [4, 3]], small_spec(), 3)
 
     def test_concentration_unbiased_at_grid(self):
         spec = small_spec(r=8, c=8, seed=15)

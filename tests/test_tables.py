@@ -406,6 +406,42 @@ class TestQuantileBounds:
             with pytest.raises(ValueError):
                 quantile_bounds(table, tau)
 
+    def test_equals_numpy_quantile_bit_for_bit(self):
+        # np.quantile is the reference; the bounds avoid calling it because
+        # it imports numpy.ma.  Bytes are compared, so -0.0 and 0.0 differ.
+        rng = np.random.default_rng(20)
+        taus = (1e-9, 0.05, 0.5, 1.0)
+        checked, n_tables = set(), 0
+        for k in range(2400):
+            r, c = rng.integers(2, 9, 2)
+            counts = rng.integers(1, 5, (r, c))
+            missing = k // 4 % 2
+            if missing:
+                counts = counts * (rng.random((r, c)) > 0.3)
+            scale = 10.0 ** rng.uniform(-8, 8)
+            kind = k % 4
+            if kind == 0:
+                means = rng.normal(size=(r, c)) * scale
+            elif kind == 1:  # one constant value
+                means = np.full((r, c), rng.normal() * scale)
+            elif kind == 2:  # few distinct values, many ties
+                means = rng.integers(-2, 3, (r, c)) * scale
+            else:  # signed zeros among ties
+                means = rng.choice([-0.0, 0.0, scale, -scale], (r, c))
+            try:
+                table = CellTable(counts, np.where(counts > 0, means, np.nan), 1.0)
+            except ValueError:  # too few observed cells
+                continue
+            tau = taus[k % 5] if k % 5 < 4 else float(rng.uniform(1e-6, 1.0))
+            got = np.array(quantile_bounds(table, tau))
+            want = np.quantile(table.y_observed, [tau / 2, 1 - tau / 2],
+                               method="linear")
+            assert got.tobytes() == want.tobytes(), (table.y_observed, tau)
+            checked.add((kind, missing, k % 5))
+            n_tables += 1
+        assert len(checked) == 4 * 2 * 5
+        assert n_tables >= 2000
+
 
 class TestImbalance:
     def test_balanced(self):
