@@ -340,12 +340,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (NumericError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        # before ValueError, which LinAlgError subclasses
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, OSError) as exc:  # DisconnectedDesignError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NumericError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -18,20 +18,19 @@ This is the library's only path, and it forms no n x n matrix of its
 own.  The tests keep a dense oracle that forms Sigma explicitly and check
 this path against it.
 
-LAPACK: every LAPACK call of the package goes through this module, and
-no scipy Python module is imported.  scipy's compiled f2py wrappers,
-the extension ``scipy/linalg/_flapack``, are loaded on their own by
+LAPACK: scipy's LAPACK serves the capacitance matrix alone, and no scipy
+Python module is imported.  scipy's compiled f2py wrappers, the extension
+``scipy/linalg/_flapack``, are loaded on their own by
 :func:`_load_flapack`, under the name ``scipy.linalg._flapack``; they are
 the very function objects ``scipy.linalg.lapack`` hands out, so a later
-``import scipy.linalg`` shares them.  Every Cholesky factorization is
-:func:`_cholesky` (``dpotrf``) and every solve with its factor
-:func:`_cholesky_solve` (``dpotrs``): the capacitance matrix of
-:func:`_capacitance_factor` and the augmented effects grams of
-``DesignSet.effects_solve``.  ``risk_metrics.lambda1_q`` solves its
-pencil by :func:`_pencil_top_eigenvalue` (``dsygvx``), with the arguments
-``scipy.linalg.eigh`` passes for one eigenvalue.  A matrix that is not
-positive definite or not finite raises :class:`NumericError`; nothing is
-retried.
+``import scipy.linalg`` shares them.  The capacitance matrix of
+:func:`_capacitance_factor` is factored by :func:`_cholesky` (``dpotrf``)
+and solved with its factor by :func:`_cholesky_solve` (``dpotrs``).  A
+matrix that is not positive definite or not finite raises
+:class:`NumericError`; nothing is retried.  numpy's LAPACK serves every
+other factorization: ``DesignSet.effects_solve``, the absorbed grid's
+``eigh``, ``risk_metrics.lambda1_q``'s pencil and the completion map's
+``pinv``.
 
 Threads: the refinement stage of a fit (Nelder-Mead and the final
 evaluation) makes hundreds of these calls at order r+c, where OpenBLAS
@@ -141,25 +140,6 @@ def _cholesky_solve(f: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info != 0:
         raise NumericError(f"potrs rejected argument {-info}")
     return x
-
-
-def _pencil_top_eigenvalue(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetric-definite pencil (a, b), by ``dsygvx``.
-
-    The call of ``scipy.linalg.eigh(a, b, eigvals_only=True,
-    subset_by_index=(n-1, n-1))``, without its input checks.  Raises
-    :class:`NumericError` when LAPACK reports a failure (``b`` not
-    positive definite, a non-finite entry, no convergence) or does not
-    return one finite eigenvalue.
-    """
-    n = a.shape[0]
-    lwork = int(_flapack.dsygvx_lwork(n, uplo="L")[0])
-    w, _, m, _, info = _flapack.dsygvx(a, b, itype=1, jobz="N", range="I",
-                                       uplo="L", il=n, iu=n, lwork=lwork)
-    if info != 0 or m != 1 or not isfinite(w[0]):
-        raise NumericError(f"pencil eigensolve failed (sygvx info {info}, "
-                           f"{m} eigenvalues)")
-    return float(w[0])
 
 
 @cache

@@ -17,7 +17,6 @@ from math import log
 
 import numpy as np
 
-from .linear_core import _pencil_top_eigenvalue
 from .tables import CellTable, DesignSet, build_design, imbalance_ratio
 
 __all__ = [
@@ -158,7 +157,9 @@ def lambda1_q(design: DesignSet) -> float:
     pencil (Zc^T Zc, Z^T Z), whose eigenvalues are the nonzero ones of
     (Zc^T Zc)(Z^T Z)^+ and so of Q.  Both grams vanish on the null space
     {(-a-b, a 1_r, b 1_c)}; dropping the last row and column effects leaves
-    both positive definite at order r+c-1.
+    both positive definite at order r+c-1.  With g = L L^T, the value is the
+    top eigenvalue of L^{-1} gc L^{-T}; numpy's ``LinAlgError`` reports a
+    failed factorization or eigensolve.
     """
     r, c = design.r, design.c
     if design.n_obs == r * c:
@@ -168,7 +169,9 @@ def lambda1_q(design: DesignSet) -> float:
     keep = np.r_[0:r, r + 1:r + c]  # intercept, rows 1..r-1, columns 1..c-1
     g, gc = (_bordered(gram, r)[np.ix_(keep, keep)]
              for gram in (design.gram_plain, complete))
-    return _pencil_top_eigenvalue(gc, g)
+    f = np.linalg.cholesky(g)
+    a = np.linalg.solve(f, np.linalg.solve(f, gc).T)
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
 def _bordered(gram: np.ndarray, r: int) -> np.ndarray:

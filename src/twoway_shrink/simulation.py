@@ -179,6 +179,18 @@ class ScenarioSpec:
             )
         if not isfinite(self.mu_true):
             raise ValueError(f"mu_true must be finite, got {self.mu_true!r}")
+        n_observed = self.r * self.c - self.n_missing
+        if n_observed < self.r + self.c - 1:
+            raise ValueError(
+                f"r={self.r}, c={self.c} with missing_frac={self.missing_frac!r} "
+                f"leaves {n_observed} observed cells; a connected design needs "
+                f"r+c-1 = {self.r + self.c - 1}"
+            )
+
+    @property
+    def n_missing(self) -> int:
+        """Number of cells the design leaves empty."""
+        return int(self.missing_frac * self.r * self.c)
 
     def label(self) -> str:
         return self.name or f"{self.r}x{self.c}-seed{self.seed}"
@@ -208,10 +220,9 @@ def gen_scenario(spec: ScenarioSpec, replicate: int = 0):
     if np.any(counts < 1):
         raise ValueError("count law produced empty cells; use missing_frac instead")
     if spec.missing_frac > 0:
-        n_missing = int(spec.missing_frac * r * c)
         for attempt in range(1000):
             cand = counts.copy()
-            drop = rng_s.choice(r * c, size=n_missing, replace=False)
+            drop = rng_s.choice(r * c, size=spec.n_missing, replace=False)
             cand.ravel()[drop] = 0
             if _component_labels(cand)[0] == 1:
                 counts = cand

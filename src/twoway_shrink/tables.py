@@ -32,8 +32,6 @@ from math import floor, isfinite
 
 import numpy as np
 
-from .linear_core import _cholesky, _cholesky_solve
-
 __all__ = [
     "CellTable",
     "DesignSet",
@@ -287,26 +285,37 @@ class DesignSet:
     @cached_property
     def gram_plain(self) -> np.ndarray:
         """[Za Zb]^T [Za Zb], built from cell-incidence sums."""
-        return _effects_gram(self, np.ones(self.n_obs))
+        return _effects_gram(self, 1.0)
 
     def effects_solve(self, rhs: np.ndarray, weighted: bool = False) -> np.ndarray:
         """The theta with v^T theta = 0 that solves G theta = rhs.
 
         G is ``gram_weighted`` or ``gram_plain`` and v = (1_r, -1_c) spans
-        its null space; ``rhs`` must lie in the range
-        of G (any [Za Zb]^T x does).  Solved as (G + v v^T) theta = rhs,
-        whose Cholesky factor is kept per gram.
+        its null space; ``rhs`` must lie in the range of G (any
+        [Za Zb]^T x does).  The larger factor A, whose block D_A of G is
+        diagonal, is eliminated in closed form (Searle, Casella and
+        McCulloch, *Variance Components*, 1992, ch. 7): the Schur complement
+        D_B - X^T D_A^{-1} X, X the cross block, is solved at order
+        min(r, c) - 1 with theta_B's last entry at 0 (its null vector is
+        1_B), theta_A = D_A^{-1} (rhs_A - X theta_B), and theta is shifted
+        along v onto v^T theta = 0.
         """
-        factor = self._weighted_factor if weighted else self._plain_factor
-        return _cholesky_solve(factor, rhs)
-
-    @cached_property
-    def _plain_factor(self) -> np.ndarray:
-        return _augmented_cholesky(self, self.gram_plain)
-
-    @cached_property
-    def _weighted_factor(self) -> np.ndarray:
-        return _augmented_cholesky(self, self.gram_weighted)
+        r = self.r
+        x = _cross_block(self, self.k_obs.astype(float) if weighted else 1.0)
+        rhs_a, rhs_b = rhs[:r], rhs[r:]
+        if r < self.c:
+            x, rhs_a, rhs_b = x.T, rhs_b, rhs_a
+        d_a = x.sum(axis=1)
+        xs = x / d_a[:, None]  # D_A^{-1} X
+        s = np.diag(x.sum(axis=0)) - x.T @ xs
+        theta_b = np.zeros(s.shape[0])
+        theta_b[:-1] = np.linalg.solve(s[:-1, :-1], (rhs_b - xs.T @ rhs_a)[:-1])
+        theta_a = (rhs_a - x @ theta_b) / d_a
+        theta = np.concatenate([theta_b, theta_a] if r < self.c else [theta_a, theta_b])
+        shift = (theta[:r].sum() - theta[r:].sum()) / self.q
+        theta[:r] -= shift
+        theta[r:] += shift
+        return theta
 
     @cached_property
     def completion_map(self) -> np.ndarray:
@@ -326,24 +335,17 @@ class DesignSet:
         return Zc @ np.linalg.pinv(Z, rcond=PINV_RTOL)
 
 
-def _augmented_cholesky(design: DesignSet, gram: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of gram + v v^T, v = (1_r, -1_c)."""
-    v = np.concatenate([np.ones(design.r), -np.ones(design.c)])
-    return _cholesky(gram + np.outer(v, v))
+def _cross_block(design: DesignSet, w) -> np.ndarray:
+    """The r x c cross block Za^T diag(w) Zb: each observed cell's weight."""
+    cross = np.zeros((design.r, design.c))
+    cross[design.row_index, design.col_index] = w
+    return cross
 
 
-def _effects_gram(design: DesignSet, w: np.ndarray) -> np.ndarray:
-    r, c = design.r, design.c
-    g = np.zeros((r + c, r + c))
-    ra = np.bincount(design.row_index, weights=w, minlength=r)
-    cb = np.bincount(design.col_index, weights=w, minlength=c)
-    g[np.arange(r), np.arange(r)] = ra
-    g[r + np.arange(c), r + np.arange(c)] = cb
-    cross = np.zeros((r, c))
-    np.add.at(cross, (design.row_index, design.col_index), w)
-    g[:r, r:] = cross
-    g[r:, :r] = cross.T
-    return g
+def _effects_gram(design: DesignSet, w) -> np.ndarray:
+    """[Za Zb]^T diag(w) [Za Zb]; its diagonal holds the cross block's sums."""
+    x = _cross_block(design, w)
+    return np.block([[np.diag(x.sum(axis=1)), x], [x.T, np.diag(x.sum(axis=0))]])
 
 
 def build_design(table: CellTable) -> DesignSet:

@@ -10,7 +10,10 @@ problems only.  So do the cross-checks of the completed-loss machinery
 form of the estimating equations; ``estimating_eq_at`` evaluates the
 library's own form at fixed hyper-parameters.  ``balanced_decoupling_check``
 compares the loss of a fit on a balanced table with its closed-form
-decomposition.  ``profile_mu_ure`` and
+decomposition, and ``balanced_objective`` and ``balanced_minimum`` give
+every criterion on a balanced table, and its exact minimum, in closed
+form.  ``effects_solve_augmented`` is the (r+c)-order augmented Cholesky
+effects solve that ``DesignSet.effects_solve`` replaced.  ``profile_mu_ure`` and
 ``profile_mu_gls`` are the location profiles as regressions of observed
 vectors, the oracles of the engine's closed-form mu.  The batch capacitance
 path (``CapacitanceBundle``, ``evaluate_bundle``) scores many
@@ -21,6 +24,7 @@ derivative-based local search from a fit's lambda_tilde; interior fits
 are checked to leave it nothing to gain.
 """
 
+from math import log, pi
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +36,8 @@ from twoway_shrink.linear_core import (
     LAMBDA_TILDE_EPS,
     NumericError,
     SigmaContext,
+    _cholesky,
+    _cholesky_solve,
     lam_from_tilde,
     shrink_apply,
     sigma_solve,
@@ -110,6 +116,33 @@ def dense_ure(ctx, y, mu, Q=None, sigma2=None):
     tr_qm = float(np.sum(m)) if Q is None else float(m @ np.diag(Q))
     tr_mid = float(np.sum(sig_inv * q.T))
     return (s2 * tr_qm - 2.0 * s2 * tr_mid + float(xi @ mid @ xi)) / (d.r * d.c)
+
+
+# -- the augmented effects solve ----------------------------------------------
+
+def effects_solve_augmented(design, rhs, weighted=False):
+    """The theta with v^T theta = 0 that solves G theta = rhs, v = (1_r, -1_c).
+
+    The dense form ``DesignSet.effects_solve`` replaced: one (r+c)-order
+    Cholesky factorization of G + v v^T, G the weighted or plain gram,
+    through LAPACK's potrf and potrs.
+    """
+    gram = design.gram_weighted if weighted else design.gram_plain
+    v = np.concatenate([np.ones(design.r), -np.ones(design.c)])
+    return _cholesky_solve(_cholesky(gram + np.outer(v, v)), rhs)
+
+
+def wls_fit_augmented(design, y):
+    """``wls_fit`` through :func:`effects_solve_augmented`."""
+    rhs = design.effects_rmatvec(design.k_obs * np.asarray(y, dtype=float))
+    return design.effects_matvec(effects_solve_augmented(design, rhs, weighted=True))
+
+
+def complete_means_augmented(design, eta_obs):
+    """``complete_means`` through :func:`effects_solve_augmented`."""
+    rhs = design.effects_rmatvec(np.asarray(eta_obs, dtype=float))
+    theta = effects_solve_augmented(design, rhs)
+    return (theta[: design.r, None] + theta[None, design.r :]).ravel()
 
 
 # -- location profiles ---------------------------------------------------------
@@ -300,6 +333,119 @@ def balanced_decoupling_check(table, hp, true_eta):
         + np.sum((c_b * b_hat - b) ** 2) / c
     )
     return float(abs(lhs - rhs))
+
+
+# -- the closed form on balanced designs --------------------------------------
+
+def _anova(x):
+    """(grand mean, row effects, column effects, interaction) of an r x c array."""
+    m = x.mean()
+    a = x.mean(axis=1) - m
+    b = x.mean(axis=0) - m
+    return m, a, b, x - m - a[:, None] - b[None, :]
+
+
+def balanced_objective(table, lt_a, lt_b, method, eta=None, tau=0.05):
+    """The engine's criterion on a complete balanced table, in closed form.
+
+    With one count k in every cell, Sigma's eigenspaces are the ANOVA
+    split (Johnstone 2011, sec. 2.9): row contrasts (dimension r-1,
+    eigenvalue e_A = m + c lambda_a), column contrasts (c-1,
+    e_B = m + r lambda_b), the grand mean (1, e_G = m + c lambda_a
+    + r lambda_b) and the interaction ((r-1)(c-1), m), m = 1/k.  The
+    shrinkage factor of a space is b = m / e, and with v = sigma^2 m and
+    S the sum of squares of y's projection,
+
+        URE rc     = sum over spaces of b^2 S + p v - 2 p v b,
+        -loglik    = (rc/2) log 2 pi sigma^2 + sum of p log(e) / 2 + S / (2 sigma^2 e),
+        ORACLE rc  = sum over spaces of |(1-b) P y + b mu P 1 - P eta|^2.
+
+    ``lt_a`` and ``lt_b`` are arrays of lambda_tilde, mapped to lambda as
+    the engine maps them (``lam_from_tilde``); the exact (0, 0) pair is
+    the unshrunken corner.  mu is profiled and clamped to the quantile
+    interval, as the engine scores a candidate.  Returns (objective, mu,
+    clamped) arrays, the objective as :meth:`FitEngine.fit` minimizes it.
+    """
+    k = table.counts.ravel()
+    if not table.is_complete or k.min() != k.max():
+        raise ValueError("the closed form needs a complete table with equal counts")
+    r, c, rc, s2 = table.r, table.c, table.r * table.c, table.sigma2
+    lt_a, lt_b = np.broadcast_arrays(np.asarray(lt_a, float), np.asarray(lt_b, float))
+    corner = (lt_a == 0.0) & (lt_b == 0.0)
+    # lam_from_tilde's arithmetic, elementwise
+    la, lb = (1.0 / (t * t) - 1.0 for t in np.maximum((lt_a, lt_b), LAMBDA_TILDE_EPS))
+    m = 1.0 / float(k[0])
+    v = s2 * m
+    e_a, e_b, e_g = m + c * la, m + r * lb, m + c * la + r * lb
+    b_a, b_b, b_g = m / e_a, m / e_b, m / e_g
+    ybar, ya, yb, yi = _anova(table.means)
+    s_a, s_b, s_i = c * ya @ ya, r * yb @ yb, float(np.sum(yi * yi))
+    p_a, p_b, p_i = r - 1, c - 1, (r - 1) * (c - 1)
+    lo, hi = quantile_bounds(table, tau)
+    if method == "ORACLE":
+        ebar, ea, eb, ei = _anova(np.asarray(eta, float).reshape(r, c))
+        mu_raw = (ebar - (1.0 - b_g) * ybar) / b_g
+    else:
+        mu_raw = np.full(lt_a.shape, ybar)
+    mu = np.clip(mu_raw, lo, hi)
+    mu = np.where(corner, 0.5 * (lo + hi), mu)
+    clamped = ~corner & (mu != mu_raw)
+    s_g = rc * (ybar - mu) ** 2
+    if method == "URE":
+        obj = sum(b * b * s_ + p * v - 2.0 * p * v * b for b, s_, p in (
+            (b_a, s_a, p_a), (b_b, s_b, p_b), (b_g, s_g, 1))) + s_i - p_i * v
+        obj = np.where(corner, v * rc, obj) / rc
+    elif method == "EBMLE":
+        logdet = p_a * np.log(e_a) + p_b * np.log(e_b) + np.log(e_g) + p_i * log(m)
+        obj = (0.5 * rc * log(2.0 * pi * s2) + 0.5 * logdet
+               + (s_a / e_a + s_b / e_b + s_g / e_g + s_i / m) / (2.0 * s2))
+        obj = np.where(corner, np.inf, obj)
+    elif method == "ORACLE":
+        loss = (c * np.sum(((1.0 - b_a)[..., None] * ya - ea) ** 2, axis=-1)
+                + r * np.sum(((1.0 - b_b)[..., None] * yb - eb) ** 2, axis=-1)
+                + rc * ((1.0 - b_g) * ybar + b_g * mu - ebar) ** 2
+                + float(np.sum(ei * ei)))
+        d = table.means - np.asarray(eta, float).reshape(r, c)
+        obj = np.where(corner, float(np.sum(d * d)), loss) / rc
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return obj, mu, clamped
+
+
+def balanced_minimum(table, method, eta=None, tau=0.05):
+    """(objective, lambda_tilde pair) at the minimum of :func:`balanced_objective`.
+
+    Over the engine's search box: [0, 1]^2 with lambda_tilde below
+    ``LAMBDA_TILDE_EPS`` read as that value, plus the exact (0, 0) corner.
+    A 201 x 201 evaluation picks the four best points; around each, a
+    21 x 21 stencil is refined tenfold per level down to a spacing of
+    1e-13 in lambda_tilde.
+    """
+    def f(a, b):
+        return balanced_objective(table, a, b, method, eta, tau)[0]
+
+    axis = np.linspace(0.0, 1.0, 201)
+    ga, gb = np.meshgrid(axis, axis, indexing="ij")
+    values = f(ga, gb)
+    values[0, 0] = np.inf  # the corner, scored below
+    best = (float(f(0.0, 0.0)), (0.0, 0.0))
+    offsets = np.linspace(-2.0, 2.0, 21)
+    for flat in np.argsort(values, axis=None)[:4]:
+        x = np.array([axis[flat // axis.size], axis[flat % axis.size]])
+        h = axis[1] - axis[0]
+        while h > 1e-13:
+            pa = np.clip(x[0] + h * offsets, 0.0, 1.0)
+            pb = np.clip(x[1] + h * offsets, 0.0, 1.0)
+            sa, sb = np.meshgrid(pa, pb, indexing="ij")
+            vals = f(sa, sb)
+            vals[(sa == 0.0) & (sb == 0.0)] = np.inf
+            i = np.unravel_index(np.argmin(vals), vals.shape)
+            x = np.array([sa[i], sb[i]])
+            h /= 10.0
+        value = float(f(*x))
+        if value < best[0]:
+            best = (value, (float(x[0]), float(x[1])))
+    return best
 
 
 # -- the count-weighted loss through the homoscedastic transform -------------

@@ -609,6 +609,15 @@ class TestSimulateCommand:
         ])
         assert code == 2
 
+    def test_too_few_observed_cells_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "sparse.txt"
+        path.write_text("r=5\nc=5\nmissing_frac=0.9\nn_reps=3\n")
+        code = main(["simulate", "--study", "compare", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == ("error: r=5, c=5 with missing_frac=0.9 leaves 3 observed "
+                       "cells; a connected design needs r+c-1 = 9\n")
 
     @pytest.mark.parametrize("line", [
         "count_law=uniform",
@@ -665,24 +674,16 @@ class TestNumericFailureExit:
     ])
     def test_exit_3_when_the_pencil_eigensolve_fails(self, missing_agg_csv, command,
                                                      monkeypatch, capsys):
-        from twoway_shrink import linear_core
+        from twoway_shrink import risk_metrics
 
-        real = linear_core._flapack
+        def fail(a):
+            raise np.linalg.LinAlgError("synthetic eigensolve failure")
 
-        class FailingSygvx:
-            __file__ = real.__file__
-            dsygvx_lwork = real.dsygvx_lwork
-
-            @staticmethod
-            def dsygvx(a, b, **kw):
-                w, z, m, ifail, _ = real.dsygvx(a, b, **kw)
-                return w, z, m, ifail, a.shape[0] + 1
-
-        monkeypatch.setattr(linear_core, "_flapack", FailingSygvx)
+        monkeypatch.setattr(risk_metrics.np.linalg, "eigvalsh", fail)
         code = main([command[0], "--input", missing_agg_csv, "--schema", "agg",
                      *command[1:]])
         assert code == 3
-        assert "sygvx info" in capsys.readouterr().err
+        assert "synthetic eigensolve failure" in capsys.readouterr().err
 
 
 class TestUnfactorableCandidate:

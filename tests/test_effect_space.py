@@ -3,7 +3,9 @@
 Completion, the WLS fit and the first-order terms work in the (r+c)
 effect coordinates; each is compared on random designs (complete and
 with missing cells, r >= c and r < c, counts 1..20) with the dense matrix
-form it replaced, at 1e-9.
+form it replaced, at 1e-9.  The effects solve behind completion and WLS
+absorbs the larger factor; it is compared with the (r+c)-order augmented
+Cholesky solve it replaced at 1e-12, on designs with counts up to 2000.
 """
 
 import tracemalloc
@@ -22,11 +24,18 @@ from twoway_shrink import (
     fit_ure,
     q_matrix,
     wls_fit,
+    wls_fit_full,
 )
 from twoway_shrink.estimators import _first_order_terms
 from twoway_shrink.linear_core import lam_from_tilde
 from conftest import make_random_table
-from dense_oracle import dense_design, first_order_terms_dense
+from dense_oracle import (
+    complete_means_augmented,
+    dense_design,
+    effects_solve_augmented,
+    first_order_terms_dense,
+    wls_fit_augmented,
+)
 
 RTOL = 1e-9
 
@@ -83,6 +92,62 @@ def test_wls_fit_matches_dense_normal_equations(designs):
         ref = z @ (np.linalg.pinv(normal, rcond=1e-10) @ (z.T @ (k * y)))
         got = wls_fit(d, y)
         assert np.max(np.abs(got - ref)) <= RTOL * max(1.0, np.max(np.abs(ref)))
+
+
+def oracle_designs(rng, n=50):
+    """Designs of all six classes: r > c, r < c and r = c, each complete and
+    with missing cells; counts 1..2000."""
+    out = []
+    while len(out) < n:
+        shape, missing = len(out) % 3, len(out) % 2 == 1
+        big, small = (int(x) for x in np.sort(rng.integers(2, 30, size=2))[::-1])
+        if big == small:
+            big += 1
+        r, c = ((big, small), (small, big), (big, big))[shape]
+        n_missing = int(rng.integers(1, r * c - (r + c - 1))) if missing else 0
+        try:
+            table, _ = make_random_table(rng, r, c, k_max=2000, n_missing=n_missing)
+        except RuntimeError:
+            continue
+        out.append(table)
+    return out
+
+
+def test_effects_solve_matches_the_augmented_cholesky():
+    rng = np.random.default_rng(2000)
+    tables = oracle_designs(rng)
+    kinds = {(t.is_complete, int(np.sign(t.r - t.c))) for t in tables}
+    assert len(kinds) == 6
+
+    def check(got, ref):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    for table in tables:
+        d = build_design(table)
+        y = table.y_observed
+        for x in (y, rng.normal(0, 1, d.n_obs)):
+            for weighted in (False, True):
+                rhs = d.effects_rmatvec(d.k_obs * x if weighted else x)
+                check(d.effects_solve(rhs, weighted),
+                      effects_solve_augmented(d, rhs, weighted))
+            check(wls_fit(d, x), wls_fit_augmented(d, x))
+            check(complete_means(d, x), complete_means_augmented(d, x))
+
+
+def test_wls_fit_full_on_a_tall_complete_table_stays_small():
+    """The effects solve forms no (r+c)-order matrix: on a complete
+    5000 x 10 table one would be 200 MB."""
+    rng = np.random.default_rng(5000)
+    table = CellTable(rng.integers(1, 21, size=(5000, 10)),
+                      rng.normal(0, 1, (5000, 10)), 1.0)
+    tracemalloc.start()
+    try:
+        fit = wls_fit_full(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6, f"wls_fit_full peak {peak / 1e6:.1f} MB"
+    assert fit.eta_complete.shape == (50000,)
 
 
 def test_first_order_terms_match_column_solves(designs):

@@ -2,12 +2,12 @@
 
 No module imports scipy: ``linear_core`` loads scipy's compiled LAPACK
 wrappers (``_flapack``) without scipy's Python package, and it is the one
-module that names them, so every LAPACK call of the package goes through
-it.  It imports nothing from the package at run time (the ``tables``
-types it annotates with are imported only under ``if TYPE_CHECKING:``),
-so ``tables`` can factor its grams through it without an import cycle.
-``risk_metrics`` builds losses and diagnostics, not fits: the one thing it
-takes from ``linear_core`` is the pencil eigensolver behind lambda1(Q).
+module that names them.  They serve the capacitance matrix alone; numpy's
+LAPACK serves every other factorization.  ``linear_core`` imports nothing
+from the package at run time (the ``tables`` types it annotates with are
+imported only under ``if TYPE_CHECKING:``).  ``tables`` and
+``risk_metrics`` build designs, losses and diagnostics, not fits, and take
+nothing from ``linear_core``.
 """
 
 import ast
@@ -79,16 +79,12 @@ def test_linear_core_imports_nothing_from_the_package_at_run_time():
     assert (".tables", True) in imports(path)
 
 
-def test_risk_metrics_takes_only_the_pencil_eigensolver_from_linear_core():
-    (path,) = [p for p in MODULES if p.name == "risk_metrics.py"]
-    taken = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom):
-            if (node.module or "").split(".")[-1] == "linear_core":
-                taken |= {alias.name for alias in node.names}
-            elif any(alias.name == "linear_core" for alias in node.names):
-                taken.add("linear_core")  # the whole module
-        elif isinstance(node, ast.Import):
-            taken |= {alias.name for alias in node.names
-                      if alias.name.split(".")[-1] == "linear_core"}
-    assert taken == {"_pencil_top_eigenvalue"}
+def test_tables_and_risk_metrics_import_nothing_from_linear_core():
+    for path in MODULES:
+        if path.name not in ("tables.py", "risk_metrics.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [alias.name for alias in node.names]
+                assert all(n.split(".")[-1] != "linear_core" for n in names), path.name

@@ -323,42 +323,6 @@ class TestContextMechanics:
             _cholesky(c)
 
 
-class TestPencilTopEigenvalue:
-    def test_indefinite_b_raises_with_the_info(self):
-        from twoway_shrink.linear_core import NumericError, _pencil_top_eigenvalue
-
-        with pytest.raises(NumericError, match=r"sygvx info 5\b"):
-            _pencil_top_eigenvalue(np.eye(4), -np.eye(4))
-
-    @pytest.mark.parametrize("operand", [0, 1])
-    def test_nan_entry_raises_with_the_info(self, rng, operand):
-        from twoway_shrink.linear_core import NumericError, _pencil_top_eigenvalue
-
-        x = rng.normal(size=(5, 5))
-        pencil = [x + x.T, x @ x.T + 5.0 * np.eye(5)]
-        pencil[operand][3, 1] = pencil[operand][1, 3] = np.nan
-        with pytest.raises(NumericError, match=r"sygvx info [1-9]"):
-            _pencil_top_eigenvalue(*pencil)
-
-    def test_not_one_eigenvalue_raises(self, monkeypatch):
-        from twoway_shrink import linear_core
-
-        real = linear_core._flapack
-
-        class NoEigenvalue:
-            __file__ = real.__file__
-            dsygvx_lwork = real.dsygvx_lwork
-
-            @staticmethod
-            def dsygvx(a, b, **kw):
-                w, z, _, ifail, info = real.dsygvx(a, b, **kw)
-                return w, z, 0, ifail, info
-
-        monkeypatch.setattr(linear_core, "_flapack", NoEigenvalue)
-        with pytest.raises(linear_core.NumericError, match="info 0, 0 eigenvalues"):
-            linear_core._pencil_top_eigenvalue(np.eye(3), np.eye(3))
-
-
 class TestLoadFlapack:
     def test_missing_extension_names_the_folder(self, tmp_path, monkeypatch):
         import importlib.machinery

@@ -6,8 +6,8 @@
 scipy's compiled LAPACK wrappers without ``scipy.linalg``, so that
 importing the CLI runs no scipy Python module.  Each must give exactly
 what scipy gives: the same x bit for bit and the same evaluation count,
-the same fits, the same component count and labels, the same factors,
-solutions and eigenvalues.  scipy is imported here only.
+the same fits, the same component count and labels, the same factors
+and solutions.  scipy is imported here only.
 """
 
 import os
@@ -18,19 +18,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize as scipy_minimize
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from twoway_shrink import FitEngine, build_design, estimators, risk_metrics
-from twoway_shrink.linear_core import (
-    _capacitance_factor,
-    _cholesky,
-    _cholesky_solve,
-    _pencil_top_eigenvalue,
-)
+from twoway_shrink import FitEngine, build_design, estimators
+from twoway_shrink.linear_core import _capacitance_factor, _cholesky, _cholesky_solve
 from twoway_shrink.tables import _component_labels
 from conftest import make_random_table
 
@@ -201,8 +195,8 @@ def _capacitance(design, s):
 
 
 class TestLapackCalls:
-    """``_cholesky``, ``_cholesky_solve`` and ``_pencil_top_eigenvalue``
-    give scipy's bits: ``dpotrf``, ``dpotrs`` and ``eigh``."""
+    """``_cholesky`` and ``_cholesky_solve`` give scipy's bits: ``dpotrf``
+    and ``dpotrs``."""
 
     def test_cholesky_matches_dpotrf(self):
         rng = np.random.default_rng(31)
@@ -235,39 +229,6 @@ class TestLapackCalls:
                       rng.normal(size=(n, 7)), np.eye(n)):
                 _same_bits(_cholesky_solve(f, b), dpotrs(f, b, lower=True)[0])
 
-    @staticmethod
-    def _eigh_top(a, b):
-        n = a.shape[0]
-        return scipy.linalg.eigh(a, b, eigvals_only=True,
-                                 subset_by_index=(n - 1, n - 1))[0]
-
-    def test_pencil_matches_eigh_on_random_pencils(self):
-        rng = np.random.default_rng(34)
-        for i in range(150):
-            n = int(rng.integers(2, 61))
-            x = rng.normal(size=(n, n))
-            a = x @ x.T if i % 2 else x + x.T
-            b = _random_spd(rng, n)
-            _same_bits(_pencil_top_eigenvalue(a, b), self._eigh_top(a, b))
-
-    def test_lambda1_q_matches_eigh(self, monkeypatch):
-        pencils = []
-
-        def spy(a, b):
-            pencils.append((a.copy(), b.copy()))
-            return _pencil_top_eigenvalue(a, b)
-
-        monkeypatch.setattr(risk_metrics, "_pencil_top_eigenvalue", spy)
-        rng = np.random.default_rng(35)
-        for _ in range(40):
-            r, c = (int(k) for k in rng.integers(2, 25, 2))
-            n_missing = int(rng.integers(1, max(2, (r - 1) * (c - 1) // 2)))
-            table, _ = make_random_table(rng, r, c, k_max=9, n_missing=n_missing)
-            value = risk_metrics.lambda1_q(build_design(table))
-            a, b = pencils[-1]
-            _same_bits(value, self._eigh_top(a, b))
-        assert len(pencils) == 40
-
     @pytest.mark.parametrize("scipy_first", [False, True])
     def test_one_set_of_wrappers(self, scipy_first):
         imports = ["import twoway_shrink.linear_core as lc",
@@ -278,7 +239,6 @@ class TestLapackCalls:
             "import scipy.linalg",
             "assert lc._potrf is lapack.dpotrf is scipy.linalg.lapack.dpotrf",
             "assert lc._potrs is lapack.dpotrs",
-            "assert lc._flapack.dsygvx is lapack.dsygvx",
             "print('ok')",
         ])
         assert _run_child(code) == "ok"

@@ -378,9 +378,20 @@ class TestStudies:
 
 class TestGenerationLimits:
     def test_rejection_limit(self):
-        spec = small_spec(r=4, c=4, missing_frac=0.8, seed=1)
-        with pytest.raises(RuntimeError):
+        # 49 of 625 cells observed, r+c-1: only a spanning tree of the
+        # row-column graph is connected, about 5e-7 of the draws.
+        spec = small_spec(r=25, c=25, missing_frac=0.9216, seed=1)
+        assert spec.n_missing == 625 - 49
+        with pytest.raises(RuntimeError, match="in 1000 attempts"):
             gen_scenario(spec)
+
+    @pytest.mark.parametrize("r, c, frac, observed", [(4, 4, 0.8, 4), (5, 5, 0.9, 3),
+                                                      (6, 3, 0.65, 7)])
+    def test_fewer_than_r_plus_c_minus_1_observed_cells(self, r, c, frac, observed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"r={r}, c={c} with missing_frac={frac!r} leaves {observed} observed "
+                f"cells; a connected design needs r+c-1 = {r + c - 1}")):
+            small_spec(r=r, c=c, missing_frac=frac)
 
     @pytest.mark.parametrize("frac", [-0.3, float("nan"), 1.0],
                              ids=["negative", "nan", "one"])

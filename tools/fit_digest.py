@@ -11,8 +11,10 @@ imports it.  The inputs are drawn by the benchmark's own generator,
 under ``bench/`` is written.  For each workload, seed and cycle it
 digests:
 
-* fits: ``fit_ure`` and ``fit_ml`` of each of the cycle's tables -- hp,
-  objective, ``mu_clamped``, diagnostics and ``eta_complete``;
+* picks: ``fit_ure`` and ``fit_ml`` of each of the cycle's tables -- hp,
+  objective, ``mu_clamped`` and diagnostics, all that the search decides;
+* completions: the same fits' ``eta_complete``, apart, so that a change
+  to the completion alone leaves the picks' digest as it was;
 * studies: every estimator's losses in each of the cycle's
   ``compare_estimators`` studies;
 * cli: in-process ``fit`` (ure, ml and wls under ``--loss`` auto, ss and
@@ -44,7 +46,7 @@ sys.dont_write_bytecode = True  # leave bench/ as it is
 import harness  # noqa: E402
 import run  # noqa: E402
 
-PARTS = ("fits", "studies", "cli")
+PARTS = ("picks", "completions", "studies", "cli")
 CLI_FITS = [(method, loss) for method in ("ure", "ml", "wls")
             for loss in ("auto", "ss", "weighted")]
 
@@ -66,10 +68,10 @@ def canon(x):
     return repr(x)
 
 
-def fit_record(fit) -> tuple:
+def pick_record(fit) -> tuple:
     hp = fit.hp
     return canon((fit.method, (hp.mu, hp.lambda_a, hp.lambda_b), fit.objective,
-                  fit.mu_clamped, fit.diagnostics, fit.eta_complete))
+                  fit.mu_clamped, fit.diagnostics))
 
 
 def cli_record(ts, argv, work: Path) -> tuple:
@@ -111,8 +113,10 @@ def digest_workload(ts, workload, seeds, cycles, work: Path) -> dict:
         for cycle in range(cycles):
             inp = harness.make_inputs(ts, workload, seed, cycle, work)
             for table in inp.tables:
-                add("fits", fit_record(ts.estimators.fit_ure(table, tau=harness.TAU)))
-                add("fits", fit_record(ts.estimators.fit_ml(table, tau=harness.TAU)))
+                for fit in (ts.estimators.fit_ure(table, tau=harness.TAU),
+                            ts.estimators.fit_ml(table, tau=harness.TAU)):
+                    add("picks", pick_record(fit))
+                    add("completions", canon((fit.method, fit.eta_complete)))
             for spec, law in zip(inp.specs, workload.studies):
                 rt = ts.simulation.compare_estimators(spec, law.reps, n_jobs=1,
                                                       tau=harness.TAU)
