@@ -177,9 +177,9 @@ CONFIG_KEYS = ("r", "c", "count_law", "missing_frac", "effect_a", "effect_b",
 
 
 def _parse_config(path) -> dict:
-    cfg = {}
+    cfg, lines = {}, {}
     with open(path, encoding="utf-8-sig") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -189,7 +189,10 @@ def _parse_config(path) -> dict:
             if (key := key.strip()) not in CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}; known keys: "
                                  f"{', '.join(CONFIG_KEYS)}")
-            cfg[key] = value.strip()
+            if key in lines:
+                raise ValueError(f"config key {key!r} given twice, on lines "
+                                 f"{lines[key]} and {number}")
+            cfg[key], lines[key] = value.strip(), number
     return cfg
 
 

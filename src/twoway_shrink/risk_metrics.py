@@ -5,8 +5,10 @@ When cells are missing, the normalized sum-of-squares loss over all r*c
 with the PSD matrix ``Q = (Zc Z^+)^T (Zc Z^+)``.  This module is the one
 place that decides a fit's loss (:func:`loss_mode`) and builds it
 (:class:`QLoss`); only the completed loss forms ``Q`` (the one place the
-dense design is formed), and its top eigenvalue comes without it, from
-the (r+c+1)-order grams.  It also exposes the design-regularity diagnostic.
+dense design is formed), from the rc x n completion map, which is built
+once per ``Q`` and not kept.  Its top eigenvalue comes without ``Q``,
+from the (r+c)-order effects grams.  It also exposes the
+design-regularity diagnostic.
 """
 
 from __future__ import annotations
@@ -142,11 +144,12 @@ def q_matrix(design: DesignSet) -> QLoss:
 
     For a fully observed design Q is the orthogonal projector onto the
     column space of Z; with missing cells its top eigenvalue exceeds 1.
+    The rc x n map Zc Z^+ is built for this product and dropped with it.
+    numpy forms a matrix times its own transpose with BLAS ``syrk``, which
+    computes one triangle and mirrors it, so Q is exactly symmetric.
     """
-    T = design.completion_map
-    Q = T.T @ T
-    Q = 0.5 * (Q + Q.T)
-    return QLoss(design, "qmatrix", Q)
+    T = design.completion_map()
+    return QLoss(design, "qmatrix", T.T @ T)
 
 
 def lambda1_q(design: DesignSet) -> float:
@@ -154,30 +157,22 @@ def lambda1_q(design: DesignSet) -> float:
 
     On a complete design Q is the projector onto col(Z), so the value is
     exactly 1.  Otherwise it is the top eigenvalue of the symmetric-definite
-    pencil (Zc^T Zc, Z^T Z), whose eigenvalues are the nonzero ones of
-    (Zc^T Zc)(Z^T Z)^+ and so of Q.  Both grams vanish on the null space
-    {(-a-b, a 1_r, b 1_c)}; dropping the last row and column effects leaves
-    both positive definite at order r+c-1.  With g = L L^T, the value is the
-    top eigenvalue of L^{-1} gc L^{-T}; numpy's ``LinAlgError`` reports a
-    failed factorization or eigensolve.
+    pencil (Zc^T Zc, Z^T Z) of the (r+c)-order effects grams, whose
+    eigenvalues are the nonzero ones of (Zc^T Zc)(Z^T Z)^+ and so of Q.
+    Both grams vanish only on v = (1_r, -1_c); dropping the last column
+    effect leaves both positive definite at order r+c-1.  With g = L L^T,
+    the value is the top eigenvalue of L^{-1} gc L^{-T}; numpy's
+    ``LinAlgError`` reports a failed factorization or eigensolve.
     """
     r, c = design.r, design.c
     if design.n_obs == r * c:
         return 1.0
     complete = np.block([[c * np.eye(r), np.ones((r, c))],
                          [np.ones((c, r)), r * np.eye(c)]])
-    keep = np.r_[0:r, r + 1:r + c]  # intercept, rows 1..r-1, columns 1..c-1
-    g, gc = (_bordered(gram, r)[np.ix_(keep, keep)]
-             for gram in (design.gram_plain, complete))
+    g, gc = design.gram_plain[:-1, :-1], complete[:-1, :-1]
     f = np.linalg.cholesky(g)
     a = np.linalg.solve(f, np.linalg.solve(f, gc).T)
     return float(np.linalg.eigvalsh(a)[-1])
-
-
-def _bordered(gram: np.ndarray, r: int) -> np.ndarray:
-    """The (r+c+1)-order gram of [1 Za Zb] from the effects gram [Za Zb]^T [Za Zb]."""
-    d = np.diag(gram)  # cells per row, then per column
-    return np.block([[d[:r].sum(), d], [d[:, None], gram]])
 
 
 def a2_statistic(table: CellTable, *, lambda1: float | None = None) -> float:

@@ -5,7 +5,9 @@ observation counts and cell averages with a known noise variance.  From a
 table we derive the design of its observed cells (:class:`DesignSet`: row
 and column index arrays, counts, and the effect-space grams and solves
 built from them), quantile bounds for the shrinkage location, and the
-design imbalance ratio.
+design imbalance ratio.  The one dense map, the rc x n completion map
+Zc Z^+, is built on each call of :meth:`DesignSet.completion_map`, once
+per completed-loss matrix Q, and no design keeps it.
 
 A table is read from one of two input kinds: raw (row, col, value)
 records, in memory (:func:`ingest_observations`) or as a raw CSV, or an
@@ -245,8 +247,8 @@ class DesignSet:
     diagonal of M, 1/K per observed cell.  The row-column incidence
     [Za Zb] acts through :meth:`effects_matvec` and
     :meth:`effects_rmatvec` and its grams are built from count sums, so no
-    design matrix is stored.  The one dense map, ``completion_map``
-    (Zc Z^+), is built on demand for the completed loss.  Designs come from
+    design matrix is stored.  The one dense map, Zc Z^+, is built anew by
+    each call of :meth:`completion_map` and not kept.  Designs come from
     :func:`build_design`, so the row-column graph is connected and Z has
     rank r+c-1.
     """
@@ -317,12 +319,11 @@ class DesignSet:
         theta[r:] += shift
         return theta
 
-    @cached_property
     def completion_map(self) -> np.ndarray:
         """The dense rc x |E| matrix Zc Z^+ mapping observed-cell means to all cells.
 
-        Only the completed loss matrix Q is built from it; completing a
-        vector goes through :meth:`effects_solve` instead.
+        Only the completed loss matrix Q is built from it, once per Q;
+        completing a vector goes through :meth:`effects_solve` instead.
         """
         r, c = self.r, self.c
         rows = np.repeat(np.arange(r), c)

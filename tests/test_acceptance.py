@@ -253,7 +253,7 @@ def test_criterion_5_q_machinery():
         e1 = rng.normal(0, 1, d.n_obs)
         e2 = rng.normal(0, 1, d.n_obs)
         lhs = float((e1 - e2) @ ql.Q @ (e1 - e2)) / (r * c)
-        rhs = loss_ss(d.completion_map @ e1, d.completion_map @ e2)
+        rhs = loss_ss(d.completion_map() @ e1, d.completion_map() @ e2)
         ok = ok and abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
         checked += 1
     report(5, "Q machinery", ok)

@@ -7,8 +7,12 @@ box is ``dense_oracle.balanced_minimum``.  The grid, the single-point
 scorer, the fits, their location and the WLS fit and completion are
 checked against it on 40 random balanced tables: 3 to 24 rows and
 columns, k in 1..5, sigma^2 in [0.3, 3], effect scales in [0, 3], with
-one or both scales 0 on every fourth table.
+one or both scales 0 on every fourth table.  At its own hyper-parameters
+a fit's completion is the ANOVA fit with each space shrunk by its own
+factor (:func:`closed_form_fit`).
 """
+
+from math import isinf
 
 import numpy as np
 import pytest
@@ -149,6 +153,48 @@ def test_unclamped_mu_is_the_grand_mean(fits):
         assert abs(fit.hp.mu - y.mean()) <= RTOL * np.max(np.abs(y)) / b_g**2
         n_checked += 1
     assert n_checked >= 40
+
+
+def closed_form_fit(table, hp):
+    """mu + (1-b_G)(ybar-mu) + (1-b_A) a_i + (1-b_B) b_j, as an r x c array.
+
+    a_i and b_j are the row and column contrasts of y, m = 1/k, and
+    b_A = m/(m + c lambda_A), b_B = m/(m + r lambda_B) and
+    b_G = m/(m + c lambda_A + r lambda_B) are the shrinkage factors of the
+    row, column and grand-mean spaces; the interaction is shrunk away.
+    """
+    r, c, y = table.r, table.c, table.means
+    m = 1.0 / float(table.counts[0, 0])
+    lam_a, lam_b, mu = hp.lambda_a, hp.lambda_b, hp.mu
+    b_a, b_b = m / (m + c * lam_a), m / (m + r * lam_b)
+    b_g = m / (m + c * lam_a + r * lam_b)
+    ybar = y.mean()
+    a, b = y.mean(axis=1) - ybar, y.mean(axis=0) - ybar
+    return (mu + (1.0 - b_g) * (ybar - mu)
+            + (1.0 - b_a) * a[:, None] + (1.0 - b_b) * b[None, :])
+
+
+def test_balanced_closed_form_of_shrinkage_fits(fits):
+    # TestWls::test_balanced_closed_form's check, for URE and EBMLE fits
+    for table, method, fit, _, _ in fits:
+        expected = closed_form_fit(table, fit.hp).ravel()
+        gap = np.max(np.abs(fit.eta_complete - expected))
+        assert gap <= RTOL * np.max(np.abs(table.means)), (table.r, table.c, method)
+
+
+def test_a_fit_at_the_corner_returns_y():
+    # Interaction five times the noise: no shrinkage beats the unshrunken
+    # corner, whose estimate is y and whose completion is the ANOVA fit.
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        r, c = (int(x) for x in rng.integers(3, 10, 2))
+        y = 5.0 * rng.normal(size=(r, c))
+        table = CellTable(np.full((r, c), int(rng.integers(1, 5))), y, 1.0)
+        fit = fit_ure(table)
+        assert isinf(fit.hp.lambda_a) and isinf(fit.hp.lambda_b)
+        np.testing.assert_array_equal(fit.eta_obs, y.ravel())
+        gap = np.max(np.abs(fit.eta_complete - closed_form_fit(table, fit.hp).ravel()))
+        assert gap <= RTOL * np.max(np.abs(y))
 
 
 def test_wls_and_completion_are_the_anova_fit(tables):

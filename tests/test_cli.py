@@ -312,7 +312,7 @@ class TestDiagnoseCommand:
 
     def test_missing_table_diagnostics_build_no_q(self, missing_agg_csv, tmp_path,
                                                   capsys, monkeypatch):
-        # lambda1(Q) comes from (r+c+1)-order grams: only the URE fit, whose
+        # lambda1(Q) comes from (r+c)-order effects grams: only the URE fit, whose
         # criterion reads the completed loss, builds Q, and it builds it once.
         from twoway_shrink import risk_metrics
         from twoway_shrink.tables import DesignSet
@@ -392,11 +392,14 @@ class TestDisconnectedTable:
 
 class TestSimulateCommand:
     def _config(self, tmp_path, extra="", estimators="wls,ure"):
-        cfg = (
-            "r=5\nc=5\ncount_law=constant:1\n"
-            "effect_a=normal:0.5\neffect_b=normal:0.5\n"
-            f"sigma2=1.0\nn_reps=6\nestimators={estimators}\nname=t\n" + extra
-        )
+        # A key in ``extra`` replaces the base line of that key: a config
+        # may give each key once.
+        base = ["r=5", "c=5", "count_law=constant:1", "effect_a=normal:0.5",
+                "effect_b=normal:0.5", "sigma2=1.0", "n_reps=6",
+                f"estimators={estimators}", "name=t"]
+        given = {line.partition("=")[0] for line in extra.splitlines()}
+        cfg = "".join(line + "\n" for line in base
+                      if line.partition("=")[0] not in given) + extra
         path = tmp_path / "cfg.txt"
         path.write_text(cfg)
         return str(path)
@@ -479,6 +482,15 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_repeated_config_key_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "repeated.txt"
+        path.write_text("r=5\nc=4\n# r again\nr=6\nn_reps=2\n")
+        code = main(["simulate", "--study", "compare", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: config key 'r' given twice, on lines 1 and 4\n"
 
     def test_config_line_without_equals_exit_2(self, tmp_path, capsys):
         cfg = self._config(tmp_path, extra="n_reps 6\n")

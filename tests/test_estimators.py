@@ -994,7 +994,7 @@ class TestFitValidation:
         d = build_design(table)
         for fit in (fit_ure(table), fit_ml(table)):
             np.testing.assert_allclose(
-                fit.eta_complete, d.completion_map @ fit.eta_obs, atol=1e-12
+                fit.eta_complete, d.completion_map() @ fit.eta_obs, atol=1e-12
             )
 
 
@@ -1084,6 +1084,28 @@ class TestLazyLoss:
         finally:
             tracemalloc.stop()
         assert peak < 20e6, f"fit_ml peak {peak / 1e6:.1f} MB"
+
+    def test_ure_engine_keeps_no_completion_map(self):
+        """A 120 x 8 table with 30% of cells missing: the rc x n completion
+        map is 5.2 MB and Q (672 cells observed) 3.6 MB.  After a URE fit
+        the engine keeps Q, and nothing keeps the map."""
+        import tracemalloc
+
+        rng = np.random.default_rng(120)
+        counts = rng.integers(1, 21, size=(120, 8))
+        counts.ravel()[rng.choice(counts.size, counts.size * 3 // 10, replace=False)] = 0
+        means = np.where(counts > 0, rng.normal(0, 1, counts.shape), np.nan)
+        table = CellTable(counts, means, 1.0)
+        map_bytes = 8 * counts.size * table.n_observed
+        tracemalloc.start()
+        try:
+            engine = FitEngine(table)
+            fit = engine.fit(table.y_observed, "URE")
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fit.qmode == "qmatrix"
+        assert held < map_bytes, f"{held / 1e6:.1f} MB held after the fit"
 
 
 class TestScoreGap:

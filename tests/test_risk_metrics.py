@@ -93,6 +93,17 @@ class TestQMatrix:
         dense_top = np.linalg.eigvalsh(q_matrix(d).Q).max()
         assert lambda1_q(d) == pytest.approx(dense_top, rel=1e-12)
 
+    def test_q_is_exactly_symmetric(self):
+        # numpy forms T^T T with BLAS syrk, which computes one triangle and
+        # mirrors it; q_matrix relies on that and does not symmetrize Q.
+        rng = np.random.default_rng(27)
+        for i in range(60):
+            r, c = (int(x) for x in rng.integers(2, 16, 2))
+            n_missing = int(rng.integers(1, max(2, r * c // 3))) if i % 2 else 0
+            table, _ = make_random_table(rng, r, c, n_missing=n_missing)
+            Q = q_matrix(build_design(table)).Q
+            assert np.array_equal(Q, Q.T), (r, c, n_missing)
+
     def test_q_loss_identity(self, rng):
         for _ in range(10):
             table, _ = make_random_table(rng, 4, 5, n_missing=4)
@@ -101,7 +112,7 @@ class TestQMatrix:
             e1 = rng.normal(0, 1, d.n_obs)
             e2 = rng.normal(0, 1, d.n_obs)
             lhs = float((e1 - e2) @ ql.Q @ (e1 - e2)) / (d.r * d.c)
-            rhs = loss_ss(d.completion_map @ e1, d.completion_map @ e2)
+            rhs = loss_ss(d.completion_map() @ e1, d.completion_map() @ e2)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 

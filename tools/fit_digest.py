@@ -17,10 +17,11 @@ digests:
   to the completion alone leaves the picks' digest as it was;
 * studies: every estimator's losses in each of the cycle's
   ``compare_estimators`` studies;
-* cli: in-process ``fit`` (ure, ml and wls under ``--loss`` auto, ss and
-  weighted, where valid) and ``diagnose`` on the cycle's first table and
-  on the seed's weighted table -- stdout, stderr, exit code and report
-  bytes.
+* cli: in-process ``fit`` (ure, ml and wls under ``--loss`` auto, ss,
+  weighted and q, where valid) and ``diagnose`` on the cycle's first table
+  and on the seed's weighted table -- stdout, stderr, exit code and report
+  bytes.  On a complete table only ``--loss q`` builds ``Q`` through the
+  completion map.
 
 Floats are digested by their hex form, so only a changed value, not a
 changed type, changes a digest.  It prints one sha256 per workload and
@@ -48,7 +49,7 @@ import run  # noqa: E402
 
 PARTS = ("picks", "completions", "studies", "cli")
 CLI_FITS = [(method, loss) for method in ("ure", "ml", "wls")
-            for loss in ("auto", "ss", "weighted")]
+            for loss in ("auto", "ss", "weighted", "q")]
 
 
 def canon(x):
