@@ -169,44 +169,20 @@ def cmd_diagnose(args) -> int:
 
 # -- simulate ----------------------------------------------------------------
 
-# Every key that _scenario_from_config or cmd_simulate reads; any other is
-# rejected, so a misspelt key cannot silently fall back to its default.
-CONFIG_KEYS = ("r", "c", "count_law", "missing_frac", "effect_a", "effect_b",
-               "mu_true", "sigma2", "name", "n_reps", "tau", "estimators",
-               "sizes", "lt_grid")
-
-
-def _parse_config(path) -> dict:
-    cfg, lines = {}, {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line (want key=value): {line!r}")
-            key, _, value = line.partition("=")
-            if (key := key.strip()) not in CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}; known keys: "
-                                 f"{', '.join(CONFIG_KEYS)}")
-            if key in lines:
-                raise ValueError(f"config key {key!r} given twice, on lines "
-                                 f"{lines[key]} and {number}")
-            cfg[key], lines[key] = value.strip(), number
-    return cfg
+class _NamedValueError(ValueError):
+    """A malformed config value whose message already names its field."""
 
 
 def _law_args(spec: str, what: str, arities: dict):
     """(kind, numbers) of a ``kind[:a,b,...]`` law; ValueError when malformed."""
     kind, _, rest = spec.partition(":")
     if kind not in arities:
-        raise ValueError(f"unknown {what} {spec!r}")
+        raise _NamedValueError(f"unknown {what} {spec!r}")
     args = [float(x) for x in rest.split(",")] if rest else []
     if len(args) not in arities[kind]:
         counts = " or ".join(map(str, arities[kind]))
-        raise ValueError(
-            f"{what} {spec!r} takes {counts} arguments, got {len(args)}"
-        )
+        raise _NamedValueError(f"{what} {spec!r} takes {counts} arguments, "
+                               f"got {len(args)}")
     return kind, args
 
 
@@ -235,20 +211,69 @@ def _parse_effect_law(spec: str):
     return law[kind](*args)
 
 
+def _parse_pairs(text: str, sep: str, item: str, number, form: str) -> list:
+    """One pair of ``number``s, split on ``item``, per ``sep``-separated token."""
+    pairs = []
+    for tok in map(str.strip, text.split(sep)):
+        try:
+            a, b = map(number, tok.split(item))
+        except ValueError:
+            raise ValueError(f"{tok!r} is not {form}") from None
+        pairs.append((a, b))
+    return pairs
+
+
+# Each key a study reads, with its parser; any other key is rejected, so a
+# misspelt key cannot silently fall back to its default.
+CONFIG_PARSERS = {
+    "r": int, "c": int, "count_law": _parse_count_law, "missing_frac": float,
+    "effect_a": _parse_effect_law, "effect_b": _parse_effect_law,
+    "mu_true": float, "sigma2": float, "name": str, "n_reps": int, "tau": float,
+    "estimators": lambda text: tuple(name.strip() for name in text.split(",")),
+    "sizes": lambda text: _parse_pairs(text, ",", "x", int, "a size RxC"),
+    "lt_grid": lambda text: _parse_pairs(text, ";", ",", float, "a pair a,b"),
+}
+CONFIG_KEYS = tuple(CONFIG_PARSERS)
+
+
+def _parse_config(path) -> dict:
+    """Each key the file gives, its value parsed before any study runs."""
+    cfg, lines = {}, {}
+    with open(path, encoding="utf-8-sig") as fh:
+        for number, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"bad config line (want key=value): {line!r}")
+            key, _, value = line.partition("=")
+            if (key := key.strip()) not in CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}; known keys: "
+                                 f"{', '.join(CONFIG_KEYS)}")
+            if key in lines:
+                raise ValueError(f"config key {key!r} given twice, on lines "
+                                 f"{lines[key]} and {number}")
+            try:
+                cfg[key] = CONFIG_PARSERS[key](value.strip())
+            except _NamedValueError:
+                raise
+            except ValueError as exc:  # one that does not name its key and line
+                raise ValueError(f"config key {key!r} on line {number}: {exc}") from None
+            lines[key] = number
+    return cfg
+
+
 def _scenario_from_config(cfg: dict, seed: int):
-    from .simulation import ScenarioSpec
+    from .simulation import Constant, NormalEffects, ScenarioSpec
 
     return ScenarioSpec(
-        r=int(cfg.get("r", 10)),
-        c=int(cfg.get("c", 10)),
-        count_law=_parse_count_law(cfg.get("count_law", "constant:1")),
-        missing_frac=float(cfg.get("missing_frac", 0.0)),
-        effect_law_a=_parse_effect_law(cfg.get("effect_a", "normal:1.0")),
-        effect_law_b=_parse_effect_law(cfg.get("effect_b", "normal:1.0")),
-        mu_true=float(cfg.get("mu_true", 0.0)),
-        sigma2=float(cfg.get("sigma2", 1.0)),
-        seed=seed,
-        name=cfg.get("name", ""),
+        r=cfg.get("r", 10), c=cfg.get("c", 10),
+        count_law=cfg.get("count_law", Constant(1)),
+        missing_frac=cfg.get("missing_frac", 0.0),
+        effect_law_a=cfg.get("effect_a", NormalEffects(1.0)),
+        effect_law_b=cfg.get("effect_b", NormalEffects(1.0)),
+        mu_true=cfg.get("mu_true", 0.0), sigma2=cfg.get("sigma2", 1.0),
+        seed=seed, name=cfg.get("name", ""),
     )
 
 
@@ -260,14 +285,11 @@ def cmd_simulate(args) -> int:
 
     cfg = _parse_config(args.config)
     spec = _scenario_from_config(cfg, args.seed)
-    n_reps = int(cfg.get("n_reps", 200))
-    tau = float(cfg.get("tau", 0.05))
-    estimators = tuple(
-        e.strip() for e in cfg.get("estimators", ",".join(ALL_ESTIMATORS)).split(",")
-    )
+    n_reps, tau = cfg.get("n_reps", 200), cfg.get("tau", 0.05)
+    estimators = cfg.get("estimators", ALL_ESTIMATORS)
     if args.study == "oracle-gap" and sorted(estimators) != sorted(ALL_ESTIMATORS):
         raise ValueError(f"oracle-gap always fits {', '.join(ALL_ESTIMATORS)}; "
-                         f"estimators={cfg['estimators']} must name all four")
+                         f"estimators={','.join(estimators)} must name all four")
     check_estimators(estimators)
     if args.study == "compare":
         table = compare_estimators(
@@ -275,17 +297,11 @@ def cmd_simulate(args) -> int:
         )
         text = risk_csv([table], out=args.out)
     elif args.study == "oracle-gap":
-        sizes = []
-        for tok in cfg.get("sizes", "10x10,20x20,40x40").split(","):
-            a, _, b = tok.strip().partition("x")
-            sizes.append((int(a), int(b)))
+        sizes = cfg.get("sizes", [(10, 10), (20, 20), (40, 40)])
         result = oracle_gap_study(sizes, spec, n_reps, tau=tau, n_jobs=args.jobs)
         text = result.to_csv(out=args.out)
     elif args.study == "concentration":
-        grid = []
-        for tok in cfg.get("lt_grid", "0,0;0.25,0.25;0.5,0.5;1,1").split(";"):
-            a, b = tok.split(",")
-            grid.append((float(a), float(b)))
+        grid = cfg.get("lt_grid", [(0.0, 0.0), (0.25, 0.25), (0.5, 0.5), (1.0, 1.0)])
         result = ure_concentration_study(spec, grid, n_reps)
         text = result.to_csv(out=args.out)
     else:

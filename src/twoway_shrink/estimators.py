@@ -40,22 +40,21 @@ wins (and, where refinement does not improve on it, its profiled mu)
 reaches a fit.  Every other candidate (the near-boundary one and the
 Nelder-Mead points) is scored one point at a time
 (``FitEngine._score_point``, public as :meth:`FitEngine.objective_at`)
-by a :class:`_CapacitancePoint`: one (r+c)-order capacitance Cholesky
-factorization and explicit inverse through LAPACK directly.  A candidate
-it cannot factor (C is not positive definite in floating point, as at the
-WLS limit with counts in the thousands) scores +inf and is skipped with
-one warning and ``diagnostics["skipped_candidates"]``.  The grid and the
-point answer the same solver interface, and ``FitEngine._score`` is the
-one statement of the three criteria over either, with mu always
-profiled: it serves the search, and fixed hyper-parameters are evaluated
-by :func:`ure_value`, :func:`marginal_loglik` and :func:`bayes_estimate`.
-The batch form of the point, many points through explicit inverses at
-once, lives in the tests as the oracle of the grid and the scorer.  The
-returned fit is re-evaluated through :func:`ure_value` or
+by a :class:`_CapacitancePoint`, a view of the point's
+:class:`~twoway_shrink.linear_core.SigmaContext`, whose (r+c)-order
+capacitance factor and explicit inverse the evaluators read too.  A
+candidate it cannot factor (C is not positive definite in floating point,
+as at the WLS limit with counts in the thousands) scores +inf and is
+skipped with one warning and ``diagnostics["skipped_candidates"]``.  The
+grid and the point answer one solver interface, and ``FitEngine._score``
+is the one statement of the three criteria over either, with mu always
+profiled; fixed hyper-parameters are evaluated by :func:`ure_value`,
+:func:`marginal_loglik` and :func:`bayes_estimate`.  The batch form of
+the point lives in the tests as the oracle of the grid and the scorer.
+The returned fit is re-evaluated through :func:`ure_value` or
 :func:`marginal_loglik`; ``diagnostics["score_gap"]`` is the relative gap
 between that value and the scorer's, and a gap above ``SCORE_GAP_WARN``
-on the returned fit is logged as a warning on the ``twoway_shrink``
-logger.
+is logged as a warning on the ``twoway_shrink`` logger.
 
 Everything after the pick works in the (r+c)-dimensional effect space,
 as every estimate in the family is additive: the completion to all r*c
@@ -93,8 +92,6 @@ from .linear_core import (
     LAMBDA_TILDE_EPS,
     NumericError,
     SigmaContext,
-    _capacitance_factor,
-    _cholesky_solve,
     _single_threaded_lapack,
     lam_from_tilde,
     logdet_sigma,
@@ -280,9 +277,7 @@ def ure_value(
     if isinf(ctx.hp.lambda_a) and isinf(ctx.hp.lambda_b):
         return s2 * tr_qm / rc
     g = shrink_apply(ctx, np.asarray(y, dtype=float) - mu)
-    s = ctx.scale
-    b = s[:, None] * qloss.effects_gram * s[None, :]
-    tr_red = float(np.sum(ctx.cap_inverse * b))
+    tr_red = ctx.reduced_trace(qloss.effects_gram)
     return (-s2 * tr_qm + 2.0 * s2 * tr_red + qloss.quad(g)) / rc
 
 
@@ -575,32 +570,21 @@ class _AbsorbedGrid:
 
 
 class _CapacitancePoint:
-    """One lambda_tilde pair behind :class:`_AbsorbedGrid`'s interface.
+    """One :class:`SigmaContext` behind :class:`_AbsorbedGrid`'s interface.
 
-    C = I + S G_w S, S = Lam, is factored and inverted against ``eye``, and
-    u = S C^{-1} S t.  The operands have the shapes of a batch of one point
-    with a C-ordered inverse, as the tests' batch oracle forms them, so
-    that both round alike; each term is a scalar.  ``logdet`` is set
-    without a loss gram ``zqz`` (EBMLE), ``tr_red`` on request (URE).
+    S = Lam, C^{-1}, ``logdet`` and ``tr_red`` (for the loss gram ``zqz``)
+    are the context's; u = S C^{-1} S t.  Operands are shaped as a batch of
+    one, as the tests' batch oracle forms them, so both round alike.
     """
 
-    __slots__ = ("S", "Cinv", "zqz", "logdet", "tr_red")
+    __slots__ = ("ctx", "S", "Cinv", "zqz")
 
-    def __init__(self, design: DesignSet, lt_pair, eye, zqz=None, tr_red=False):
-        s = np.empty(design.q)
-        s[: design.r] = np.sqrt(lam_from_tilde(lt_pair[0]))
-        s[design.r :] = np.sqrt(lam_from_tilde(lt_pair[1]))
-        f = _capacitance_factor(design, s)
-        inv = _cholesky_solve(f, eye)
-        self.S, self.Cinv, self.zqz = s[None, :], np.ascontiguousarray(inv)[None], zqz
-        self.logdet = self.tr_red = None
-        if zqz is None:
-            self.logdet = 2.0 * float(np.sum(np.log(np.diag(f))))
-        elif tr_red:
-            b = s[:, None] * zqz
-            b *= s
-            b *= inv
-            self.tr_red = float(np.sum(b))
+    def __init__(self, ctx: SigmaContext, zqz=None):
+        self.ctx, self.zqz = ctx, zqz
+        self.S, self.Cinv = ctx.scale[None, :], ctx.cap_inverse[None]
+
+    logdet = property(lambda self: self.ctx.logdet_capacitance)
+    tr_red = property(lambda self: self.ctx.reduced_trace(self.zqz))
 
     def solve(self, t: np.ndarray, zqz: np.ndarray | None = None) -> tuple:
         """(S t, C^{-1} S t, u), with u = S C^{-1} S t only given ``zqz``."""
@@ -630,9 +614,9 @@ class FitEngine:
     lambda-only part of the absorbed grid.  The loss and everything derived
     from it (``qloss`` with its ``trace_qm`` and ``effects_gram``, ``q_1``,
     ``zq_1`` and the grid's loss terms) are built on first use by URE or
-    ORACLE, once per engine.  EBMLE never
-    reads the loss, so a likelihood fit on a table with missing cells
-    builds neither the completion map nor the dense n x n ``Q``.
+    ORACLE, once per engine.  EBMLE never reads the loss, so a likelihood
+    fit on a table with missing cells builds neither the completion map nor
+    the dense n x n ``Q``.
     """
 
     def __init__(self, table: CellTable, tau: float = 0.05, qmode: str = "auto"):
@@ -651,7 +635,6 @@ class FitEngine:
         self.t_1 = d.effects_rmatvec(self.k)
         self._grid_bundle = _AbsorbedGrid(d, np.linspace(0.0, 1.0, GRID_POINTS))
         self._mid = 0.5 * (self.bounds[0] + self.bounds[1])
-        self._eye = np.eye(d.q)
 
     # -- the loss, built on first use by URE and ORACLE ---------------------
 
@@ -729,16 +712,15 @@ class FitEngine:
 
         Every refinement-stage evaluation comes here.  The exact (0, 0)
         pair is the unshrunken corner; any other pair is scored by
-        :meth:`_score` through a :class:`_CapacitancePoint`.
+        :meth:`_score`, which profiles mu (the context's is unused), through
+        a :class:`_CapacitancePoint` on the pair's context.
         """
         lta, ltb = float(lt_pair[0]), float(lt_pair[1])
         if lta == 0.0 and ltb == 0.0:
             return self._corner_value(pieces, method), self._mid, False
+        ctx = SigmaContext(self.design, hp_from_tilde(0.0, (lta, ltb)))
         zqz = None if method == "EBMLE" else self.qloss.effects_gram
-        point = _CapacitancePoint(
-            self.design, (lta, ltb), self._eye, zqz, tr_red=method == "URE"
-        )
-        obj, mu, clamped = self._score(point, pieces, method)
+        obj, mu, clamped = self._score(_CapacitancePoint(ctx, zqz), pieces, method)
         return float(obj), float(mu), bool(clamped)
 
     def _score(self, solver, pieces: dict, method: str):

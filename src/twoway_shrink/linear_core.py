@@ -23,14 +23,14 @@ Python module is imported.  scipy's compiled f2py wrappers, the extension
 ``scipy/linalg/_flapack``, are loaded on their own by
 :func:`_load_flapack`, under the name ``scipy.linalg._flapack``; they are
 the very function objects ``scipy.linalg.lapack`` hands out, so a later
-``import scipy.linalg`` shares them.  The capacitance matrix of
-:func:`_capacitance_factor` is factored by :func:`_cholesky` (``dpotrf``)
-and solved with its factor by :func:`_cholesky_solve` (``dpotrs``).  A
-matrix that is not positive definite or not finite raises
-:class:`NumericError`; nothing is retried.  numpy's LAPACK serves every
-other factorization: ``DesignSet.effects_solve``, the absorbed grid's
-``eigh``, ``risk_metrics.lambda1_q``'s pencil and the completion map's
-``pinv``.
+``import scipy.linalg`` shares them.  :class:`SigmaContext` alone builds
+C; it factors C by :func:`_cholesky` (``dpotrf``), solves with the factor
+by :func:`_cholesky_solve` (``dpotrs``), and reads C^{-1}, log|C| and the
+reduced trace off it.  A matrix that is not positive definite or not
+finite raises :class:`NumericError`; nothing is retried.  numpy's LAPACK
+serves every other factorization: ``DesignSet.effects_solve``, the
+absorbed grid's ``eigh``, ``risk_metrics.lambda1_q``'s pencil and the
+completion map's ``pinv``.
 
 Threads: the refinement stage of a fit (Nelder-Mead and the final
 evaluation) makes hundreds of these calls at order r+c, where OpenBLAS
@@ -50,9 +50,9 @@ import sys
 import threading
 from contextlib import ContextDecorator
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES
-from math import isfinite
+from math import isfinite, isinf, sqrt
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -124,14 +124,6 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     if not isfinite(f.trace()):
         raise NumericError("Cholesky factorization of a non-finite matrix")
     return f
-
-
-def _capacitance_factor(design: DesignSet, s: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of C = I + S G_w S, S = diag(s), built in place."""
-    c = s[:, None] * design.gram_weighted
-    c *= s
-    c.reshape(-1)[:: s.size + 1] += 1.0
-    return _cholesky(c)
 
 
 def _cholesky_solve(f: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -213,19 +205,22 @@ def lam_from_tilde(lt: float) -> float:
     return 1.0 / (lt * lt) - 1.0
 
 
-def _numeric_lambda(lam: float) -> float:
-    if np.isinf(lam):
-        return lam_from_tilde(0.0)
-    return float(lam)
+@lru_cache(maxsize=1)
+def _identity(q: int) -> np.ndarray:
+    """The read-only q x q identity; the last order asked for is kept."""
+    eye = np.eye(q)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True, eq=False)
 class SigmaContext:
-    """Design + hyper-parameters, with the capacitance factor precomputed.
+    """Design + hyper-parameters, and the capacitance matrix C they define.
 
-    ``mode`` is "fast" (Woodbury/capacitance), the only path.  Infinite
-    lambdas are replaced by the numeric stand-in documented in
-    :func:`lam_from_tilde`.
+    C = I + S G_w S, S = Lam = diag(``scale``), is built and factored on
+    first use, once.  ``mode`` is "fast" (Woodbury/capacitance), the only
+    path.  Infinite lambdas are replaced by the numeric stand-in documented
+    in :func:`lam_from_tilde`.
     """
 
     design: DesignSet
@@ -234,38 +229,46 @@ class SigmaContext:
     sigma2: float | None = None
     lam_a: float = field(init=False)
     lam_b: float = field(init=False)
+    scale: np.ndarray = field(init=False)  # diagonal of Lam
 
     def __post_init__(self):
         if self.mode != "fast":
             raise ValueError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "lam_a", _numeric_lambda(self.hp.lambda_a))
-        object.__setattr__(self, "lam_b", _numeric_lambda(self.hp.lambda_b))
+        hp, r, s = self.hp, self.design.r, np.empty(self.design.q)
+        lam_a = lam_from_tilde(0.0) if isinf(hp.lambda_a) else float(hp.lambda_a)
+        lam_b = lam_from_tilde(0.0) if isinf(hp.lambda_b) else float(hp.lambda_b)
+        s[:r], s[r:] = sqrt(lam_a), sqrt(lam_b)
+        for name, value in (("lam_a", lam_a), ("lam_b", lam_b), ("scale", s)):
+            object.__setattr__(self, name, value)
 
     @cached_property
-    def scale(self) -> np.ndarray:
-        """Diagonal of Lam: sqrt(lambda_a) on rows, sqrt(lambda_b) on columns."""
-        d = self.design
-        return np.concatenate([
-            np.full(d.r, np.sqrt(self.lam_a)),
-            np.full(d.c, np.sqrt(self.lam_b)),
-        ])
-
-    @cached_property
-    def capacitance_factor(self):
-        """Lower Cholesky factor of the capacitance matrix."""
-        return _capacitance_factor(self.design, self.scale)
+    def capacitance_factor(self) -> np.ndarray:
+        """Lower Cholesky factor of C = I + S G_w S, C built in place."""
+        s = self.scale
+        c = s[:, None] * self.design.gram_weighted
+        c *= s
+        c.reshape(-1)[:: s.size + 1] += 1.0
+        return _cholesky(c)
 
     def cap_solve(self, b: np.ndarray) -> np.ndarray:
         return _cholesky_solve(self.capacitance_factor, b)
 
     @cached_property
     def cap_inverse(self) -> np.ndarray:
-        return self.cap_solve(np.eye(self.design.q))
+        """C^{-1}, C-ordered, solved against the identity."""
+        return np.ascontiguousarray(self.cap_solve(_identity(self.design.q)))
 
-    @cached_property
+    @property
     def logdet_capacitance(self) -> float:
-        f = self.capacitance_factor
-        return float(2.0 * np.sum(np.log(np.diag(f))))
+        return 2.0 * float(np.log(self.capacitance_factor.diagonal()).sum())
+
+    def reduced_trace(self, zqz: np.ndarray) -> float:
+        """tr(C^{-1} S B S) for the loss gram B = ``zqz``, in one pass."""
+        s = self.scale
+        b = s[:, None] * zqz
+        b *= s
+        b *= self.cap_inverse
+        return float(b.sum())
 
 
 def _observed_vector(ctx: SigmaContext, x, name: str) -> np.ndarray:
@@ -277,6 +280,12 @@ def _observed_vector(ctx: SigmaContext, x, name: str) -> np.ndarray:
     return x
 
 
+def _woodbury_term(ctx: SigmaContext, kx: np.ndarray) -> np.ndarray:
+    """Z S C^{-1} S Z^T (K x), given K x: one capacitance solve."""
+    d, s = ctx.design, ctx.scale
+    return d.effects_matvec(s * ctx.cap_solve(s * d.effects_rmatvec(kx)))
+
+
 def sigma_solve(ctx: SigmaContext, v: np.ndarray) -> np.ndarray:
     """Apply Sigma^{-1} to a vector.
 
@@ -284,13 +293,8 @@ def sigma_solve(ctx: SigmaContext, v: np.ndarray) -> np.ndarray:
     capacitance solve per call.
     """
     v = _observed_vector(ctx, v, "sigma_solve")
-    d = ctx.design
-    kinv = d.k_obs.astype(float)
-    minv_v = kinv * v
-    s = ctx.scale
-    t = d.effects_rmatvec(minv_v)
-    w = ctx.cap_solve(s * t)
-    return minv_v - kinv * d.effects_matvec(s * w)
+    minv_v = ctx.design.k_obs * v
+    return minv_v - ctx.design.k_obs * _woodbury_term(ctx, minv_v)
 
 
 def shrink_apply(ctx: SigmaContext, x: np.ndarray) -> np.ndarray:
@@ -301,11 +305,7 @@ def shrink_apply(ctx: SigmaContext, x: np.ndarray) -> np.ndarray:
     product is formed.
     """
     x = _observed_vector(ctx, x, "shrink_apply")
-    d = ctx.design
-    t = d.effects_rmatvec(d.k_obs * x)
-    s = ctx.scale
-    w = ctx.cap_solve(s * t)
-    return x - d.effects_matvec(s * w)
+    return x - _woodbury_term(ctx, ctx.design.k_obs * x)
 
 
 def logdet_sigma(ctx: SigmaContext) -> float:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import floor, isfinite
+from math import floor, isfinite, isnan
 
 import numpy as np
 
@@ -177,7 +177,7 @@ class HyperParams:
             raise ValueError("mu must be finite")
         for name in ("lambda_a", "lambda_b"):
             v = getattr(self, name)
-            if np.isnan(v) or v < 0:
+            if isnan(v) or v < 0:
                 raise ValueError(f"{name} must be in [0, +inf]")
 
     @property

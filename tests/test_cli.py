@@ -492,6 +492,40 @@ class TestSimulateCommand:
         assert out == ""
         assert err == "error: config key 'r' given twice, on lines 1 and 4\n"
 
+    @pytest.mark.parametrize("study", ["compare", "oracle-gap", "concentration"])
+    @pytest.mark.parametrize("line, message", [
+        ("r=abc", "config key 'r' on line 2: invalid literal for int() with base 10: 'abc'"),
+        ("tau=", "config key 'tau' on line 2: could not convert string to float: ''"),
+        ("sizes=4x", "config key 'sizes' on line 2: '4x' is not a size RxC"),
+        ("sizes=4x4,4", "config key 'sizes' on line 2: '4' is not a size RxC"),
+        ("lt_grid=0.5", "config key 'lt_grid' on line 2: '0.5' is not a pair a,b"),
+        ("lt_grid=0,0;0.5,0.5,0.5",
+         "config key 'lt_grid' on line 2: '0.5,0.5,0.5' is not a pair a,b"),
+        ("effect_a=normal:x",
+         "config key 'effect_a' on line 2: could not convert string to float: 'x'"),
+    ])
+    def test_unparsable_value_exit_2_names_key_and_line(self, tmp_path, capsys, study,
+                                                         line, message):
+        # Every value is parsed before any study runs, whichever study reads it.
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"# a comment\n{line}\nn_reps=2\n"
+                        "estimators=wls,ebmle,ure,oracle\n")
+        code = main(["simulate", "--study", study, "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("count_law=bogus:1", "unknown count law 'bogus:1'"),
+        ("count_law=uniform:1", "count law 'uniform:1' takes 2 arguments, got 1"),
+        ("effect_b=normal:1,2", "effect law 'normal:1,2' takes 0 or 1 arguments, got 2"),
+    ])
+    def test_malformed_law_message_names_the_law(self, tmp_path, capsys, line, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"r=4\nc=4\nn_reps=2\n{line}\n")
+        code = main(["simulate", "--study", "compare", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_config_line_without_equals_exit_2(self, tmp_path, capsys):
         cfg = self._config(tmp_path, extra="n_reps 6\n")
         code = main(["simulate", "--study", "compare", "--config", cfg, "--seed", "7"])

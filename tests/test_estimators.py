@@ -1,3 +1,5 @@
+from math import log, pi
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,14 @@ from twoway_shrink import (
     marginal_loglik,
     q_matrix,
     quantile_bounds,
+    shrink_apply,
+    sigma_solve,
     ure_value,
     weighted_transform,
     wls_fit,
     wls_fit_full,
 )
+from twoway_shrink.estimators import hp_from_tilde
 from twoway_shrink.linear_core import lam_from_tilde
 from twoway_shrink.simulation import (
     NormalEffects,
@@ -673,6 +678,41 @@ class TestSinglePointScorer:
                         assert got == want, (table.r, table.c, qmode, lt, method)
                         n_points += 1
         assert n_points >= 50 * 7 * 3
+
+    def test_reevaluation_bit_identical_to_batch_oracle(self, rng):
+        # A fit's re-evaluation reads the same SigmaContext terms as the
+        # scorer: ure_value's reduced trace and marginal_loglik's log|C|
+        # are the batch oracle's, bit for bit, at the scorer's points.
+        n_points = 0
+        for table, _ in _scorer_designs(rng, 24):
+            y = table.y_observed
+            qmodes = ("identity", "qmatrix")
+            if table.is_complete:
+                qmodes += ("weighted",)
+            for qmode in qmodes:
+                engine = FitEngine(table, qmode=qmode)
+                d, s2, ql = engine.design, engine.sigma2, engine.qloss
+                x = float(rng.uniform(0.05, 0.95))
+                points = [(1e-6, 1e-6), (0.0, x), (x, 0.0), (1.0, 1.0)]
+                points += [tuple(rng.uniform(0.0, 1.0, 2)) for _ in range(3)]
+                for lt in points:
+                    bundle = CapacitanceBundle(engine, np.array([lt]))
+                    mu = float(rng.uniform(*engine.bounds))
+                    ctx = SigmaContext(d, hp_from_tilde(mu, lt), sigma2=s2)
+                    where = (table.r, table.c, qmode, lt)
+                    assert ctx.reduced_trace(ql.effects_gram) == bundle.tr_red[0], where
+                    assert ctx.logdet_capacitance == bundle.logdet[0], where
+                    g = shrink_apply(ctx, y - mu)
+                    ure = (-s2 * ql.trace_qm + 2.0 * s2 * float(bundle.tr_red[0])
+                           + ql.quad(g)) / engine.rc
+                    assert ure_value(ctx, y, mu, qloss=ql) == ure
+                    quad = float((y - mu) @ sigma_solve(ctx, y - mu))
+                    loglik = (-0.5 * d.n_obs * log(2.0 * pi * s2)
+                              - 0.5 * (engine.sum_log_m + float(bundle.logdet[0]))
+                              - quad / (2.0 * s2))
+                    assert marginal_loglik(ctx, y, mu) == loglik
+                    n_points += 1
+        assert n_points >= 20 * 7 * 2
 
     def test_corner_and_public_entry(self, rng):
         table, eta = make_random_table(rng, 6, 4, k_max=20, n_missing=4)

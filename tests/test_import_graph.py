@@ -2,12 +2,13 @@
 
 No module imports scipy: ``linear_core`` loads scipy's compiled LAPACK
 wrappers (``_flapack``) without scipy's Python package, and it is the one
-module that names them.  They serve the capacitance matrix alone; numpy's
-LAPACK serves every other factorization.  ``linear_core`` imports nothing
-from the package at run time (the ``tables`` types it annotates with are
-imported only under ``if TYPE_CHECKING:``).  ``tables`` and
-``risk_metrics`` build designs, losses and diagnostics, not fits, and take
-nothing from ``linear_core``.
+module that names them.  They serve the capacitance matrix alone, which
+``linear_core`` alone builds and factors: no other module names its
+private factor and solve helpers.  numpy's LAPACK serves every other
+factorization.  ``linear_core`` imports nothing from the package at run
+time (the ``tables`` types it annotates with are imported only under
+``if TYPE_CHECKING:``).  ``tables`` and ``risk_metrics`` build designs,
+losses and diagnostics, not fits, and take nothing from ``linear_core``.
 """
 
 import ast
@@ -66,6 +67,32 @@ def test_only_linear_core_names_the_lapack_wrappers():
     namers = {path.name for path in MODULES
               if "_flapack" in path.read_text(encoding="utf-8")}
     assert namers == {"linear_core.py"}
+
+
+def identifiers(path: Path) -> set:
+    """Every name, attribute and imported name a file's code mentions."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+            if node.asname:
+                found.add(node.asname)
+    return found
+
+
+def test_only_linear_core_touches_the_capacitance_matrix():
+    private = {"_cholesky", "_cholesky_solve"}
+    namers = {
+        path.name
+        for path in MODULES
+        for name in identifiers(path)
+        if name in private or name.startswith("_capacitance")
+    }
+    assert namers <= {"linear_core.py"}
 
 
 def test_linear_core_imports_nothing_from_the_package_at_run_time():

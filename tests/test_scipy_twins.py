@@ -23,8 +23,8 @@ from scipy.optimize import minimize as scipy_minimize
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from twoway_shrink import FitEngine, build_design, estimators
-from twoway_shrink.linear_core import _capacitance_factor, _cholesky, _cholesky_solve
+from twoway_shrink import FitEngine, HyperParams, SigmaContext, build_design, estimators
+from twoway_shrink.linear_core import _cholesky, _cholesky_solve
 from twoway_shrink.tables import _component_labels
 from conftest import make_random_table
 
@@ -187,7 +187,7 @@ def _same_bits(a, b):
 
 
 def _capacitance(design, s):
-    """C = I + S G_w S, built as ``_capacitance_factor`` builds it."""
+    """C = I + S G_w S, built as ``SigmaContext.capacitance_factor`` builds it."""
     c = s[:, None] * design.gram_weighted
     c *= s
     c.reshape(-1)[:: s.size + 1] += 1.0
@@ -218,7 +218,8 @@ class TestLapackCalls:
             asymmetric += not np.array_equal(cap, cap.T)
             ref, info = dpotrf(cap, lower=True, clean=False)
             assert info == 0
-            _same_bits(_capacitance_factor(design, s), ref)
+            ctx = SigmaContext(design, HyperParams(0.0, float(la), float(lb)))
+            _same_bits(ctx.capacitance_factor, ref)
         assert asymmetric > 0  # the last-bit asymmetry is exercised
 
     def test_cholesky_solve_matches_dpotrs(self):

@@ -17,6 +17,10 @@ digests:
   to the completion alone leaves the picks' digest as it was;
 * studies: every estimator's losses in each of the cycle's
   ``compare_estimators`` studies;
+* concentration: ``ure_concentration_study`` on the cycle's first study
+  spec, over ``CONCENTRATION_GRID`` with ``CONCENTRATION_REPS``
+  replicates -- ``ure_value`` and ``bayes_estimate`` at fixed
+  hyper-parameters, which no search decides;
 * cli: in-process ``fit`` (ure, ml and wls under ``--loss`` auto, ss,
   weighted and q, where valid) and ``diagnose`` on the cycle's first table
   and on the seed's weighted table -- stdout, stderr, exit code and report
@@ -47,7 +51,12 @@ sys.dont_write_bytecode = True  # leave bench/ as it is
 import harness  # noqa: E402
 import run  # noqa: E402
 
-PARTS = ("picks", "completions", "studies", "cli")
+PARTS = ("picks", "completions", "studies", "concentration", "cli")
+# The unshrunken corner (0, 0), the 1e-6 stand-in for lambda = inf on either
+# factor, interior pairs, and (1, 1), lambda = 0: every cell shrunk to mu.
+CONCENTRATION_GRID = ((0.0, 0.0), (1e-6, 0.5), (0.5, 1e-6), (0.25, 0.75),
+                      (0.5, 0.5), (1.0, 1.0))
+CONCENTRATION_REPS = 3
 CLI_FITS = [(method, loss) for method in ("ure", "ml", "wls")
             for loss in ("auto", "ss", "weighted", "q")]
 
@@ -122,6 +131,10 @@ def digest_workload(ts, workload, seeds, cycles, work: Path) -> dict:
                 rt = ts.simulation.compare_estimators(spec, law.reps, n_jobs=1,
                                                       tau=harness.TAU)
                 add("studies", canon((law.kind, rt.n_failed, rt.losses)))
+            con = ts.simulation.ure_concentration_study(
+                inp.specs[0], CONCENTRATION_GRID, CONCENTRATION_REPS)
+            add("concentration", canon((con.scenario, con.size, con.lt_grid, con.mean_abs,
+                                        con.se_abs, con.mean_diff, con.se_diff)))
             for record in cli_records(ts, inp.table_csv, inp.tables[0], work):
                 add("cli", record)
     return {part: h.hexdigest() for part, h in hashes.items()}
