@@ -193,12 +193,9 @@ def _parse_count_law(spec: str):
         "constant": (0, 1), "uniform": (2,), "twopoint": (0, 2, 3),
         "twopoint-anti": (0, 2, 3),
     })
-    ints = [int(a) for a in args[:2]]
-    if kind == "constant":
-        return Constant(*ints)
-    if kind == "uniform":
-        return UniformCounts(*ints)
-    return TwoPoint(*ints, *args[2:], anti_effect=kind.endswith("anti"))
+    if kind.startswith("twopoint"):
+        return TwoPoint(*args, anti_effect=kind.endswith("anti"))
+    return {"constant": Constant, "uniform": UniformCounts}[kind](*args)
 
 
 def _parse_effect_law(spec: str):
@@ -283,6 +280,8 @@ def cmd_simulate(args) -> int:
     from .simulation import (ALL_ESTIMATORS, check_estimators, compare_estimators,
                              oracle_gap_study, risk_csv, ure_concentration_study)
 
+    if args.jobs < 1:
+        raise ValueError(f"n_jobs must be positive, got {args.jobs}")
     cfg = _parse_config(args.config)
     spec = _scenario_from_config(cfg, args.seed)
     n_reps, tau = cfg.get("n_reps", 200), cfg.get("tau", 0.05)

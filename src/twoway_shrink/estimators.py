@@ -32,15 +32,15 @@ estimator eta_hat = y, whose risk estimate is exactly sigma^2 tr(QM)/(rc);
 the weighted-least-squares limit is covered by a separate near-boundary
 candidate.
 
-The grid is evaluated in absorbed form: the larger factor's block of
-Z^T M^{-1} Z is diagonal, so it is eliminated in closed form and each
-engine eigendecomposes one min(r, c)-order Schur complement per grid value
-of that factor's lambda (:class:`_AbsorbedGrid`).  Only which grid point
-wins (and, where refinement does not improve on it, its profiled mu)
-reaches a fit.  Every other candidate (the near-boundary one and the
-Nelder-Mead points) is scored one point at a time
-(``FitEngine._score_point``, public as :meth:`FitEngine.objective_at`)
-by a :class:`_CapacitancePoint`, a view of the point's
+The grid is evaluated in absorbed form, on the design's split of
+Z^T M^{-1} Z at its larger factor: each engine eigendecomposes one
+min(r, c)-order Schur complement per grid value of that factor's lambda
+(:class:`_AbsorbedGrid`), and EBMLE's grid forms no (r+c)-order matrix.
+Only which grid point wins (and, where refinement does not improve on it,
+its profiled mu) reaches a fit.  Every other candidate (the near-boundary
+one and the Nelder-Mead points) is scored one point at a time
+(``FitEngine._score_point``, public as :meth:`FitEngine.objective_at`) by
+a :class:`_CapacitancePoint`, a view of the point's
 :class:`~twoway_shrink.linear_core.SigmaContext`, whose (r+c)-order
 capacitance factor and explicit inverse the evaluators read too.  A
 candidate it cannot factor (C is not positive definite in floating point,
@@ -49,20 +49,20 @@ skipped with one warning and ``diagnostics["skipped_candidates"]``.  The
 grid and the point answer one solver interface, and ``FitEngine._score``
 is the one statement of the three criteria over either, with mu always
 profiled; fixed hyper-parameters are evaluated by :func:`ure_value`,
-:func:`marginal_loglik` and :func:`bayes_estimate`.  The batch form of
-the point lives in the tests as the oracle of the grid and the scorer.
-The returned fit is re-evaluated through :func:`ure_value` or
+:func:`marginal_loglik` and :func:`bayes_estimate`.  The batch form of the
+point lives in the tests as the oracle of the grid and the scorer.  The
+returned fit is re-evaluated through :func:`ure_value` or
 :func:`marginal_loglik`; ``diagnostics["score_gap"]`` is the relative gap
-between that value and the scorer's, and a gap above ``SCORE_GAP_WARN``
-is logged as a warning on the ``twoway_shrink`` logger.
+between that value and the scorer's, and a gap above ``SCORE_GAP_WARN`` is
+logged as a warning on the ``twoway_shrink`` logger.
 
 Everything after the pick works in the (r+c)-dimensional effect space,
 as every estimate in the family is additive: the completion to all r*c
 cells (:func:`complete_means`) and the WLS baseline (:func:`wls_fit`)
-are one effects solve each, which absorbs the larger factor and solves
-at order min(r, c) - 1 (:func:`wls_fit_full` on a complete 5000 x 10 table:
-0.01 s and 5 MB), and the first-order terms are traces of (r+c)-order
-matrices.  No design matrix is formed outside the completed loss Q.
+are one effects solve each, at order min(r, c) - 1 on the design's split
+(:func:`wls_fit_full` on a complete 5000 x 10 table: 0.01 s and 5 MB), and
+the first-order terms are traces of (r+c)-order matrices.  No design
+matrix is formed outside the completed loss Q.
 
 Every criterion is written for a loss matrix Q on the observed cells
 (:class:`~twoway_shrink.risk_metrics.QLoss`): the sum-of-squares loss
@@ -451,15 +451,13 @@ def minimize(fun, x0) -> NelderMeadResult:
 class _AbsorbedGrid:
     """The lambda grid with the larger factor absorbed in closed form.
 
-    In A/B order, A the larger factor (rows when r >= c), the block D_A of
-    G_w = Z^T M^{-1} Z is diagonal (Searle, Casella and McCulloch,
-    *Variance Components*, 1992, ch. 7).  Eliminating A leaves, per
-    lambda_A, the min(r, c)-order Schur complement
+    A, D_A, X and D_B are those of the design's split of G_w = Z^T M^{-1} Z
+    (``DesignSet.split_weighted``).  Eliminating A leaves, per lambda_A,
+    the min(r, c)-order Schur complement
 
         P = D_B - X^T diag(h) X,   h = lambda_A / (1 + lambda_A D_A),
 
-    kept as P = V diag(ev) V^T, with X the cross block of G_w.  Then
-    u = Lam C^{-1} Lam t splits as
+    kept as P = V diag(ev) V^T.  Then u = Lam C^{-1} Lam t splits as
 
         u_B = V z,   z = f * V^T (t_B - X^T (h t_A)),
         u_A = h t_A - (hX) u_B,      f = lambda_B / (1 + lambda_B ev),
@@ -477,32 +475,23 @@ class _AbsorbedGrid:
     ORACLE only, stay None until :meth:`add_loss` builds them.
     """
 
-    __slots__ = (
-        "lt", "a", "b", "transposed", "h", "hX", "V", "f", "Wv", "logdet", "tr_red"
-    )
+    __slots__ = ("lt", "a", "b", "h", "hX", "V", "f", "Wv", "logdet", "tr_red")
 
     def __init__(self, design: DesignSet, axis: np.ndarray):
-        r, q = design.r, design.q
-        rows, cols = np.arange(r), np.arange(r, q)
-        self.transposed = r < design.c
-        self.a, self.b = (cols, rows) if self.transposed else (rows, cols)
-        a, b = self.a, self.b
+        sp = design.split_weighted
+        self.a, self.b = sp.a, sp.b
         square = np.meshgrid(axis, axis, indexing="ij")
         self.lt = np.stack(square, axis=-1).reshape(-1, 2)[1:]
         lam = np.array([lam_from_tilde(float(t)) for t in axis])
-        g = design.gram_weighted
-        d_a = np.diag(g)[a]
-        x = g[np.ix_(a, b)]
-        self.h = lam[:, None] / (1.0 + lam[:, None] * d_a)
+        x = np.ascontiguousarray(sp.x)
+        self.h = lam[:, None] / (1.0 + lam[:, None] * sp.d_a)
         self.hX = self.h[:, :, None] * x
-        ev, self.V = np.linalg.eigh(g[np.ix_(b, b)] - x.T @ self.hX)
+        ev, self.V = np.linalg.eigh(np.diag(sp.d_b) - x.T @ self.hX)
         ev = np.maximum(ev, 0.0)  # P is positive semidefinite
         lam_ev = lam[None, :, None] * ev[:, None, :]
         self.f = lam[None, :, None] / (1.0 + lam_ev)
-        logdet = np.sum(np.log1p(lam[:, None] * d_a), axis=1)[:, None] + np.sum(
-            np.log1p(lam_ev), axis=2
-        )
-        self.logdet = self._flat(logdet)
+        logdet_a = np.sum(np.log1p(lam[:, None] * sp.d_a), axis=1)
+        self.logdet = self._flat(logdet_a[:, None] + np.sum(np.log1p(lam_ev), axis=2))
         self.Wv = self.tr_red = None
 
     def add_loss(self, zqz: np.ndarray):
@@ -521,8 +510,8 @@ class _AbsorbedGrid:
         self.tr_red = self._flat(tr_red)
 
     def _flat(self, square: np.ndarray) -> np.ndarray:
-        """Values in the order of ``lt``, from a [lambda_A, lambda_B] square."""
-        return (square.T if self.transposed else square).reshape(-1)[1:]
+        """A [lambda_A, lambda_B] square in ``lt`` order; A is rows iff a[0] == 0."""
+        return (square if self.a[0] == 0 else square.T).reshape(-1)[1:]
 
     def _coords(self, v: np.ndarray) -> np.ndarray:
         """V^T (v_B - (hX)^T v_A) per lambda_A, for v of shape (q,) or (g, q)."""

@@ -227,8 +227,6 @@ class SigmaContext:
     hp: HyperParams
     mode: str = "fast"
     sigma2: float | None = None
-    lam_a: float = field(init=False)
-    lam_b: float = field(init=False)
     scale: np.ndarray = field(init=False)  # diagonal of Lam
 
     def __post_init__(self):
@@ -238,8 +236,7 @@ class SigmaContext:
         lam_a = lam_from_tilde(0.0) if isinf(hp.lambda_a) else float(hp.lambda_a)
         lam_b = lam_from_tilde(0.0) if isinf(hp.lambda_b) else float(hp.lambda_b)
         s[:r], s[r:] = sqrt(lam_a), sqrt(lam_b)
-        for name, value in (("lam_a", lam_a), ("lam_b", lam_b), ("scale", s)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "scale", s)
 
     @cached_property
     def capacitance_factor(self) -> np.ndarray:

@@ -72,11 +72,30 @@ def check_estimators(estimators) -> tuple:
 # Count and effect laws
 # ---------------------------------------------------------------------------
 
+def _count(law, name: str) -> None:
+    """Make ``law.<name>`` an int; ValueError unless it is a whole number >= 0."""
+    k = getattr(law, name)
+    if not (isfinite(k) and k >= 0 and k == int(k)):
+        raise ValueError(f"{type(law).__name__}: {name} must be a nonnegative "
+                         f"integer, got {k!r}")
+    object.__setattr__(law, name, int(k))
+
+
+def _require(ok: bool, law, name: str, want: str) -> None:
+    """ValueError naming ``law.<name>`` and ``want`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{type(law).__name__}: {name} must be {want}, "
+                         f"got {getattr(law, name)!r}")
+
+
 @dataclass(frozen=True)
 class Constant:
     """Every cell gets the same count."""
 
     k: int = 1
+
+    def __post_init__(self):
+        _count(self, "k")
 
     def draw(self, rng, r, c, alpha=None):
         return np.full((r, c), self.k, dtype=np.int64)
@@ -88,6 +107,11 @@ class UniformCounts:
 
     k_min: int = 1
     k_max: int = 5
+
+    def __post_init__(self):
+        _count(self, "k_min")
+        _count(self, "k_max")
+        _require(self.k_min <= self.k_max, self, "k_max", f">= k_min = {self.k_min}")
 
     def draw(self, rng, r, c, alpha=None):
         return rng.integers(self.k_min, self.k_max + 1, size=(r, c)).astype(np.int64)
@@ -108,6 +132,11 @@ class TwoPoint:
     frac_hi: float = 0.5
     anti_effect: bool = False
 
+    def __post_init__(self):
+        _count(self, "k_lo")
+        _count(self, "k_hi")
+        _require(0.0 <= self.frac_hi <= 1.0, self, "frac_hi", "in [0, 1]")
+
     def draw(self, rng, r, c, alpha=None):
         if self.anti_effect:
             if alpha is None:
@@ -125,6 +154,9 @@ class TwoPoint:
 class NormalEffects:
     sd: float = 1.0
 
+    def __post_init__(self):
+        _require(isfinite(self.sd) and self.sd >= 0, self, "sd", "finite and >= 0")
+
     def draw(self, rng, size):
         return rng.normal(0.0, self.sd, size=size)
 
@@ -132,6 +164,9 @@ class NormalEffects:
 @dataclass(frozen=True)
 class PointMass:
     value: float = 0.0
+
+    def __post_init__(self):
+        _require(isfinite(self.value), self, "value", "finite")
 
     def draw(self, rng, size):
         return np.full(size, self.value)
@@ -144,6 +179,11 @@ class TwoGroup:
     low: float = 0.0
     high: float = 3.0
     frac_high: float = 0.2
+
+    def __post_init__(self):
+        _require(isfinite(self.low), self, "low", "finite")
+        _require(isfinite(self.high) and self.high >= 0, self, "high", "finite and >= 0")
+        _require(0.0 <= self.frac_high <= 1.0, self, "frac_high", "in [0, 1]")
 
     def draw(self, rng, size):
         vals = np.full(size, self.low)

@@ -3,11 +3,11 @@
 The central object is :class:`CellTable`, an r x c grid of per-cell
 observation counts and cell averages with a known noise variance.  From a
 table we derive the design of its observed cells (:class:`DesignSet`: row
-and column index arrays, counts, and the effect-space grams and solves
-built from them), quantile bounds for the shrinkage location, and the
-design imbalance ratio.  The one dense map, the rc x n completion map
-Zc Z^+, is built on each call of :meth:`DesignSet.completion_map`, once
-per completed-loss matrix Q, and no design keeps it.
+and column index arrays, counts, the effect-space grams, kept split at the
+larger factor, and the solves built from them), quantile bounds for the
+shrinkage location, and the design imbalance ratio.  The one dense map,
+the rc x n completion map Zc Z^+, is built on each call of
+:meth:`DesignSet.completion_map`, once per Q, and no design keeps it.
 
 A table is read from one of two input kinds: raw (row, col, value)
 records, in memory (:func:`ingest_observations`) or as a raw CSV, or an
@@ -28,6 +28,7 @@ threads.
 from __future__ import annotations
 
 import csv
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import floor, isfinite, isnan
@@ -245,12 +246,16 @@ class DesignSet:
     ``CellTable.y_observed``): cell k lies in row ``row_index[k]`` and column
     ``col_index[k]`` and holds ``k_obs[k]`` observations; ``m_diag`` is the
     diagonal of M, 1/K per observed cell.  The row-column incidence
-    [Za Zb] acts through :meth:`effects_matvec` and
-    :meth:`effects_rmatvec` and its grams are built from count sums, so no
-    design matrix is stored.  The one dense map, Zc Z^+, is built anew by
-    each call of :meth:`completion_map` and not kept.  Designs come from
-    :func:`build_design`, so the row-column graph is connected and Z has
-    rank r+c-1.
+    [Za Zb] acts through :meth:`effects_matvec` and :meth:`effects_rmatvec`,
+    so no design matrix is stored.  Each gram G = [[D_A, X], [X^T, D_B]]
+    is kept split at the larger factor A (rows when r >= c), whose D_A is
+    diagonal (Searle, Casella and McCulloch, *Variance Components*, 1992,
+    ch. 7): A's and B's indices ``a`` and ``b``, the diagonals ``d_a`` and
+    ``d_b``, ``x`` = X, ``xs`` = D_A^{-1} X and ``schur`` = D_B - X^T
+    D_A^{-1} X less B's last row and column, read-only.  The one dense map,
+    Zc Z^+, is built anew by each call of :meth:`completion_map` and not
+    kept.  Designs come from :func:`build_design`, so the row-column graph
+    is connected and Z has rank r+c-1.
     """
 
     r: int
@@ -281,39 +286,38 @@ class DesignSet:
 
     @cached_property
     def gram_weighted(self) -> np.ndarray:
-        """[Za Zb]^T M^{-1} [Za Zb], built from count sums."""
-        return _effects_gram(self, self.k_obs.astype(float))
+        """[Za Zb]^T M^{-1} [Za Zb], assembled from ``split_weighted``."""
+        return _effects_gram(self.q, self.split_weighted)
 
     @cached_property
     def gram_plain(self) -> np.ndarray:
-        """[Za Zb]^T [Za Zb], built from cell-incidence sums."""
-        return _effects_gram(self, 1.0)
+        """[Za Zb]^T [Za Zb], assembled from ``split_plain``."""
+        return _effects_gram(self.q, self.split_plain)
+
+    @cached_property
+    def split_weighted(self) -> AbsorbedSplit:
+        """[Za Zb]^T M^{-1} [Za Zb] split at its larger factor, from count sums."""
+        return _absorbed_split(self, self.k_obs.astype(float))
+
+    @cached_property
+    def split_plain(self) -> AbsorbedSplit:
+        """[Za Zb]^T [Za Zb] split at its larger factor, from cell-incidence sums."""
+        return _absorbed_split(self, 1.0)
 
     def effects_solve(self, rhs: np.ndarray, weighted: bool = False) -> np.ndarray:
         """The theta with v^T theta = 0 that solves G theta = rhs.
 
         G is ``gram_weighted`` or ``gram_plain`` and v = (1_r, -1_c) spans
         its null space; ``rhs`` must lie in the range of G (any
-        [Za Zb]^T x does).  The larger factor A, whose block D_A of G is
-        diagonal, is eliminated in closed form (Searle, Casella and
-        McCulloch, *Variance Components*, 1992, ch. 7): the Schur complement
-        D_B - X^T D_A^{-1} X, X the cross block, is solved at order
-        min(r, c) - 1 with theta_B's last entry at 0 (its null vector is
-        1_B), theta_A = D_A^{-1} (rhs_A - X theta_B), and theta is shifted
-        along v onto v^T theta = 0.
+        [Za Zb]^T x does).  Through G's split, the Schur complement is solved
+        at order min(r, c) - 1 with theta_B's last entry at 0 (its null
+        vector is 1_B), theta_A = D_A^{-1} (rhs_A - X theta_B), and theta is
+        shifted along v onto v^T theta = 0.
         """
-        r = self.r
-        x = _cross_block(self, self.k_obs.astype(float) if weighted else 1.0)
-        rhs_a, rhs_b = rhs[:r], rhs[r:]
-        if r < self.c:
-            x, rhs_a, rhs_b = x.T, rhs_b, rhs_a
-        d_a = x.sum(axis=1)
-        xs = x / d_a[:, None]  # D_A^{-1} X
-        s = np.diag(x.sum(axis=0)) - x.T @ xs
-        theta_b = np.zeros(s.shape[0])
-        theta_b[:-1] = np.linalg.solve(s[:-1, :-1], (rhs_b - xs.T @ rhs_a)[:-1])
-        theta_a = (rhs_a - x @ theta_b) / d_a
-        theta = np.concatenate([theta_b, theta_a] if r < self.c else [theta_a, theta_b])
+        sp, r = self.split_weighted if weighted else self.split_plain, self.r
+        rhs_a, rhs_b, theta = rhs[sp.a], rhs[sp.b], np.zeros(self.q)
+        theta[sp.b[:-1]] = np.linalg.solve(sp.schur, (rhs_b - sp.xs.T @ rhs_a)[:-1])
+        theta[sp.a] = (rhs_a - sp.x @ theta[sp.b]) / sp.d_a
         shift = (theta[:r].sum() - theta[r:].sum()) / self.q
         theta[:r] -= shift
         theta[r:] += shift
@@ -336,17 +340,30 @@ class DesignSet:
         return Zc @ np.linalg.pinv(Z, rcond=PINV_RTOL)
 
 
-def _cross_block(design: DesignSet, w) -> np.ndarray:
-    """The r x c cross block Za^T diag(w) Zb: each observed cell's weight."""
-    cross = np.zeros((design.r, design.c))
-    cross[design.row_index, design.col_index] = w
-    return cross
+AbsorbedSplit = namedtuple("AbsorbedSplit", "a b d_a d_b x xs schur")
 
 
-def _effects_gram(design: DesignSet, w) -> np.ndarray:
-    """[Za Zb]^T diag(w) [Za Zb]; its diagonal holds the cross block's sums."""
-    x = _cross_block(design, w)
-    return np.block([[np.diag(x.sum(axis=1)), x], [x.T, np.diag(x.sum(axis=0))]])
+def _absorbed_split(design: DesignSet, w) -> AbsorbedSplit:
+    """The split (see DesignSet) of [Za Zb]^T diag(w) [Za Zb]; ``x`` views r x c."""
+    r, x = design.r, np.zeros((design.r, design.c))
+    x[design.row_index, design.col_index] = w  # each observed cell's weight
+    a, b = np.arange(r), np.arange(r, design.q)
+    if r < design.c:
+        a, b, x = b, a, x.T
+    d_a, d_b = x.sum(axis=1), x.sum(axis=0)
+    xs = x / d_a[:, None]
+    split = AbsorbedSplit(a, b, d_a, d_b, x, xs, (np.diag(d_b) - x.T @ xs)[:-1, :-1])
+    for part in split:
+        part.flags.writeable = False
+    return split
+
+
+def _effects_gram(q: int, sp: AbsorbedSplit) -> np.ndarray:
+    """The dense q x q gram of a split, in (rows, columns) order."""
+    g = np.zeros((q, q))
+    g[np.ix_(sp.a, sp.b)], g[np.ix_(sp.b, sp.a)] = sp.x, sp.x.T
+    g[sp.a, sp.a], g[sp.b, sp.b] = sp.d_a, sp.d_b
+    return g
 
 
 def build_design(table: CellTable) -> DesignSet:

@@ -13,7 +13,11 @@ compares the loss of a fit on a balanced table with its closed-form
 decomposition, and ``balanced_objective`` and ``balanced_minimum`` give
 every criterion on a balanced table, and its exact minimum, in closed
 form.  ``effects_solve_augmented`` is the (r+c)-order augmented Cholesky
-effects solve that ``DesignSet.effects_solve`` replaced.  ``profile_mu_ure`` and
+effects solve that ``DesignSet.effects_solve`` replaced;
+``effects_gram_block``, ``effects_solve_per_call`` and
+``absorbed_grid_from_gram`` are the dense grams, the solve and the grid as
+they were built before the design kept its absorbed split, the oracles of
+the bit-equality checks.  ``profile_mu_ure`` and
 ``profile_mu_gls`` are the location profiles as regressions of observed
 vectors, the oracles of the engine's closed-form mu.  The batch capacitance
 path (``CapacitanceBundle``, ``evaluate_bundle``) scores many
@@ -24,14 +28,14 @@ derivative-based local search from a fit's lambda_tilde; interior fits
 are checked to leave it nothing to gain.
 """
 
-from math import log, pi
+from math import isinf, log, pi
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize
 
-from twoway_shrink.estimators import _first_order_terms
+from twoway_shrink.estimators import _AbsorbedGrid, _first_order_terms
 from twoway_shrink.linear_core import (
     LAMBDA_TILDE_EPS,
     NumericError,
@@ -67,12 +71,19 @@ def dense_design(d):
     )
 
 
+def numeric_lambdas(hp):
+    """(lambda_a, lambda_b) with +inf replaced by the numeric stand-in."""
+    return tuple(lam_from_tilde(0.0) if isinf(v) else float(v)
+                 for v in (hp.lambda_a, hp.lambda_b))
+
+
 def dense_sigma(ctx):
     """Sigma of a :class:`SigmaContext`, formed explicitly."""
     d = ctx.design
     dd = dense_design(d)
     za, zb = dd.Za, dd.Zb
-    sig = ctx.lam_a * (za @ za.T) + ctx.lam_b * (zb @ zb.T)
+    la, lb = numeric_lambdas(ctx.hp)
+    sig = la * (za @ za.T) + lb * (zb @ zb.T)
     sig[np.diag_indices_from(sig)] += d.m_diag
     return sig
 
@@ -143,6 +154,76 @@ def complete_means_augmented(design, eta_obs):
     rhs = design.effects_rmatvec(np.asarray(eta_obs, dtype=float))
     theta = effects_solve_augmented(design, rhs)
     return (theta[: design.r, None] + theta[None, design.r :]).ravel()
+
+
+# -- the effects solve and the absorbed grid, each choosing A itself ------------
+
+def cross_block(design, weighted=False):
+    """The r x c cross block Za^T diag(w) Zb: each observed cell's weight."""
+    x = np.zeros((design.r, design.c))
+    x[design.row_index, design.col_index] = design.k_obs if weighted else 1.0
+    return x
+
+
+def effects_gram_block(design, weighted=False):
+    """``gram_weighted`` or ``gram_plain`` as ``np.block`` of the cross block."""
+    x = cross_block(design, weighted)
+    return np.block([[np.diag(x.sum(axis=1)), x], [x.T, np.diag(x.sum(axis=0))]])
+
+
+def effects_solve_per_call(design, rhs, weighted=False):
+    """``DesignSet.effects_solve`` as it was before the design kept its split.
+
+    Each call builds the cross block, D_A^{-1} X and the Schur complement,
+    and swaps the orientation when the columns are the larger factor.
+    """
+    r, x = design.r, cross_block(design, weighted)
+    rhs_a, rhs_b = rhs[:r], rhs[r:]
+    if r < design.c:
+        x, rhs_a, rhs_b = x.T, rhs_b, rhs_a
+    d_a = x.sum(axis=1)
+    xs = x / d_a[:, None]  # D_A^{-1} X
+    s = np.diag(x.sum(axis=0)) - x.T @ xs
+    theta_b = np.zeros(s.shape[0])
+    theta_b[:-1] = np.linalg.solve(s[:-1, :-1], (rhs_b - xs.T @ rhs_a)[:-1])
+    theta_a = (rhs_a - x @ theta_b) / d_a
+    theta = np.concatenate([theta_b, theta_a] if r < design.c else [theta_a, theta_b])
+    shift = (theta[:r].sum() - theta[r:].sum()) / design.q
+    theta[:r] -= shift
+    theta[r:] += shift
+    return theta
+
+
+def absorbed_grid_from_gram(design, axis):
+    """An ``_AbsorbedGrid`` built as it was before the design kept its split.
+
+    A is chosen by comparing r with c, and D_A, X and D_B are sliced out of
+    the dense (r+c)-order ``gram_weighted``.  Its ``add_loss`` is the
+    class's own.
+    """
+    grid = object.__new__(_AbsorbedGrid)
+    r, q = design.r, design.q
+    rows, cols = np.arange(r), np.arange(r, q)
+    transposed = r < design.c
+    grid.a, grid.b = a, b = (cols, rows) if transposed else (rows, cols)
+    square = np.meshgrid(axis, axis, indexing="ij")
+    grid.lt = np.stack(square, axis=-1).reshape(-1, 2)[1:]
+    lam = np.array([lam_from_tilde(float(t)) for t in axis])
+    g = design.gram_weighted
+    d_a = np.diag(g)[a]
+    x = g[np.ix_(a, b)]
+    grid.h = lam[:, None] / (1.0 + lam[:, None] * d_a)
+    grid.hX = grid.h[:, :, None] * x
+    ev, grid.V = np.linalg.eigh(g[np.ix_(b, b)] - x.T @ grid.hX)
+    ev = np.maximum(ev, 0.0)
+    lam_ev = lam[None, :, None] * ev[:, None, :]
+    grid.f = lam[None, :, None] / (1.0 + lam_ev)
+    logdet = np.sum(np.log1p(lam[:, None] * d_a), axis=1)[:, None] + np.sum(
+        np.log1p(lam_ev), axis=2
+    )
+    grid.logdet = (logdet.T if transposed else logdet).reshape(-1)[1:]
+    grid.Wv = grid.tr_red = None
+    return grid
 
 
 # -- location profiles ---------------------------------------------------------
@@ -324,7 +405,7 @@ def balanced_decoupling_check(table, hp, true_eta):
     eta_hat = table.y_observed - shrink_apply(ctx, table.y_observed - m_hat)
     lhs = loss_ss(eta_hat, eta.ravel())
 
-    la, lb = ctx.lam_a, ctx.lam_b
+    la, lb = numeric_lambdas(ctx.hp)
     c_a = la * c * k0 / (la * c * k0 + 1.0)
     c_b = lb * r * k0 / (lb * r * k0 + 1.0)
     rhs = (

@@ -526,6 +526,29 @@ class TestSimulateCommand:
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("count_law=constant:2.7", "Constant: k must be a nonnegative integer, got 2.7"),
+        ("count_law=uniform:0.5,3.9",
+         "UniformCounts: k_min must be a nonnegative integer, got 0.5"),
+        ("count_law=uniform:5,2", "UniformCounts: k_max must be >= k_min = 5, got 2"),
+        ("count_law=twopoint:1,20,1.5", "TwoPoint: frac_hi must be in [0, 1], got 1.5"),
+        ("count_law=twopoint-anti:1,20,nan",
+         "TwoPoint: frac_hi must be in [0, 1], got nan"),
+        ("effect_a=normal:-1", "NormalEffects: sd must be finite and >= 0, got -1.0"),
+        ("effect_b=normal:nan", "NormalEffects: sd must be finite and >= 0, got nan"),
+        ("effect_b=pointmass:inf", "PointMass: value must be finite, got inf"),
+        ("effect_a=twogroup:0,3,1.5", "TwoGroup: frac_high must be in [0, 1], got 1.5"),
+    ])
+    def test_law_argument_out_of_range_names_key_and_line(self, tmp_path, capsys,
+                                                           line, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"r=4\nc=4\nn_reps=2\n{line}\n")
+        code = main(["simulate", "--study", "compare", "--config", str(path)])
+        out, err = capsys.readouterr()
+        key = line.partition("=")[0]
+        assert (code, out, err) == (2, "", f"error: config key {key!r} on line 4: "
+                                           f"{message}\n")
+
     def test_config_line_without_equals_exit_2(self, tmp_path, capsys):
         cfg = self._config(tmp_path, extra="n_reps 6\n")
         code = main(["simulate", "--study", "compare", "--config", cfg, "--seed", "7"])
@@ -619,6 +642,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("study, jobs", [
         ("compare", "0"), ("compare", "-5"), ("oracle-gap", "0"),
+        ("concentration", "0"),
     ])
     def test_jobs_below_one_exit_2(self, tmp_path, study, jobs, capsys):
         cfg = self._config(tmp_path, extra="sizes=4x4\n",

@@ -6,6 +6,12 @@ with missing cells, r >= c and r < c, counts 1..20) with the dense matrix
 form it replaced, at 1e-9.  The effects solve behind completion and WLS
 absorbs the larger factor; it is compared with the (r+c)-order augmented
 Cholesky solve it replaced at 1e-12, on designs with counts up to 2000.
+
+The design's absorbed split (``DesignSet.split_weighted`` and
+``split_plain``) is built once and read by the effects solve and the
+absorbed grid; both are checked bit for bit against their forms from
+before the split, which chose the absorbed factor themselves, and an
+engine's set-up is checked to build no dense (r+c)-order gram.
 """
 
 import tracemalloc
@@ -15,6 +21,8 @@ import pytest
 
 from twoway_shrink import (
     CellTable,
+    DesignSet,
+    FitEngine,
     HyperParams,
     QLoss,
     SigmaContext,
@@ -26,13 +34,16 @@ from twoway_shrink import (
     wls_fit,
     wls_fit_full,
 )
-from twoway_shrink.estimators import _first_order_terms
+from twoway_shrink.estimators import GRID_POINTS, _AbsorbedGrid, _first_order_terms
 from twoway_shrink.linear_core import lam_from_tilde
 from conftest import make_random_table
 from dense_oracle import (
+    absorbed_grid_from_gram,
     complete_means_augmented,
     dense_design,
+    effects_gram_block,
     effects_solve_augmented,
+    effects_solve_per_call,
     first_order_terms_dense,
     wls_fit_augmented,
 )
@@ -132,6 +143,73 @@ def test_effects_solve_matches_the_augmented_cholesky():
                       effects_solve_augmented(d, rhs, weighted))
             check(wls_fit(d, x), wls_fit_augmented(d, x))
             check(complete_means(d, x), complete_means_augmented(d, x))
+
+
+@pytest.fixture(scope="module")
+def split_designs():
+    tables = oracle_designs(np.random.default_rng(2929), n=60)
+    assert len({(t.is_complete, int(np.sign(t.r - t.c))) for t in tables}) == 6
+    return tables
+
+
+def test_grams_and_effects_solve_are_bit_equal_to_the_per_call_forms(split_designs):
+    rng = np.random.default_rng(2930)
+    for table in split_designs:
+        d = build_design(table)
+        assert np.array_equal(d.gram_weighted, effects_gram_block(d, weighted=True))
+        assert np.array_equal(d.gram_plain, effects_gram_block(d))
+        for x in (table.y_observed, rng.normal(0, 1, d.n_obs)):
+            for weighted in (False, True):
+                rhs = d.effects_rmatvec(d.k_obs * x if weighted else x)
+                assert np.array_equal(d.effects_solve(rhs, weighted),
+                                      effects_solve_per_call(d, rhs, weighted))
+
+
+def test_absorbed_grid_is_bit_equal_to_the_grid_from_the_dense_gram(split_designs):
+    axis = np.linspace(0.0, 1.0, GRID_POINTS)
+    for table in split_designs:
+        d = build_design(table)
+        grid = _AbsorbedGrid(d, axis)
+        ref = absorbed_grid_from_gram(d, axis)
+        for loss in (None, QLoss.of(d).effects_gram):
+            if loss is not None:
+                grid.add_loss(loss)
+                ref.add_loss(loss)
+            for name in _AbsorbedGrid.__slots__:
+                got, want = getattr(grid, name), getattr(ref, name)
+                assert (got is want is None) or np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("r, c, n_missing", [(9, 5, 0), (5, 9, 12), (6, 6, 7)])
+def test_engine_setup_builds_no_dense_gram(monkeypatch, r, c, n_missing):
+    table, _ = make_random_table(np.random.default_rng(r * c), r, c, k_max=20,
+                                 n_missing=n_missing)
+
+    def refuse(design):
+        raise AssertionError("a dense (r+c)-order gram was built")
+
+    monkeypatch.setattr(DesignSet, "gram_weighted", property(refuse))
+    monkeypatch.setattr(DesignSet, "gram_plain", property(refuse))
+    engine = FitEngine(table)
+    engine._grid_pick(engine._data_pieces(table.y_observed, None, loss=False), "EBMLE")
+
+
+def test_engine_setup_on_a_tall_complete_table_stays_below_one_gram():
+    """Set-up and the EBMLE grid pick on a complete 2000 x 20 table peak
+    below one (r+c)-order float matrix, 32.6 MB."""
+    rng = np.random.default_rng(2000)
+    table = CellTable(rng.integers(1, 6, size=(2000, 20)),
+                      rng.normal(0, 1, (2000, 20)), 1.0)
+    gram_bytes = 8 * (table.r + table.c) ** 2
+    tracemalloc.start()
+    try:
+        engine = FitEngine(table)
+        engine._grid_pick(engine._data_pieces(table.y_observed, None, loss=False),
+                          "EBMLE")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < gram_bytes, f"set-up peak {peak / 1e6:.1f} MB"
 
 
 def test_wls_fit_full_on_a_tall_complete_table_stays_small():

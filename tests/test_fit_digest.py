@@ -24,7 +24,8 @@ def test_one_cycle_prints_the_same_digests_twice():
     first = run_digest()
     lines = first.splitlines()
     assert [line.rsplit(" ", 1)[0] for line in lines] == [
-        "study-serial picks", "study-serial completions", "study-serial studies",
+        "study-serial picks", "study-serial completions", "study-serial transposed",
+        "study-serial studies",
         "study-serial concentration", "study-serial cli", "total",
     ]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.rsplit(" ", 1)[1]) for line in lines)

@@ -419,6 +419,41 @@ class TestGenerationLimits:
         with pytest.raises(ValueError, match="anti_effect counts need the row effects"):
             law.draw(np.random.default_rng(0), 4, 3)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Constant(2.7), "Constant: k must be a nonnegative integer, got 2.7"),
+        (lambda: Constant(-1), "Constant: k must be a nonnegative integer, got -1"),
+        (lambda: UniformCounts(0.5, 3), "UniformCounts: k_min must be a nonnegative "
+                                        "integer, got 0.5"),
+        (lambda: UniformCounts(1, float("inf")), "UniformCounts: k_max must be a "
+                                                 "nonnegative integer, got inf"),
+        (lambda: UniformCounts(5, 2), "UniformCounts: k_max must be >= k_min = 5, got 2"),
+        (lambda: TwoPoint(1.5, 20), "TwoPoint: k_lo must be a nonnegative integer, "
+                                    "got 1.5"),
+        (lambda: TwoPoint(1, -20), "TwoPoint: k_hi must be a nonnegative integer, "
+                                   "got -20"),
+        (lambda: TwoPoint(1, 20, 1.5), "TwoPoint: frac_hi must be in [0, 1], got 1.5"),
+        (lambda: TwoPoint(1, 20, float("nan")), "TwoPoint: frac_hi must be in [0, 1], "
+                                                "got nan"),
+        (lambda: NormalEffects(-1.0), "NormalEffects: sd must be finite and >= 0, "
+                                      "got -1.0"),
+        (lambda: NormalEffects(float("nan")), "NormalEffects: sd must be finite and "
+                                              ">= 0, got nan"),
+        (lambda: PointMass(float("inf")), "PointMass: value must be finite, got inf"),
+        (lambda: TwoGroup(float("nan"), 3.0), "TwoGroup: low must be finite, got nan"),
+        (lambda: TwoGroup(0.0, -3.0), "TwoGroup: high must be finite and >= 0, "
+                                      "got -3.0"),
+        (lambda: TwoGroup(0.0, 3.0, 1.5), "TwoGroup: frac_high must be in [0, 1], "
+                                          "got 1.5"),
+    ])
+    def test_law_rejects_a_malformed_argument(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+    def test_count_law_takes_whole_floats_as_ints(self):
+        assert Constant(2.0).k == 2 and type(Constant(2.0).k) is int
+        assert UniformCounts(1.0, 3.0) == UniformCounts(1, 3)
+        assert TwoPoint(1.0, 20.0).k_hi == 20
+
     def test_count_law_that_draws_zeros(self):
         spec = small_spec(r=4, c=4, count_law=UniformCounts(0, 1), seed=2)
         with pytest.raises(ValueError, match="count law produced empty cells; "

@@ -15,6 +15,11 @@ digests:
   objective, ``mu_clamped`` and diagnostics, all that the search decides;
 * completions: the same fits' ``eta_complete``, apart, so that a change
   to the completion alone leaves the picks' digest as it was;
+* transposed: the picks and completions of the same fits on each table
+  transposed.  Every benchmark table has at least as many rows as
+  columns, so only this part reaches the paths where the columns are the
+  larger factor (the effects solve and the absorbed grid absorb that
+  factor);
 * studies: every estimator's losses in each of the cycle's
   ``compare_estimators`` studies;
 * concentration: ``ure_concentration_study`` on the cycle's first study
@@ -51,7 +56,7 @@ sys.dont_write_bytecode = True  # leave bench/ as it is
 import harness  # noqa: E402
 import run  # noqa: E402
 
-PARTS = ("picks", "completions", "studies", "concentration", "cli")
+PARTS = ("picks", "completions", "transposed", "studies", "concentration", "cli")
 # The unshrunken corner (0, 0), the 1e-6 stand-in for lambda = inf on either
 # factor, interior pairs, and (1, 1), lambda = 0: every cell shrunk to mu.
 CONCENTRATION_GRID = ((0.0, 0.0), (1e-6, 0.5), (0.5, 1e-6), (0.25, 0.75),
@@ -107,6 +112,11 @@ def cli_records(ts, csv: Path, table, work: Path):
     yield cli_record(ts, ["diagnose", *io_args], work)
 
 
+def fits(ts, table):
+    return (ts.estimators.fit_ure(table, tau=harness.TAU),
+            ts.estimators.fit_ml(table, tau=harness.TAU))
+
+
 def digest_workload(ts, workload, seeds, cycles, work: Path) -> dict:
     hashes = {part: hashlib.sha256() for part in PARTS}
 
@@ -123,10 +133,13 @@ def digest_workload(ts, workload, seeds, cycles, work: Path) -> dict:
         for cycle in range(cycles):
             inp = harness.make_inputs(ts, workload, seed, cycle, work)
             for table in inp.tables:
-                for fit in (ts.estimators.fit_ure(table, tau=harness.TAU),
-                            ts.estimators.fit_ml(table, tau=harness.TAU)):
+                for fit in fits(ts, table):
                     add("picks", pick_record(fit))
                     add("completions", canon((fit.method, fit.eta_complete)))
+                flipped = ts.tables.CellTable(table.counts.T, table.means.T, table.sigma2)
+                for fit in fits(ts, flipped):
+                    add("transposed", pick_record(fit))
+                    add("transposed", canon((fit.method, fit.eta_complete)))
             for spec, law in zip(inp.specs, workload.studies):
                 rt = ts.simulation.compare_estimators(spec, law.reps, n_jobs=1,
                                                       tau=harness.TAU)
